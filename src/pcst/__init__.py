@@ -16,11 +16,9 @@ from .instance import (FORMATS, Instance, ParseError, approx_decimal,
                        gen_tight_path, gen_tight_star, parse_instance,
                        parse_rational, rational_token)
 from .laminar import (DualAssignment, LaminarFamily, SetRecord,
-                      from_records, init_singletons, records_from_json,
-                      to_records)
+                      from_records, records_from_json, to_records)
 from .oracle import ExactResult, exact_solve, iter_connected_masks
 from .solver import (Event, InvariantError, Solution, SolverState,
-                     active_maximals, compute_epsilon, growth_step,
                      init_state, run_phase1, run_phase2, solve,
                      trace_json_lines)
 from .verify import (Certificate, CheckResult, Tree, Violation,
@@ -36,10 +34,9 @@ __all__ = [
     "gen_tight_star", "parse_instance", "parse_rational",
     "rational_token",
     "DualAssignment", "LaminarFamily", "SetRecord", "from_records",
-    "init_singletons", "records_from_json", "to_records",
+    "records_from_json", "to_records",
     "ExactResult", "exact_solve", "iter_connected_masks",
-    "Event", "InvariantError", "Solution", "SolverState",
-    "active_maximals", "compute_epsilon", "growth_step", "init_state",
+    "Event", "InvariantError", "Solution", "SolverState", "init_state",
     "run_phase1", "run_phase2", "solve", "trace_json_lines",
     "Certificate", "CheckResult", "Tree", "Violation", "audit_solution",
     "certificate", "check_feasibility", "cluster_count_bound",

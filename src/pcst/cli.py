@@ -39,7 +39,7 @@ EXIT_PARSE = 2
 EXIT_VERIFY = 3
 EXIT_INVARIANT = 4
 
-SOLUTION_SCHEMA = "pcst-solution/1"
+SOLUTION_SCHEMA = "pcst-solution/2"
 GEN_KINDS = ("tight-star", "tight-path", "random")
 
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -50,6 +51,14 @@ from typing import Iterable, Optional, Sequence, Union
 RationalLike = Union[int, str, Fraction]
 
 FORMATS = ("json", "stp")
+
+# Limits on one numeric token.  A token's length is paid for in the
+# input itself, but an exponent costs only its digits: "1e4000000"
+# would otherwise become a 13-million-bit integer before anything can
+# refuse it.
+MAX_TOKEN_CHARS = 10_000
+MAX_EXPONENT = 1_000
+_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)")
 
 
 class ParseError(ValueError):
@@ -71,7 +80,9 @@ def parse_rational(token: RationalLike) -> Fraction:
     """Convert an int, Fraction, or numeric string token exactly.
 
     Floats are rejected on purpose: the caller should pass the original
-    text so "0.1" means 1/10 and not the nearest binary double.
+    text so "0.1" means 1/10 and not the nearest binary double.  String
+    tokens longer than MAX_TOKEN_CHARS or with an exponent beyond
+    MAX_EXPONENT in magnitude are refused.
     """
     if isinstance(token, Fraction):
         return token
@@ -82,8 +93,17 @@ def parse_rational(token: RationalLike) -> Fraction:
     if isinstance(token, float):
         raise ValueError("floats are inexact; pass the token as a string")
     if isinstance(token, str):
+        text = token.strip()
+        if len(text) > MAX_TOKEN_CHARS:
+            raise ValueError(f"numeric token longer than {MAX_TOKEN_CHARS} "
+                             "characters")
+        exponent = _EXPONENT.search(text)
+        if exponent and \
+                abs(int(exponent.group(1).replace("_", ""))) > MAX_EXPONENT:
+            raise ValueError(f"exponent of {text!r} exceeds "
+                             f"{MAX_EXPONENT} in magnitude")
         try:
-            return Fraction(token.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational token: {token!r}") from exc
     raise ValueError(f"not a rational token: {token!r}")
@@ -206,11 +226,13 @@ def _reject_constant(token: str):
 
 def _parse_json(text: str) -> Instance:
     try:
-        doc = json.loads(text, parse_float=Fraction,
+        doc = json.loads(text, parse_float=parse_rational,
                          parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid json: {exc.msg}",
                          line=exc.lineno, column=exc.colno) from exc
+    except ValueError as exc:  # a number past parse_rational's or int's limits
+        raise ParseError(str(exc)) from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level json value must be an object")
     for key in ("n", "prizes", "edges"):

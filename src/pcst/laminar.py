@@ -14,16 +14,22 @@ read straight off the parent links; the sets crossing an edge are the
 symmetric difference of its endpoints' chains.
 
 Duals live in a separate DualAssignment: one non-negative Fraction per
-set plus the ids frozen as saturated.  This module only stores and
-queries; growth scheduling lives in the solver.
+set plus the ids frozen as saturated.  The solver keeps its duals as
+growth clocks and builds a DualAssignment from them only for its
+output and its invariant checks.  This module only stores and queries;
+growth scheduling lives in the solver.
+
+A snapshot record carries a set's id, dual, saturation flag and parent
+link; the member vertices are not stored, because the parent links
+determine them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
-from .instance import Instance, format_rational, parse_rational
+from .instance import format_rational, parse_rational
 
 SetId = int
 
@@ -51,9 +57,6 @@ class LaminarFamily:
 
     def parent_of(self, sid: SetId) -> Optional[SetId]:
         return self._parent[sid]
-
-    def children_of(self, sid: SetId) -> tuple[SetId, ...]:
-        return self._children[sid]
 
     def size(self, sid: SetId) -> int:
         return self._size[sid]
@@ -138,43 +141,6 @@ class LaminarFamily:
             cur = self._parent[cur]
         return chain
 
-    def supersets_of(self, xs: Iterable[int]) -> list[SetId]:
-        """Ids of sets containing every vertex of xs, ascending.
-
-        Empty xs is contained in everything, so all ids come back.  For a
-        singleton this is exactly the leaf-to-root chain.
-        """
-        xset = frozenset(xs)
-        if not xset:
-            return list(self.ids)
-        for v in xset:
-            if not 0 <= v < self.n:
-                raise ValueError(f"vertex {v} out of range")
-        anchor = next(iter(xset))
-        return [sid for sid in self.chain_of_vertex(anchor)
-                if xset <= self.vertices(sid)]
-
-    def subsets_below(self, xs: Iterable[int]) -> list[SetId]:
-        """Ids of sets contained in the vertex set xs, ascending."""
-        xset = frozenset(xs)
-        for v in xset:
-            if not 0 <= v < self.n:
-                raise ValueError(f"vertex {v} out of range")
-        return [sid for sid in self.ids if self.vertices(sid) <= xset]
-
-    def subtree_ids(self, sid: SetId) -> list[SetId]:
-        """Ids of sid and all its descendants (the sets contained in it)."""
-        if not 0 <= sid < len(self._parent):
-            raise ValueError(f"unknown set id {sid}")
-        acc = []
-        stack = [sid]
-        while stack:
-            cur = stack.pop()
-            acc.append(cur)
-            stack.extend(self._children[cur])
-        acc.sort()
-        return acc
-
     def crossing_sets(self, u: int, v: int) -> list[SetId]:
         """Ids of sets containing exactly one of vertices u and v.
 
@@ -195,49 +161,6 @@ class DualAssignment:
     y: dict[SetId, Fraction]
     saturated: set[SetId]
 
-    def register(self, sid: SetId):
-        self.y[sid] = Fraction(0)
-
-    def total(self, ids: Iterable[SetId]) -> Fraction:
-        return sum((self.y[sid] for sid in ids), Fraction(0))
-
-
-def init_singletons(inst: Instance) -> tuple[LaminarFamily, DualAssignment]:
-    """Fresh family of singletons with all duals zero, nothing saturated."""
-    fam = LaminarFamily(inst.n)
-    duals = DualAssignment({v: Fraction(0) for v in range(inst.n)}, set())
-    return fam, duals
-
-
-def merge(fam: LaminarFamily, duals: DualAssignment,
-          a: SetId, b: SetId) -> SetId:
-    """Structural merge plus a zero dual for the new set (not saturated)."""
-    nid = fam.merge(a, b)
-    duals.register(nid)
-    return nid
-
-
-def dual_sum(duals: DualAssignment, ids: Iterable[SetId]) -> Fraction:
-    return duals.total(ids)
-
-
-def edge_slack(fam: LaminarFamily, duals: DualAssignment, inst: Instance,
-               edge_index: int) -> Fraction:
-    """Cost of the edge minus the dual mass on sets it crosses.
-
-    Negative means the duals overload the edge; the verifier reports it
-    rather than clamping.
-    """
-    u, v, c = inst.edges[edge_index]
-    return c - duals.total(fam.crossing_sets(u, v))
-
-
-def prize_slack(fam: LaminarFamily, duals: DualAssignment, inst: Instance,
-                sid: SetId) -> Fraction:
-    """Prize mass of the set minus the dual mass inside it."""
-    prize = sum((inst.prizes[v] for v in fam.vertices(sid)), Fraction(0))
-    return prize - duals.total(fam.subtree_ids(sid))
-
 
 # ---------------------------------------------------------------------------
 # snapshots (the serialized form audited by the verifier and the CLI)
@@ -246,7 +169,6 @@ def prize_slack(fam: LaminarFamily, duals: DualAssignment, inst: Instance,
 @dataclass(frozen=True)
 class SetRecord:
     sid: SetId
-    vertices: tuple[int, ...]
     y: Fraction
     saturated: bool
     parent: Optional[SetId]
@@ -254,7 +176,6 @@ class SetRecord:
     def to_json_obj(self) -> dict:
         return {
             "id": self.sid,
-            "vertices": list(self.vertices),
             "y": format_rational(self.y),
             "saturated": self.saturated,
             "parent": self.parent,
@@ -264,22 +185,25 @@ class SetRecord:
 def to_records(fam: LaminarFamily,
                duals: DualAssignment) -> tuple[SetRecord, ...]:
     return tuple(
-        SetRecord(sid, tuple(sorted(fam.vertices(sid))), duals.y[sid],
-                  sid in duals.saturated, fam.parent_of(sid))
+        SetRecord(sid, duals.y[sid], sid in duals.saturated,
+                  fam.parent_of(sid))
         for sid in fam.ids)
 
 
 def records_from_json(items: list) -> tuple[SetRecord, ...]:
+    """Records from the json entries of a snapshot.  Keys beyond the
+    four a record needs are ignored, so the per-set "vertices" lists of
+    pcst-solution/1 documents are accepted and skipped."""
     records = []
     for item in items:
         if not isinstance(item, dict):
             raise ValueError("laminar snapshot entries must be objects")
-        missing = {"id", "vertices", "y", "saturated", "parent"} - set(item)
+        missing = {"id", "y", "saturated", "parent"} - set(item)
         if missing:
             raise ValueError(f"snapshot entry missing keys {sorted(missing)}")
         records.append(SetRecord(
-            item["id"], tuple(item["vertices"]), parse_rational(item["y"]),
-            bool(item["saturated"]), item["parent"]))
+            item["id"], parse_rational(item["y"]), bool(item["saturated"]),
+            item["parent"]))
     return tuple(records)
 
 
@@ -297,9 +221,6 @@ def from_records(records: Iterable[SetRecord],
     if len(recs) < n or len(recs) > 2 * n - 1:
         raise ValueError(f"snapshot has {len(recs)} sets for {n} vertices")
     fam = LaminarFamily(n)
-    for v in range(n):
-        if recs[v].vertices != (v,):
-            raise ValueError(f"set {v} must be the singleton ({v},)")
     children: dict[int, list[int]] = {}
     for r in recs:
         if r.parent is not None:
@@ -310,11 +231,6 @@ def from_records(records: Iterable[SetRecord],
         kids = children.get(r.sid, [])
         if len(kids) != 2:
             raise ValueError(f"set {r.sid} must have exactly two children")
-        got = frozenset(r.vertices)
-        want = fam.vertices(kids[0]) | fam.vertices(kids[1])
-        if fam.vertices(kids[0]) & fam.vertices(kids[1]) or got != want:
-            raise ValueError(f"set {r.sid} is not the disjoint union "
-                             "of its children")
         for kid in kids:
             if not fam.is_maximal(kid):
                 raise ValueError(f"set {kid} merged twice in snapshot")

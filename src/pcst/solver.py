@@ -17,15 +17,16 @@ byte-identical traces.
 
 The driving loop keeps a lazy priority queue of candidate event times
 (entries are invalidated by a per-edge version counter whenever a merge
-or saturation changes an edge's surroundings).  ``compute_epsilon`` is
-the plain full-rescan reference for the same decision; the tests check
-the two agree step for step.
+or saturation changes an edge's surroundings).  The tests drive the
+same state with a full rescan of every constraint, recomputed from
+definitions, and check that the two agree step for step.
 
 Dual values are derived from growth intervals: a set grows from its
 creation until it saturates, is merged away, or growth ends, so its
-dual is just the clock span of that interval.  The DualAssignment dict
-is refreshed from these clocks at every public boundary (after each
-growth_step, at phase changes, and whenever invariants are checked).
+dual is just the clock span of that interval.  The state keeps only
+these clocks and the set of saturated ids; ``dual_assignment`` turns
+them into a DualAssignment for the solution, the certificate and the
+invariant checks.
 """
 from __future__ import annotations
 
@@ -111,16 +112,17 @@ class Solution:
 
 
 class SolverState:
-    """Mutable run state: instance, family, duals, forest, trace.
+    """Mutable run state: instance, family, growth clocks, forest, trace.
 
     The private clock fields implement growth lazily; see the module
-    docstring.  External readers should go through sync_duals().
+    docstring.  External readers should go through dual_assignment().
     """
 
     def __init__(self, inst: Instance, *, check_invariants: bool = False,
                  emit_trace: bool = True):
         self.inst = inst
-        self.fam, self.duals = lam.init_singletons(inst)
+        self.fam = lam.LaminarFamily(inst.n)
+        self.saturated: set[int] = set()
         self.forest: list[int] = []  # edge indices, in insertion order
         self.phase = PHASE_GROWTH
         self.trace: list[Event] = []
@@ -150,11 +152,6 @@ class SolverState:
 
     # -- clock-derived quantities ------------------------------------
 
-    @property
-    def time(self) -> Fraction:
-        """Cumulative growth so far (sum of applied epsilons)."""
-        return self.clock
-
     def _alive(self, sid: int) -> bool:
         return self._death[sid] is None
 
@@ -173,11 +170,11 @@ class SolverState:
     def _saturation_clock(self, sid: int) -> Fraction:
         return self._birth[sid] + self._prize[sid] - self._inner_birth[sid]
 
-    def sync_duals(self):
-        """Refresh the DualAssignment dict from the growth clocks."""
-        y = self.duals.y
-        for sid in self.fam.ids:
-            y[sid] = self._dual_of(sid)
+    def dual_assignment(self) -> lam.DualAssignment:
+        """The duals at the current clock, read off the growth clocks."""
+        return lam.DualAssignment(
+            {sid: self._dual_of(sid) for sid in self.fam.ids},
+            set(self.saturated))
 
     # -- event application --------------------------------------------
 
@@ -239,7 +236,7 @@ class SolverState:
                 f"set {sid} saturating while its prize is not exhausted")
         self._death[sid] = self.clock
         self._fold_chain(sid)
-        self.duals.saturated.add(sid)
+        self.saturated.add(sid)
         self._active -= 1
         self._incident[sid] = self._retouch_edges(self._incident[sid])
         self._record(kind="saturation", epsilon=eps, set_id=sid)
@@ -261,7 +258,7 @@ class SolverState:
             if self._alive(sid):
                 self._death[sid] = self.clock
                 self._fold_chain(sid)
-        nid = lam.merge(self.fam, self.duals, a, b)
+        nid = self.fam.merge(a, b)
         self._birth.append(self.clock)
         self._death.append(None)
         self._prize.append(self._prize[a] + self._prize[b])
@@ -316,7 +313,6 @@ class SolverState:
         if self._steps > 2 * self.inst.n - 2:
             raise InvariantError("growth phase exceeded its step budget")
         if self._check:
-            self.sync_duals()
             check_growth_invariants(self)
 
 
@@ -328,83 +324,6 @@ def init_state(inst: Instance, *, check_invariants: bool = False,
                emit_trace: bool = True) -> SolverState:
     return SolverState(inst, check_invariants=check_invariants,
                        emit_trace=emit_trace)
-
-
-def active_maximals(state: SolverState) -> list[int]:
-    """Ids of maximal sets still growing, ascending."""
-    sat = state.duals.saturated
-    return [sid for sid in state.fam.maximal_ids() if sid not in sat]
-
-
-def compute_epsilon(state: SolverState) -> tuple[Fraction, list[Event]]:
-    """Largest feasible uniform growth step, with every event that the
-    step makes ripe.
-
-    Full rescan, independent of the event queue: saturation candidates
-    are the prize slacks of the active maximal sets (only their own
-    prize constraints tighten under growth); merge candidates are the
-    edges between distinct maximal sets with at least one active side,
-    each reached after slack divided by the number of active sides.
-    Pending events are ordered saturations first (by set id), then
-    merges (by edge index), so the head is the one to apply.
-    """
-    if state.phase != PHASE_GROWTH:
-        raise ValueError(f"compute_epsilon needs the growth phase, "
-                         f"state is in {state.phase!r}")
-    active = active_maximals(state)
-    if len(active) < 2:
-        raise ValueError("growth is already finished")
-    best: Optional[Fraction] = None
-    sat_hits: list[int] = []
-    for sid in active:
-        slack = state._saturation_clock(sid) - state.clock
-        if slack < 0:
-            raise InvariantError(f"set {sid} overfilled by {-slack}")
-        if best is None or slack < best:
-            best = slack
-            sat_hits = [sid]
-        elif slack == best:
-            sat_hits.append(sid)
-    merge_hits: list[int] = []
-    fam = state.fam
-    for idx, (u, v, c) in enumerate(state.inst.edges):
-        tu = fam.maximal_of(u)
-        tv = fam.maximal_of(v)
-        if tu == tv:
-            continue
-        rate = state._alive(tu) + state._alive(tv)
-        if rate == 0:
-            continue
-        slack = c - state._chain_load(u) - state._chain_load(v)
-        if slack < 0:
-            raise InvariantError(f"edge {idx} overloaded by {-slack}")
-        step = slack / rate
-        if step < best:
-            best = step
-            sat_hits = []
-            merge_hits = [idx]
-        elif step == best:
-            merge_hits.append(idx)
-    when = state.clock + best
-    pending = [Event(kind="saturation", epsilon=best, time=when, set_id=sid)
-               for sid in sat_hits]
-    pending += [Event(kind="merge", epsilon=best, time=when, edge_index=idx,
-                      edge=state.inst.edges[idx][:2])
-                for idx in merge_hits]
-    return best, pending
-
-
-def growth_step(state: SolverState):
-    """One growth iteration via the rescan reference: grow by epsilon,
-    then apply the single ripest event (saturation before merge)."""
-    eps, pending = compute_epsilon(state)
-    ev = pending[0]
-    if ev.kind == "saturation":
-        state._apply_saturation(ev.set_id, eps)
-    else:
-        state._apply_merge(ev.edge_index, eps)
-    state._after_step()
-    state.sync_duals()
 
 
 def run_phase1(state: SolverState):
@@ -424,7 +343,6 @@ def run_phase1(state: SolverState):
         raise InvariantError(f"growth ended with {len(survivors)} active "
                              "maximal sets")
     state.final_maximal = survivors[0]
-    state.sync_duals()
     state.phase = PHASE_PRUNE
     state._record(kind="phase", epsilon=Fraction(0), phase=PHASE_PRUNE)
 
@@ -435,11 +353,9 @@ def run_phase2(state: SolverState) -> Solution:
     if state.phase != PHASE_PRUNE:
         raise ValueError(f"run_phase2 needs the prune phase, "
                          f"state is in {state.phase!r}")
-    import heapq as hq
-
     inst = state.inst
     fam = state.fam
-    sat = state.duals.saturated
+    sat = state.saturated
     tree_vs = set(fam.vertices(state.final_maximal))
     edge_alive: dict[int, bool] = {}
     crossing: dict[int, list[int]] = {}
@@ -453,10 +369,10 @@ def run_phase2(state: SolverState) -> Solution:
             for sid in cross:
                 deg[sid] += 1
     candidates = [sid for sid, d in deg.items() if d == 1]
-    hq.heapify(candidates)
+    heapq.heapify(candidates)
     prunes = 0
     while candidates:
-        sid = hq.heappop(candidates)
+        sid = heapq.heappop(candidates)
         if deg[sid] != 1:
             continue
         removed = tree_vs & fam.vertices(sid)
@@ -470,7 +386,7 @@ def run_phase2(state: SolverState) -> Solution:
                 for other in crossing[idx]:
                     deg[other] -= 1
                     if deg[other] == 1:
-                        hq.heappush(candidates, other)
+                        heapq.heappush(candidates, other)
         prunes += 1
         if prunes > len(sat):
             raise InvariantError("prune phase exceeded its step budget")
@@ -485,7 +401,8 @@ def run_phase2(state: SolverState) -> Solution:
     cost = sum((inst.edges[idx][2] for idx in kept), Fraction(0))
     penalty = sum((inst.prizes[v] for v in range(inst.n)
                    if v not in tree_vs), Fraction(0))
-    cert = verify.certificate(fam, state.duals)
+    duals = state.dual_assignment()
+    cert = verify.certificate(fam, duals)
     state.phase = PHASE_DONE
     state._record(kind="phase", epsilon=Fraction(0), phase=PHASE_DONE)
     sol = Solution(
@@ -499,7 +416,7 @@ def run_phase2(state: SolverState) -> Solution:
         lower_bound=cert.lower_bound,
         minimizing_vertex=cert.minimizing_vertex,
         fam=fam,
-        duals=state.duals,
+        duals=duals,
         trace=tuple(state.trace),
     )
     if sol.lagrangean_objective > 2 * cert.lower_bound:
@@ -525,7 +442,6 @@ def solve(inst: Instance, *, check_invariants: Optional[bool] = None,
         check = bool(check_invariants)
     state = init_state(inst, check_invariants=check, emit_trace=emit_trace)
     if check:
-        state.sync_duals()
         check_growth_invariants(state)
     run_phase1(state)
     return run_phase2(state)
@@ -581,8 +497,8 @@ def check_growth_invariants(state: SolverState):
     """Invariants maintained throughout the growth phase: the forest
     spans every family set connectedly, duals are feasible, forest edges
     are tight, saturated sets are exhausted, and no active maximal set
-    is a union of saturated sets.  Assumes sync_duals() was called."""
-    inst, fam, duals = state.inst, state.fam, state.duals
+    is a union of saturated sets."""
+    inst, fam, duals = state.inst, state.fam, state.dual_assignment()
     forest_pairs = [inst.edges[idx][:2] for idx in state.forest]
     adj = _induced_adjacency(forest_pairs)
     for sid in fam.ids:
@@ -603,8 +519,10 @@ def check_growth_invariants(state: SolverState):
         prize = sum((inst.prizes[v] for v in vs), Fraction(0))
         if verify.inside_load(fam, duals, vs) != prize:
             raise InvariantError(f"saturated set {sid} not exhausted")
-    for sid in active_maximals(state):
-        if _saturated_cover_gap(fam, duals.saturated, fam.vertices(sid)) == 0:
+    sat = duals.saturated
+    for sid in fam.maximal_ids():
+        if sid not in sat and \
+                _saturated_cover_gap(fam, sat, fam.vertices(sid)) == 0:
             raise InvariantError(
                 f"active maximal set {sid} is a union of saturated sets")
 
@@ -627,7 +545,7 @@ def check_prune_invariants(state: SolverState, tree_vs: set[int],
             raise InvariantError(
                 f"tree is disconnected within family set {sid}")
     region = frozenset(fam.vertices(state.final_maximal) - tree_vs)
-    gap = _saturated_cover_gap(fam, state.duals.saturated, region)
+    gap = _saturated_cover_gap(fam, state.saturated, region)
     if gap:
         raise InvariantError(
             f"pruned region is not a union of saturated sets "

@@ -27,15 +27,15 @@ except ImportError:  # pragma: no cover - hypothesis is a test extra
 
 from pcst import (ExactResult, Instance, Solution, Tree, exact_solve,
                   gen_random, solve, verify)
-from pcst import laminar as lam
+from pcst import solver as sv
 
 
-# -- reference epsilon computation -------------------------------------------
+# -- reference growth engine -------------------------------------------------
 
 
 def naive_epsilon(inst, fam, duals):
     """Smallest growth step and the event it ripens, recomputed from
-    definitions over synced duals.
+    definitions over a DualAssignment.
 
     Ties resolve like the solver: saturations before merges, smallest
     set id, then smallest edge index.  Returns (eps, kind, payload).
@@ -65,6 +65,29 @@ def naive_epsilon(inst, fam, duals):
         if best is None or step < best:
             best, hit = step, ("merge", idx)
     return best, hit
+
+
+def rescan_step(state):
+    """One growth step picked by naive_epsilon instead of the event
+    queue, applied through the solver's own event methods."""
+    eps, (kind, payload) = naive_epsilon(state.inst, state.fam,
+                                         state.dual_assignment())
+    if kind == "saturation":
+        state._apply_saturation(payload, eps)
+    else:
+        state._apply_merge(payload, eps)
+    state._after_step()
+
+
+def solve_by_rescan(inst):
+    """Full solve whose growth steps all come from the rescan reference;
+    phase two is the solver's own."""
+    state = sv.init_state(inst)
+    fam = state.fam
+    while sum(sid not in state.saturated for sid in fam.maximal_ids()) > 1:
+        rescan_step(state)
+    sv.run_phase1(state)  # no active pair left; finalizes the phase
+    return sv.run_phase2(state)
 
 
 # -- reference connected-subset enumeration ----------------------------------

@@ -2,6 +2,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -46,7 +47,7 @@ def test_solve_human_report(star_file, capsys):
 
 def test_solve_json_document(solved):
     _, _, doc = solved
-    assert doc["schema"] == "pcst-solution/1"
+    assert doc["schema"] == "pcst-solution/2"
     assert doc["instance"] == {"n": 3, "m": 2}
     assert doc["objective"] == "4/1"
     assert doc["lagrangean_objective"] == "4/1"
@@ -54,6 +55,7 @@ def test_solve_json_document(solved):
     assert doc["minimizing_vertex"] == 0
     assert doc["tree"]["vertices"] == [0, 1, 2]
     assert len(doc["laminar"]) == 5
+    assert set(doc["laminar"][4]) == {"id", "y", "saturated", "parent"}
     assert doc["trace_file"] is None
 
 
@@ -74,6 +76,24 @@ def test_solve_check_flags(star_file, capsys):
     assert run_cli("solve", str(star_file), "--check-invariants") == 0
     assert run_cli("solve", str(star_file), "--no-check-invariants") == 0
     capsys.readouterr()
+
+
+HOSTILE_NUMBER_FILES = {
+    "string.json": '{"n": 1, "prizes": ["1e4000000"], "edges": []}',
+    "number.json": '{"n": 1, "prizes": [1e4000000], "edges": []}',
+    "token.stp": "SECTION Graph\nNodes 2\nEdges 1\nE 1 2 1e4000000\n"
+                 "END\nEOF\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_NUMBER_FILES))
+def test_solve_hostile_number_fails_fast(tmp_path, capsys, name):
+    path = tmp_path / name
+    path.write_text(HOSTILE_NUMBER_FILES[name])
+    started = time.perf_counter()
+    assert run_cli("solve", str(path)) == 2
+    assert time.perf_counter() - started < 1
+    assert "exponent" in capsys.readouterr().err
 
 
 def test_solve_missing_file(tmp_path, capsys):
@@ -155,6 +175,16 @@ def test_verify_clean_solution(solved, capsys):
     assert len(check_lines) == 9
     assert all(": pass" in ln for ln in check_lines)
     assert "verification: pass" in out
+
+
+def test_verify_accepts_v1_vertex_lists(solved, capsys):
+    # a pcst-solution/1 document also lists every set's vertices
+    star_file, sol_path, _ = solved
+    members = {0: [0], 1: [1], 2: [2], 3: [0, 1], 4: [0, 1, 2]}
+    corrupt_solution(sol_path, lambda doc: [
+        rec.update(vertices=members[rec["id"]]) for rec in doc["laminar"]])
+    assert run_cli("verify", str(sol_path), str(star_file)) == 0
+    assert "verification: pass" in capsys.readouterr().out
 
 
 def test_verify_json_schema(solved, capsys):

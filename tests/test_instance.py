@@ -36,7 +36,10 @@ def test_parse_rational_exact(token, expected):
 
 
 @pytest.mark.parametrize("token", [2.5, float("nan"), "1/0", "abc", "",
-                                   None, True, [1, 2]])
+                                   None, True, [1, 2], "1e4000000",
+                                   "1.5E-1_001",
+                                   pytest.param("1" * 10_001,
+                                                id="10001-digits")])
 def test_parse_rational_rejects(token):
     with pytest.raises(ValueError):
         parse_rational(token)
@@ -135,6 +138,9 @@ def test_json_rational_strings():
     '{"n": 2, "prizes": [0, 0], "edges": [[0, 1, 1], [0, 1, 2]]}',
     '{"n": 1, "prizes": [Infinity], "edges": []}',
     '{"n": 1, "prizes": [-1], "edges": []}',
+    '{"n": 1, "prizes": [1e4000000], "edges": []}',
+    pytest.param('{"n": 1, "prizes": [1%s], "edges": []}' % ("0" * 5000),
+                 id="5001-digit-int"),
 ])
 def test_json_rejects_malformed(text):
     with pytest.raises(ParseError):

@@ -1,49 +1,40 @@
-"""Laminar family structure, duals, slacks, and snapshot round trips."""
+"""Laminar family structure and snapshot round trips."""
 import random
 from fractions import Fraction
 
 import pytest
 
-from pcst import Instance, from_records, records_from_json, to_records
+from pcst import from_records, records_from_json, to_records
 from pcst import laminar as lam
-
-
-def family(n):
-    inst = Instance(n, (), (0,) * n)
-    return lam.init_singletons(inst)
 
 
 # -- structure -----------------------------------------------------------------
 
 
 def test_singletons():
-    fam, duals = family(3)
+    fam = lam.LaminarFamily(3)
     assert len(fam) == 3
     assert fam.maximal_ids() == [0, 1, 2]
     for v in range(3):
         assert fam.vertices(v) == frozenset({v})
         assert fam.maximal_of(v) == v
         assert fam.parent_of(v) is None
-        assert duals.y[v] == 0
-    assert not duals.saturated
 
 
 def test_merge_structure():
-    fam, duals = family(4)
-    nid = lam.merge(fam, duals, 0, 1)
+    fam = lam.LaminarFamily(4)
+    nid = fam.merge(0, 1)
     assert nid == 4
     assert fam.vertices(nid) == frozenset({0, 1})
     assert fam.parent_of(0) == nid and fam.parent_of(1) == nid
-    assert fam.children_of(nid) == (0, 1)
     assert fam.size(nid) == 2
     assert fam.maximal_ids() == [2, 3, 4]
     assert fam.maximal_of(0) == nid and fam.maximal_of(1) == nid
-    assert duals.y[nid] == 0
 
 
 def test_merge_rejects_non_maximal_and_self():
-    fam, duals = family(3)
-    nid = lam.merge(fam, duals, 0, 1)
+    fam = lam.LaminarFamily(3)
+    nid = fam.merge(0, 1)
     with pytest.raises(ValueError):
         fam.merge(0, 2)  # 0 is no longer maximal
     with pytest.raises(ValueError):
@@ -51,92 +42,43 @@ def test_merge_rejects_non_maximal_and_self():
 
 
 def test_chain_of_vertex_ascends():
-    fam, duals = family(4)
-    a = lam.merge(fam, duals, 0, 1)
-    b = lam.merge(fam, duals, a, 2)
+    fam = lam.LaminarFamily(4)
+    a = fam.merge(0, 1)
+    b = fam.merge(a, 2)
     assert fam.chain_of_vertex(0) == [0, a, b]
     assert fam.chain_of_vertex(2) == [2, b]
     assert fam.chain_of_vertex(3) == [3]
 
 
 def test_crossing_sets():
-    fam, duals = family(3)
-    lam.merge(fam, duals, 0, 1)
+    fam = lam.LaminarFamily(3)
+    fam.merge(0, 1)
     # sets holding exactly one endpoint of (0, 2): {0}, {2}, {0,1}
     assert fam.crossing_sets(0, 2) == [0, 2, 3]
     assert fam.crossing_sets(0, 1) == [0, 1]
 
 
-def test_supersets_and_subsets():
-    fam, duals = family(4)
-    a = lam.merge(fam, duals, 0, 1)
-    b = lam.merge(fam, duals, a, 2)
-    assert fam.supersets_of([0]) == [0, a, b]
-    assert fam.supersets_of([0, 2]) == [b]
-    assert fam.supersets_of([]) == [0, 1, 2, 3, a, b]
-    assert fam.subsets_below([0, 1]) == [0, 1, a]
-    assert fam.subtree_ids(b) == sorted([b, a, 0, 1, 2])
-
-
 def test_vertices_cached_consistent_after_merges():
-    fam, duals = family(6)
+    fam = lam.LaminarFamily(6)
     rng = random.Random(5)
     while len(fam.maximal_ids()) > 1:
         tops = fam.maximal_ids()
         a, b = rng.sample(tops, 2)
-        nid = lam.merge(fam, duals, a, b)
+        nid = fam.merge(a, b)
         assert fam.vertices(nid) == fam.vertices(a) | fam.vertices(b)
     assert fam.vertices(fam.maximal_ids()[0]) == frozenset(range(6))
-
-
-# -- slacks --------------------------------------------------------------------
-
-
-def test_edge_and_prize_slack_match_naive():
-    inst = Instance(4, ((0, 1, 5), (1, 2, "7/2"), (2, 3, 2), (0, 3, 4)),
-                    ("3/2", 2, 0, 1))
-    fam, duals = lam.init_singletons(inst)
-    duals.y[0] = Fraction(1)
-    duals.y[1] = Fraction(1, 2)
-    nid = lam.merge(fam, duals, 0, 1)
-    duals.y[nid] = Fraction(1, 4)
-
-    def naive_edge_slack(idx):
-        u, v, c = inst.edges[idx]
-        load = sum(duals.y[s] for s in fam.ids
-                   if (u in fam.vertices(s)) != (v in fam.vertices(s)))
-        return c - load
-
-    def naive_prize_slack(sid):
-        vs = fam.vertices(sid)
-        prize = sum(inst.prizes[v] for v in vs)
-        inside = sum(duals.y[s] for s in fam.ids if fam.vertices(s) <= vs)
-        return prize - inside
-
-    for idx in range(inst.m):
-        assert lam.edge_slack(fam, duals, inst, idx) == naive_edge_slack(idx)
-    for sid in fam.ids:
-        assert lam.prize_slack(fam, duals, inst, sid) == naive_prize_slack(sid)
-
-
-def test_dual_sum():
-    fam, duals = family(3)
-    duals.y[0] = Fraction(1, 3)
-    duals.y[2] = Fraction(1, 6)
-    assert lam.dual_sum(duals, [0, 1, 2]) == Fraction(1, 2)
-    assert lam.dual_sum(duals, []) == 0
 
 
 # -- snapshots -----------------------------------------------------------------
 
 
 def build_random_family(n, seed):
-    inst = Instance(n, (), tuple(range(n)))
-    fam, duals = lam.init_singletons(inst)
+    fam = lam.LaminarFamily(n)
+    duals = lam.DualAssignment({}, set())
     rng = random.Random(seed)
     while len(fam.maximal_ids()) > 1 and rng.random() < 0.8:
         a, b = rng.sample(fam.maximal_ids(), 2)
-        nid = lam.merge(fam, duals, a, b)
+        nid = fam.merge(a, b)
         duals.y[nid] = Fraction(rng.randint(0, 9), rng.randint(1, 9))
         if rng.random() < 0.3:
             duals.saturated.add(nid)
@@ -172,7 +114,6 @@ def test_from_records_rejects_malformed():
             from_records(records_from_json(objs), 5)
 
     corrupt(lambda objs: objs.pop())  # drop the root set
-    corrupt(lambda objs: objs[0].update(vertices=[0, 1]))  # fat singleton
     corrupt(lambda objs: objs[0].update(y="-1/2"))  # negative dual
     corrupt(lambda objs: objs[-1].update(parent=0))  # cyclic parent
     with pytest.raises(ValueError):

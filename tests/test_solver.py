@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import naive_epsilon, sweep_instance
+from conftest import (naive_epsilon, rescan_step, solve_by_rescan,
+                      sweep_instance)
 from pcst import (Instance, gen_random, gen_tight_path, gen_tight_star,
                   solve)
 from pcst import solver as sv
@@ -13,17 +14,6 @@ from pcst import solver as sv
 def events_of(trace, *kinds):
     kinds = kinds or ("saturation", "merge")
     return [ev for ev in trace if ev.kind in kinds]
-
-
-def run_by_rescan(inst):
-    """Full solve driven by the rescan reference instead of the event
-    queue: growth via compute_epsilon/growth_step, then the shared
-    phase-two code."""
-    state = sv.init_state(inst)
-    while len(sv.active_maximals(state)) > 1:
-        sv.growth_step(state)
-    sv.run_phase1(state)  # no active pair left; finalizes the phase
-    return sv.run_phase2(state)
 
 
 # -- frozen examples -----------------------------------------------------------
@@ -144,14 +134,14 @@ def test_zero_prize_vertex_saturates_at_once():
     assert sol.objective == 0
 
 
-# -- cross-checks of the two growth engines ------------------------------------
+# -- cross-checks against the rescan reference ---------------------------------
 
 
 @pytest.mark.parametrize("seed", range(1, 301))
 def test_rescan_engine_agrees_with_event_queue(seed):
     inst = sweep_instance(seed)
     fast = solve(inst)
-    slow = run_by_rescan(inst)
+    slow = solve_by_rescan(inst)
     assert fast.trace == slow.trace
     assert fast.tree_vertices == slow.tree_vertices
     assert fast.tree_edge_indices == slow.tree_edge_indices
@@ -164,31 +154,22 @@ def test_rescan_engine_agrees_with_event_queue(seed):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_compute_epsilon_matches_naive_definition(seed):
+    """Every step the event queue pops is the step naive_epsilon
+    recomputes from definitions at that moment."""
     inst = gen_random(1 + seed % 9, "2/3", max_cost=8, max_prize=6,
                       seed=1000 + seed)
     state = sv.init_state(inst)
-    while len(sv.active_maximals(state)) > 1:
-        state.sync_duals()
-        eps, pending = sv.compute_epsilon(state)
-        n_eps, (n_kind, n_payload) = naive_epsilon(inst, state.fam,
-                                                   state.duals)
-        assert eps == n_eps
-        head = pending[0]
-        assert head.kind == n_kind
-        payload = head.set_id if n_kind == "saturation" else head.edge_index
-        assert payload == n_payload
-        sv.growth_step(state)
+    queue_pop = state._pop_next
+    kinds = {sv._KIND_SAT: "saturation", sv._KIND_MERGE: "merge"}
 
+    def checked_pop():
+        expected = naive_epsilon(inst, state.fam, state.dual_assignment())
+        eps, kind, payload = queue_pop()
+        assert (eps, (kinds[kind], payload)) == expected
+        return eps, kind, payload
 
-def test_compute_epsilon_refuses_wrong_phase():
-    inst = gen_tight_star(1)
-    state = sv.init_state(inst)
+    state._pop_next = checked_pop
     sv.run_phase1(state)
-    with pytest.raises(ValueError):
-        sv.compute_epsilon(state)
-    state2 = sv.init_state(Instance(1, (), (3,)))
-    with pytest.raises(ValueError):
-        sv.compute_epsilon(state2)  # nothing left to grow
 
 
 # -- budgets, determinism, flags -------------------------------------------------
@@ -238,11 +219,10 @@ def test_env_var_forces_checking(monkeypatch):
 def test_checker_catches_poisoned_duals():
     inst = Instance(3, ((0, 1, 4), (1, 2, 1)), (10, 10, "1/4"))
     state = sv.init_state(inst)
-    sv.growth_step(state)
-    sv.growth_step(state)
-    state.sync_duals()
+    rescan_step(state)
+    rescan_step(state)
     sv.check_growth_invariants(state)  # healthy state passes
-    state.duals.y[0] += 100  # overload every constraint around vertex 0
+    state._birth[0] -= 100  # overload every constraint around vertex 0
     with pytest.raises(sv.InvariantError):
         sv.check_growth_invariants(state)
 
@@ -250,9 +230,8 @@ def test_checker_catches_poisoned_duals():
 def test_checker_catches_missing_forest_edge():
     inst = Instance(3, ((0, 1, 0), (1, 2, 0)), (1, 1, 1))
     state = sv.init_state(inst)
-    sv.growth_step(state)
-    sv.growth_step(state)
-    state.sync_duals()
+    rescan_step(state)
+    rescan_step(state)
     state.forest.pop()  # family set now spans two forest pieces
     with pytest.raises(sv.InvariantError):
         sv.check_growth_invariants(state)

@@ -8,6 +8,7 @@ from pcst import (Instance, Tree, audit_solution, certificate,
                   check_feasibility, cluster_count_bound, gen_tight_star,
                   growth_inequality, make_tree, solve, tree_bound,
                   tree_predicates)
+from conftest import rescan_step
 from pcst import laminar as lam
 from pcst import solver as sv
 from pcst import verify
@@ -29,12 +30,11 @@ def pruned():
 
 def hand_family():
     """n=3, sets {0},{1},{2},{0,1}; y = 1/2, 1/3, 0, 2."""
-    inst = Instance(3, (), (9, 9, 9))
-    fam, duals = lam.init_singletons(inst)
-    nid = lam.merge(fam, duals, 0, 1)
-    duals.y[0] = Fraction(1, 2)
-    duals.y[1] = Fraction(1, 3)
-    duals.y[nid] = Fraction(2)
+    fam = lam.LaminarFamily(3)
+    nid = fam.merge(0, 1)
+    duals = lam.DualAssignment(
+        {0: Fraction(1, 2), 1: Fraction(1, 3), 2: Fraction(0),
+         nid: Fraction(2)}, set())
     return fam, duals
 
 
@@ -65,9 +65,9 @@ def test_feasibility_clean_on_solver_output(star):
 
 def test_feasibility_flags_edge_prize_and_sign():
     inst = Instance(2, ((0, 1, 1),), (2, "1/2"))
-    fam, duals = lam.init_singletons(inst)
-    duals.y[0] = Fraction(3)  # breaks edge 0 and prize budget of {0}
-    duals.y[1] = Fraction(-1)
+    fam = lam.LaminarFamily(2)
+    # y0 = 3 breaks edge 0 and the prize budget of {0}
+    duals = lam.DualAssignment({0: Fraction(3), 1: Fraction(-1)}, set())
     bad = check_feasibility(fam, duals, inst)
     kinds = {(v.kind, v.subject) for v in bad}
     assert ("negative-dual", 1) in kinds
@@ -100,8 +100,8 @@ def test_certificate_prune_values(pruned):
 
 def test_certificate_refuses_infeasible_only_with_instance():
     inst = Instance(2, ((0, 1, 1),), (5, 5))
-    fam, duals = lam.init_singletons(inst)
-    duals.y[0] = Fraction(7)
+    fam = lam.LaminarFamily(2)
+    duals = lam.DualAssignment({0: Fraction(7), 1: Fraction(0)}, set())
     cert = certificate(fam, duals)  # no instance: arithmetic only
     assert cert.dual_total == 7
     with pytest.raises(ValueError):
@@ -198,18 +198,16 @@ def test_tree_predicates_flag_bridge(pruned):
 
 
 def test_tree_predicates_flag_wrapped():
-    inst = Instance(2, ((0, 1, 0),), (1, 1))
-    fam, duals = lam.init_singletons(inst)
-    nid = lam.merge(fam, duals, 0, 1)
+    fam = lam.LaminarFamily(2)
+    nid = fam.merge(0, 1)
     sat = {nid}
     preds = tree_predicates(fam, sat, make_tree((0, 1), ((0, 1),)))
     assert preds.wrapped == nid
 
 
 def test_tree_predicates_flag_disconnection():
-    inst = Instance(3, ((0, 1, 1), (1, 2, 1), (0, 2, 1)), (1, 1, 1))
-    fam, duals = lam.init_singletons(inst)
-    nid = lam.merge(fam, duals, 0, 2)
+    fam = lam.LaminarFamily(3)
+    fam.merge(0, 2)
     # tree touches {0,2} in two pieces linked only through vertex 1
     tree = make_tree((0, 1, 2), ((0, 1), (1, 2)))
     preds = tree_predicates(fam, set(), tree)
@@ -219,10 +217,9 @@ def test_tree_predicates_flag_disconnection():
 def test_cluster_count_bound_two_active_sets():
     inst = PRUNE_INST
     state = sv.init_state(inst)
-    sv.growth_step(state)  # {2} saturates
-    sv.growth_step(state)  # {1} merges with {2}
-    state.sync_duals()
-    fam, sat = state.fam, state.duals.saturated
+    rescan_step(state)  # {2} saturates
+    rescan_step(state)  # {1} merges with {2}
+    fam, sat = state.fam, state.saturated
     tree = make_tree((0, 1), ((0, 1),))
     lhs, rhs = cluster_count_bound(fam, sat, tree)
     assert (lhs, rhs) == (1, 1)
@@ -245,9 +242,8 @@ def test_cluster_count_bound_refuses_broken_hypotheses(pruned):
 
 
 def test_cluster_count_bound_refuses_wrapped_tree():
-    inst = Instance(2, ((0, 1, 0),), (1, 1))
-    fam, duals = lam.init_singletons(inst)
-    nid = lam.merge(fam, duals, 0, 1)
+    fam = lam.LaminarFamily(2)
+    nid = fam.merge(0, 1)
     with pytest.raises(ValueError):
         cluster_count_bound(fam, {nid}, make_tree((0, 1), ((0, 1),)))
 
