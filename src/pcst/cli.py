@@ -13,7 +13,6 @@ Conventions shared by all commands:
   reproducible for identical inputs and flags
 * exit codes: 0 success, 1 usage error, 2 parse error, 3 verification
   failure, 4 internal invariant failure
-* PCST_CHECK=1 in the environment forces invariant checking everywhere
 """
 from __future__ import annotations
 

@@ -42,7 +42,6 @@ class LaminarFamily:
         self._parent: list[Optional[SetId]] = [None] * n
         self._children: list[tuple[SetId, ...]] = [()] * n
         self._size: list[int] = [1] * n
-        self._maximal: set[SetId] = set(range(n))
         self._vertices: dict[SetId, frozenset[int]] = {}
         # union-find over vertices; each root remembers its covering set id
         self._dsu: list[int] = list(range(n))
@@ -66,7 +65,8 @@ class LaminarFamily:
 
     def maximal_ids(self) -> list[SetId]:
         """Ids of the maximal sets, ascending.  They partition V."""
-        return sorted(self._maximal)
+        return [sid for sid, parent in enumerate(self._parent)
+                if parent is None]
 
     def _find(self, v: int) -> int:
         dsu = self._dsu
@@ -121,9 +121,6 @@ class LaminarFamily:
         self._size.append(self._size[a] + self._size[b])
         self._parent[a] = nid
         self._parent[b] = nid
-        self._maximal.discard(a)
-        self._maximal.discard(b)
-        self._maximal.add(nid)
         ra = self._find(next(iter(self.vertices(a))))
         rb = self._find(next(iter(self.vertices(b))))
         self._dsu[rb] = ra
@@ -231,11 +228,7 @@ def from_records(records: Iterable[SetRecord],
         kids = children.get(r.sid, [])
         if len(kids) != 2:
             raise ValueError(f"set {r.sid} must have exactly two children")
-        for kid in kids:
-            if not fam.is_maximal(kid):
-                raise ValueError(f"set {kid} merged twice in snapshot")
-        nid = fam.merge(kids[0], kids[1])
-        assert nid == r.sid
+        fam.merge(kids[0], kids[1])
     for r in recs:
         if r.parent != fam.parent_of(r.sid):
             raise ValueError(f"set {r.sid} parent link inconsistent")

@@ -31,8 +31,7 @@ invariant checks.
 from __future__ import annotations
 
 import heapq
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -135,8 +134,8 @@ class SolverState:
         n = inst.n
         self._birth: list[Fraction] = [Fraction(0)] * n
         self._death: list[Optional[Fraction]] = [None] * n
-        self._prize: list[Fraction] = list(inst.prizes)
-        self._inner_birth: list[Fraction] = [Fraction(0)] * n
+        # prize a set still had to fill at its birth
+        self._budget: list[Fraction] = list(inst.prizes)
         self._chain_frozen: list[Fraction] = [Fraction(0)] * n  # per vertex
         self._active = n
         self._eversion = [0] * inst.m
@@ -168,7 +167,7 @@ class SolverState:
         return load
 
     def _saturation_clock(self, sid: int) -> Fraction:
-        return self._birth[sid] + self._prize[sid] - self._inner_birth[sid]
+        return self._birth[sid] + self._budget[sid]
 
     def dual_assignment(self) -> lam.DualAssignment:
         """The duals at the current clock, read off the growth clocks."""
@@ -261,11 +260,8 @@ class SolverState:
         nid = self.fam.merge(a, b)
         self._birth.append(self.clock)
         self._death.append(None)
-        self._prize.append(self._prize[a] + self._prize[b])
-        inner = Fraction(0)
-        for sid in (a, b):
-            inner += self._inner_birth[sid] + (self._death[sid] - self._birth[sid])
-        self._inner_birth.append(inner)
+        self._budget.append(self._budget[a] - self._dual_of(a)
+                            + self._budget[b] - self._dual_of(b))
         self.forest.append(idx)
         self._active += 1 - alive_ends
         # a frozen child's edges speed back up inside the live merged
@@ -431,12 +427,10 @@ def solve(inst: Instance, *, check_invariants: Optional[bool] = None,
           emit_trace: bool = True) -> Solution:
     """Run both phases and return the certified solution.
 
-    check_invariants defaults to on for n <= 64 and off above; setting
-    the environment variable PCST_CHECK=1 forces it on everywhere.
+    check_invariants defaults to on for n <= CHECK_DEFAULT_MAX_N and off
+    above; True or False always wins.
     """
-    if os.environ.get("PCST_CHECK") == "1":
-        check = True
-    elif check_invariants is None:
+    if check_invariants is None:
         check = inst.n <= CHECK_DEFAULT_MAX_N
     else:
         check = bool(check_invariants)
@@ -450,32 +444,8 @@ def solve(inst: Instance, *, check_invariants: Optional[bool] = None,
 # ---------------------------------------------------------------------------
 # runtime invariant checking (growth and prune loops)
 #
-# All recomputation here goes through the verifier's naive loops or plain
-# breadth-first searches; none of it trusts the solver's incremental sums.
-
-
-def _connected(vertices: set[int], adj: dict[int, list[int]]) -> bool:
-    if not vertices:
-        return True
-    seen = set()
-    stack = [next(iter(vertices))]
-    while stack:
-        cur = stack.pop()
-        if cur in seen:
-            continue
-        seen.add(cur)
-        for nxt in adj.get(cur, ()):
-            if nxt in vertices and nxt not in seen:
-                stack.append(nxt)
-    return seen == vertices
-
-
-def _induced_adjacency(edge_pairs) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {}
-    for u, v in edge_pairs:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    return adj
+# All recomputation here goes through the verifier's naive loops; none
+# of it trusts the solver's incremental sums.
 
 
 def _saturated_cover_gap(fam: lam.LaminarFamily, saturated: set[int],
@@ -499,12 +469,11 @@ def check_growth_invariants(state: SolverState):
     are tight, saturated sets are exhausted, and no active maximal set
     is a union of saturated sets."""
     inst, fam, duals = state.inst, state.fam, state.dual_assignment()
-    forest_pairs = [inst.edges[idx][:2] for idx in state.forest]
-    adj = _induced_adjacency(forest_pairs)
-    for sid in fam.ids:
-        if not _connected(set(fam.vertices(sid)), adj):
-            raise InvariantError(
-                f"forest does not connect family set {sid}")
+    forest = verify.Tree(frozenset(range(inst.n)),
+                         tuple(inst.edges[idx][:2] for idx in state.forest))
+    sid = verify.disconnected_family_set(fam, forest)
+    if sid is not None:
+        raise InvariantError(f"forest does not connect family set {sid}")
     bad = verify.check_feasibility(fam, duals, inst)
     if bad:
         raise InvariantError(f"duals infeasible during growth: {bad[0]}")
@@ -533,17 +502,16 @@ def check_prune_invariants(state: SolverState, tree_vs: set[int],
     within every family set, and the region pruned off the final maximal
     set is a disjoint union of saturated sets."""
     inst, fam = state.inst, state.fam
-    pairs = [inst.edges[idx][:2] for idx in tree_edge_indices]
-    if len(pairs) != len(tree_vs) - 1:
-        raise InvariantError("pruned subgraph is not a tree")
-    adj = _induced_adjacency(pairs)
-    if not _connected(set(tree_vs), adj):
-        raise InvariantError("pruned subgraph is disconnected")
-    for sid in fam.ids:
-        inter = fam.vertices(sid) & tree_vs
-        if inter and not _connected(set(inter), adj):
-            raise InvariantError(
-                f"tree is disconnected within family set {sid}")
+    tree = verify.Tree(frozenset(tree_vs),
+                       tuple(inst.edges[idx][:2] for idx in tree_edge_indices))
+    try:
+        verify.validate_connected_subgraph(inst, tree, require_tree=True)
+    except ValueError as exc:
+        raise InvariantError(f"pruned subgraph: {exc}") from exc
+    sid = verify.disconnected_family_set(fam, tree)
+    if sid is not None:
+        raise InvariantError(
+            f"tree is disconnected within family set {sid}")
     region = frozenset(fam.vertices(state.final_maximal) - tree_vs)
     gap = _saturated_cover_gap(fam, state.saturated, region)
     if gap:

@@ -1,8 +1,9 @@
 """Independent checks on dual snapshots and trees.
 
-Everything here recomputes from first principles with plain membership
-loops over (family, duals, instance); none of it shares the solver's
-incremental bookkeeping.  That makes these functions slower than the
+Everything here recomputes from first principles, with plain membership
+loops and parent links over (family, duals, instance); none of it shares
+the solver's incremental bookkeeping.  The solver's checked mode runs on
+these functions too.  That makes these functions slower than the
 solver but trustworthy as a second opinion: a bug in the solver's cached
 chain sums cannot hide a violation here.
 
@@ -124,14 +125,18 @@ def _pair_costs(inst: Instance) -> dict[tuple[int, int], Fraction]:
     return {(u, v): c for u, v, c in inst.edges}
 
 
-def _subgraph_connected(vertices: frozenset[int],
-                        edges: Iterable[tuple[int, int]]) -> bool:
+def _adjacency(edges: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
+    adj: dict[int, list[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    return adj
+
+
+def _connected(vertices: frozenset[int], adj: dict[int, list[int]]) -> bool:
+    """Whether the edges of adj running inside vertices connect them all."""
     if not vertices:
         return False
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
     seen: set[int] = set()
     stack = [next(iter(vertices))]
     while stack:
@@ -139,8 +144,19 @@ def _subgraph_connected(vertices: frozenset[int],
         if cur in seen:
             continue
         seen.add(cur)
-        stack.extend(adj[cur])
+        stack.extend(nxt for nxt in adj.get(cur, ()) if nxt in vertices)
     return len(seen) == len(vertices)
+
+
+def disconnected_family_set(fam: LaminarFamily, tree: Tree) -> Optional[int]:
+    """Smallest id of a family set that meets the tree's vertices but is
+    not connected by the tree edges inside it; None if there is none."""
+    adj = _adjacency(tree.edges)
+    for sid in fam.ids:
+        inter = fam.vertices(sid) & tree.vertices
+        if inter and not _connected(inter, adj):
+            return sid
+    return None
 
 
 def validate_connected_subgraph(inst: Instance, tree: Tree,
@@ -164,7 +180,7 @@ def validate_connected_subgraph(inst: Instance, tree: Tree,
             raise ValueError(f"tree edge ({u}, {v}) leaves the vertex set")
         seen.add(key)
         total += costs[key]
-    if not _subgraph_connected(tree.vertices, tree.edges):
+    if not _connected(tree.vertices, _adjacency(tree.edges)):
         raise ValueError("tree is not connected")
     if require_tree and len(tree.edges) != len(tree.vertices) - 1:
         raise ValueError("subgraph has a cycle, not a tree")
@@ -212,13 +228,13 @@ def certificate(fam: LaminarFamily, duals: DualAssignment,
         bad = check_feasibility(fam, duals, inst)
         if bad:
             raise ValueError(f"duals are infeasible ({bad[0]})")
-    chains = [Fraction(0)] * fam.n
-    for sid in fam.ids:
-        y = duals.y[sid]
-        if y == 0:
-            continue
-        for v in fam.vertices(sid):
-            chains[v] += y
+    # parents have larger ids than their children, so a descending pass
+    # reaches every parent before its children
+    chain = [Fraction(0)] * len(fam)
+    for sid in reversed(fam.ids):
+        parent = fam.parent_of(sid)
+        chain[sid] = duals.y[sid] + (0 if parent is None else chain[parent])
+    chains = chain[:fam.n]
     total = total_load(fam, duals)
     best_vertex = 0
     best_chain = chains[0]
@@ -261,15 +277,7 @@ def tree_predicates(fam: LaminarFamily, saturated: set[int],
     """Structural facts the pruned output tree must satisfy:
     connected within every family set it meets, no saturated set crossed
     by exactly one tree edge, not contained in a saturated set."""
-    family_connected = True
-    for sid in fam.ids:
-        inter = fam.vertices(sid) & tree.vertices
-        if inter:
-            induced = [(u, v) for u, v in tree.edges
-                       if u in inter and v in inter]
-            if not _subgraph_connected(frozenset(inter), induced):
-                family_connected = False
-                break
+    family_connected = disconnected_family_set(fam, tree) is None
     bridges = []
     for sid in sorted(saturated):
         vs = fam.vertices(sid)
@@ -297,7 +305,7 @@ def cluster_count_bound(fam: LaminarFamily, saturated: set[int],
     exactly one tree edge, and the tree is not contained in a saturated
     set.  These are exactly the properties the prune phase establishes."""
     if len(tree.edges) != len(tree.vertices) - 1 \
-            or not _subgraph_connected(tree.vertices, tree.edges):
+            or not _connected(tree.vertices, _adjacency(tree.edges)):
         raise ValueError("hypotheses not met: not a tree")
     preds = tree_predicates(fam, saturated, tree)
     if not preds.family_connected:

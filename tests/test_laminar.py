@@ -107,15 +107,24 @@ def test_from_records_rejects_malformed():
     fam, duals = build_random_family(5, 1)
     records = list(to_records(fam, duals))
 
-    def corrupt(mutate):
+    def corrupt(mutate, match=None):
         objs = [r.to_json_obj() for r in records]
         mutate(objs)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=match):
             from_records(records_from_json(objs), 5)
 
-    corrupt(lambda objs: objs.pop())  # drop the root set
-    corrupt(lambda objs: objs[0].update(y="-1/2"))  # negative dual
-    corrupt(lambda objs: objs[-1].update(parent=0))  # cyclic parent
+    # parents: 0 -> 5, 1 -> 6, 2 -> 5, 5 -> 6; 3, 4 and 6 are roots
+    assert [r.parent for r in records] == [5, 6, 5, None, None, 6, None]
+    corrupt(lambda objs: objs.pop(), "bad parent")  # drop the root set
+    corrupt(lambda objs: objs[0].update(id=9), "dense from 0")
+    corrupt(lambda objs: objs[0].update(y="-1/2"), "negative dual")
+    corrupt(lambda objs: objs[-1].update(parent=0), "bad parent")
+    corrupt(lambda objs: objs[3].update(parent=4),  # singleton as parent
+            "parent link inconsistent")
+    corrupt(lambda objs: objs[0].update(parent=6),  # 5 keeps one child
+            "exactly two children")
+    corrupt(lambda objs: objs[3].update(parent=5),  # 5 gains a third
+            "exactly two children")
     with pytest.raises(ValueError):
         from_records(records_from_json([r.to_json_obj()
                                         for r in records]), 50)

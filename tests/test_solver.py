@@ -201,19 +201,23 @@ def test_trace_can_be_suppressed():
     assert quiet.tree_vertices == loud.tree_vertices
 
 
-def test_env_var_forces_checking(monkeypatch):
+def test_check_switch_defaults_by_size_and_explicit_wins(monkeypatch):
     calls = []
     real = sv.check_growth_invariants
     monkeypatch.setattr(sv, "check_growth_invariants",
                         lambda state: (calls.append(1), real(state)))
-    monkeypatch.setattr(sv, "CHECK_DEFAULT_MAX_N", 0)
-    monkeypatch.delenv("PCST_CHECK", raising=False)
     inst = gen_random(8, "1/2", max_cost=5, max_prize=5, seed=5)
-    solve(inst)
-    assert not calls  # below no default threshold, no env: checks off
-    monkeypatch.setenv("PCST_CHECK", "1")
-    solve(inst)
-    assert calls
+
+    def checked(threshold, flag):
+        monkeypatch.setattr(sv, "CHECK_DEFAULT_MAX_N", threshold)
+        calls.clear()
+        solve(inst, check_invariants=flag)
+        return bool(calls)
+
+    assert checked(8, None)  # n at the threshold: checks on
+    assert not checked(7, None)  # n above it: checks off
+    assert checked(0, True)
+    assert not checked(100, False)
 
 
 def test_checker_catches_poisoned_duals():
@@ -235,6 +239,42 @@ def test_checker_catches_missing_forest_edge():
     state.forest.pop()  # family set now spans two forest pieces
     with pytest.raises(sv.InvariantError):
         sv.check_growth_invariants(state)
+
+
+def grown(inst):
+    state = sv.init_state(inst)
+    sv.run_phase1(state)
+    return state
+
+
+@pytest.mark.parametrize("tree_vs, edges", [
+    ({0, 1, 2}, [1]),  # two edges short: disconnected
+    ({0, 1, 2}, [0, 1, 1]),  # an edge repeated
+    ({0, 1}, []),  # no edge between the two vertices
+])
+def test_prune_checker_catches_non_tree(tree_vs, edges):
+    state = grown(Instance(3, ((0, 1, 4), (1, 2, 1)), (10, 10, "1/4")))
+    with pytest.raises(sv.InvariantError, match="pruned subgraph"):
+        sv.check_prune_invariants(state, tree_vs, edges)
+
+
+def test_prune_checker_catches_tree_split_inside_family_set():
+    # growth merges {0, 1} along edge 0 and then {2} along edge 1; the
+    # path 0-2-1 is a tree but runs through 2 to join 0 and 1
+    inst = Instance(3, ((0, 1, 1), (1, 2, 2), (0, 2, 10)), (10, 10, 10))
+    state = grown(inst)
+    assert state.forest == [0, 1]
+    sv.check_prune_invariants(state, {0, 1, 2}, [0, 1])
+    with pytest.raises(sv.InvariantError, match="within family set 3"):
+        sv.check_prune_invariants(state, {0, 1, 2}, [1, 2])
+
+
+def test_prune_checker_catches_unsaturated_pruned_region():
+    state = grown(Instance(3, ((0, 1, 4), (1, 2, 1)), (10, 10, "1/4")))
+    sv.check_prune_invariants(state, {0, 1}, [0])  # {2} pruned, saturated
+    # keeping {1, 2} prunes {0}, which never saturated
+    with pytest.raises(sv.InvariantError, match="union of saturated sets"):
+        sv.check_prune_invariants(state, {1, 2}, [1])
 
 
 def test_solve_rejects_stale_phase_calls():

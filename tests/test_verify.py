@@ -8,7 +8,7 @@ from pcst import (Instance, Tree, audit_solution, certificate,
                   check_feasibility, cluster_count_bound, gen_tight_star,
                   growth_inequality, make_tree, solve, tree_bound,
                   tree_predicates)
-from conftest import rescan_step
+from conftest import rescan_step, sweep_instance
 from pcst import laminar as lam
 from pcst import solver as sv
 from pcst import verify
@@ -96,6 +96,15 @@ def test_certificate_prune_values(pruned):
     assert cert.chain_loads == (2, 2, Fraction(3, 2))
     assert cert.lower_bound == Fraction(9, 4)
     assert cert.minimizing_vertex == 0
+
+
+@pytest.mark.parametrize("seed", range(1, 101))
+def test_certificate_chain_loads_match_membership_loop(seed):
+    sol = solve(sweep_instance(seed), check_invariants=False)
+    cert = certificate(sol.fam, sol.duals)
+    assert list(cert.chain_loads) == [
+        verify.vertex_chain_load(sol.fam, sol.duals, v)
+        for v in range(sol.fam.n)]
 
 
 def test_certificate_refuses_infeasible_only_with_instance():
