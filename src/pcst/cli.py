@@ -273,8 +273,10 @@ def _load_solution(path: str):
             doc = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad json, bad utf-8, an over-long integer
         raise ParseError(str(exc))
+    except RecursionError:
+        raise ParseError("json nested too deeply")
     if not isinstance(doc, dict):
         raise ParseError("solution document must be a json object")
     missing = ({"tree", "laminar", "minimizing_vertex"}

@@ -233,6 +233,8 @@ def _parse_json(text: str) -> Instance:
                          line=exc.lineno, column=exc.colno) from exc
     except ValueError as exc:  # a number past parse_rational's or int's limits
         raise ParseError(str(exc)) from exc
+    except RecursionError as exc:
+        raise ParseError("json nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level json value must be an object")
     for key in ("n", "prizes", "edges"):
@@ -289,6 +291,14 @@ def _parse_stp(text: str) -> Instance:
     def fail(msg: str, lineno: int):
         raise ParseError(msg, line=lineno)
 
+    def count(parts: list[str], line: str, lineno: int) -> int:
+        if len(parts) == 2 and parts[1].isdecimal():
+            try:
+                return int(parts[1])
+            except ValueError:  # past Python's digit limit for int()
+                pass
+        fail(f"bad {parts[0]} line {line!r}", lineno)
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -324,15 +334,11 @@ def _parse_stp(text: str) -> Instance:
             if key == "Nodes":
                 if n is not None:
                     fail("duplicate Nodes line", lineno)
-                if len(parts) != 2 or not parts[1].isdigit():
-                    fail(f"bad Nodes line {line!r}", lineno)
-                n = int(parts[1])
+                n = count(parts, line, lineno)
             elif key == "Edges":
                 if declared_m is not None:
                     fail("duplicate Edges line", lineno)
-                if len(parts) != 2 or not parts[1].isdigit():
-                    fail(f"bad Edges line {line!r}", lineno)
-                declared_m = int(parts[1])
+                declared_m = count(parts, line, lineno)
             elif key == "E":
                 if len(parts) != 4:
                     fail(f"bad edge line {line!r}", lineno)

@@ -7,11 +7,18 @@ forest over set ids, stored with parent links; ids are assigned in
 creation order (singleton {v} has id v) and never reused, so the family
 can hold at most 2n - 1 sets.
 
-A disjoint-set index maps each vertex to the maximal set currently
-covering it, which keeps "are these endpoints in the same maximal set"
-queries cheap for the solver.  Chains (the supersets of a singleton) are
-read straight off the parent links; the sets crossing an edge are the
-symmetric difference of its endpoints' chains.
+A disjoint-set index over the vertices maps each vertex to the maximal
+set currently covering it, which keeps "are these endpoints in the same
+maximal set" queries cheap for the solver.  Every set keeps one member
+vertex as its representative, so a merge finds the two union-find roots
+without listing any members.  Each union-find node also carries an
+offset, and a vertex's load is the sum of the offsets on its path to
+the root: adding a value to every member of a maximal set is one
+addition at its root, a union subtracts the new parent root's offset
+from the child root's, and path compression folds the skipped offsets
+into the node it relinks.  The solver keeps the duals of dead sets
+there.  Member vertex sets are built only on request (``vertices``),
+for the verifier, the solver's checked mode and the tests.
 
 Duals live in a separate DualAssignment: one non-negative Fraction per
 set plus the ids frozen as saturated.  The solver keeps its duals as
@@ -43,9 +50,12 @@ class LaminarFamily:
         self._children: list[tuple[SetId, ...]] = [()] * n
         self._size: list[int] = [1] * n
         self._vertices: dict[SetId, frozenset[int]] = {}
-        # union-find over vertices; each root remembers its covering set id
+        self._rep: list[int] = list(range(n))  # one member vertex per set
+        # union-find over vertices; each root remembers its covering set
+        # id, and every node carries a load offset
         self._dsu: list[int] = list(range(n))
         self._top: list[SetId] = list(range(n))
+        self._offset: list[Fraction] = [Fraction(0)] * n
 
     def __len__(self) -> int:
         return len(self._parent)
@@ -69,19 +79,43 @@ class LaminarFamily:
                 if parent is None]
 
     def _find(self, v: int) -> int:
+        """Union-find root of vertex v.  Relinking a node straight to
+        the root adds the offsets it skips into its own."""
         dsu = self._dsu
-        root = v
-        while dsu[root] != root:
-            root = dsu[root]
-        while dsu[v] != root:
-            dsu[v], v = root, dsu[v]
-        return root
+        parent = dsu[v]
+        if dsu[parent] == parent:
+            return parent  # v is the root or a child of it
+        path = [v]
+        v = parent
+        while dsu[v] != v:
+            path.append(v)
+            v = dsu[v]
+        offset = self._offset
+        acc = offset[path[-1]]  # the root's child keeps its offset
+        for node in reversed(path[:-1]):
+            acc += offset[node]
+            offset[node] = acc
+            dsu[node] = v
+        return v
 
     def maximal_of(self, v: int) -> SetId:
         """Id of the maximal set containing vertex v."""
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range")
         return self._top[self._find(v)]
+
+    def add_load(self, sid: SetId, value: Fraction):
+        """Add value to the load of every member of maximal set sid."""
+        if self._parent[sid] is not None:
+            raise ValueError(f"set {sid} is not maximal")
+        self._offset[self._find(self._rep[sid])] += value
+
+    def load(self, v: int) -> Fraction:
+        """Sum of the values added (add_load) to the sets containing v."""
+        root = self._find(v)
+        if root == v:
+            return self._offset[v]
+        return self._offset[v] + self._offset[root]
 
     def vertices(self, sid: SetId) -> frozenset[int]:
         """Member vertices, collected by descending to leaf singletons."""
@@ -121,34 +155,17 @@ class LaminarFamily:
         self._size.append(self._size[a] + self._size[b])
         self._parent[a] = nid
         self._parent[b] = nid
-        ra = self._find(next(iter(self.vertices(a))))
-        rb = self._find(next(iter(self.vertices(b))))
+        self._rep.append(self._rep[a])
+        # maximal sets are exactly the union-find classes: hang the
+        # smaller one's root under the larger one's
+        ra = self._find(self._rep[a])
+        rb = self._find(self._rep[b])
+        if self._size[a] < self._size[b]:
+            ra, rb = rb, ra
         self._dsu[rb] = ra
+        self._offset[rb] -= self._offset[ra]
         self._top[ra] = nid
         return nid
-
-    def chain_of_vertex(self, v: int) -> list[SetId]:
-        """Leaf-to-root id chain of the singleton {v}; ids ascend."""
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range")
-        chain = [v]
-        cur = self._parent[v]
-        while cur is not None:
-            chain.append(cur)
-            cur = self._parent[cur]
-        return chain
-
-    def crossing_sets(self, u: int, v: int) -> list[SetId]:
-        """Ids of sets containing exactly one of vertices u and v.
-
-        These are the sets an edge (u, v) leaves, i.e. the symmetric
-        difference of the two endpoint chains.
-        """
-        if u == v:
-            raise ValueError("an edge needs two distinct endpoints")
-        cu = set(self.chain_of_vertex(u))
-        cv = set(self.chain_of_vertex(v))
-        return sorted(cu ^ cv)
 
 
 @dataclass

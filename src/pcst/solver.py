@@ -27,6 +27,27 @@ dual is just the clock span of that interval.  The state keeps only
 these clocks and the set of saturated ids; ``dual_assignment`` turns
 them into a DualAssignment for the solution, the certificate and the
 invariant checks.
+
+Neither phase lists the members of a set; only checked mode does.
+
+* Frozen loads on the union-find.  Every edge slack needs chain loads,
+  the dual mass on the sets holding a vertex.  A set's dual stops
+  changing when it dies (it saturates or is merged away), and a dying
+  set is maximal, so its members are exactly one class of the family's
+  union-find: adding its final dual to all of them is one addition at
+  the class root (``LaminarFamily.add_load``).  A chain load is then the
+  vertex's union-find load plus the live dual of its maximal set.
+* Prune counts from merge sets.  Forest edge k created set n + k, the
+  lowest set holding both of its endpoints.  One ascending pass over
+  the parent links, adding 1 at each endpoint of a tree edge and -2 at
+  its merge set, gives every set the number of tree edges crossing it,
+  and the XOR of their merge-set ids names the edge of a set crossed
+  once.  Pruning such a set S removes that edge, which crosses exactly
+  the sets below its merge set that hold one endpoint; outside S these
+  are reached through nearest-saturated-ancestor links.  Edges inside S
+  cross only sets inside S, which leave with it and are never read
+  again.  The final tree is read off in one descending pass: the sets
+  of the final maximal set that neither are nor lie in a pruned set.
 """
 from __future__ import annotations
 
@@ -136,7 +157,6 @@ class SolverState:
         self._death: list[Optional[Fraction]] = [None] * n
         # prize a set still had to fill at its birth
         self._budget: list[Fraction] = list(inst.prizes)
-        self._chain_frozen: list[Fraction] = [Fraction(0)] * n  # per vertex
         self._active = n
         self._eversion = [0] * inst.m
         self._incident: dict[int, list[int]] = {v: [] for v in range(n)}
@@ -159,9 +179,11 @@ class SolverState:
         return (self.clock if death is None else death) - self._birth[sid]
 
     def _chain_load(self, v: int) -> Fraction:
-        """Dual mass on the sets containing vertex v, at the current clock."""
+        """Dual mass on the sets containing vertex v, at the current clock:
+        the frozen duals of its dead sets, kept as loads on the family's
+        union-find, plus the growing dual of its maximal set if alive."""
+        load = self.fam.load(v)
         top = self.fam.maximal_of(v)
-        load = self._chain_frozen[v]
         if self._death[top] is None:
             load += self.clock - self._birth[top]
         return load
@@ -218,13 +240,11 @@ class SolverState:
         return kept
 
     def _fold_chain(self, sid: int):
-        """Add the final dual of a newly dead set into its members'
-        frozen chain loads."""
+        """Add the final dual of a newly dead maximal set into its
+        members' frozen chain loads."""
         value = self._dual_of(sid)
         if value != 0:
-            frozen = self._chain_frozen
-            for v in self.fam.vertices(sid):
-                frozen[v] += value
+            self.fam.add_load(sid, value)
 
     def _apply_saturation(self, sid: int, eps: Fraction):
         self.clock += eps
@@ -352,48 +372,85 @@ def run_phase2(state: SolverState) -> Solution:
     inst = state.inst
     fam = state.fam
     sat = state.saturated
-    tree_vs = set(fam.vertices(state.final_maximal))
-    edge_alive: dict[int, bool] = {}
-    crossing: dict[int, list[int]] = {}
-    deg = {sid: 0 for sid in sat}
-    for idx in state.forest:
+    n = inst.n
+    forest = state.forest
+    if len(fam) != n + len(forest):
+        raise InvariantError("family and forest are out of step")
+    # one descending pass: the nearest saturated proper ancestor of every
+    # set, and a leaf order in which each set's vertices are contiguous
+    up: list[Optional[int]] = [None] * len(fam)
+    first = [0] * len(fam)
+    free = [0] * len(fam)
+    placed = 0
+    for sid in reversed(fam.ids):
+        parent = fam.parent_of(sid)
+        if parent is None:
+            first[sid] = placed
+            placed += fam.size(sid)
+        else:
+            first[sid] = free[parent]
+            free[parent] += fam.size(sid)
+            up[sid] = parent if parent in sat else up[parent]
+        free[sid] = first[sid]
+
+    def inside(v: int, sid: int) -> bool:
+        return first[sid] <= first[v] < first[sid] + fam.size(sid)
+
+    # per set, the number of tree edges crossing it and the XOR of their
+    # merge sets (forest edge k created set n + k); see the module docstring
+    in_final = _kept_sets(state, ())
+    count = [0] * len(fam)
+    merge_xor = [0] * len(fam)
+    for k, idx in enumerate(forest):
         u, v, _ = inst.edges[idx]
-        if u in tree_vs and v in tree_vs:
-            edge_alive[idx] = True
-            cross = [sid for sid in fam.crossing_sets(u, v) if sid in sat]
-            crossing[idx] = cross
-            for sid in cross:
-                deg[sid] += 1
-    candidates = [sid for sid, d in deg.items() if d == 1]
+        if in_final[u]:
+            count[u] += 1
+            count[v] += 1
+            count[n + k] -= 2
+            merge_xor[u] ^= n + k
+            merge_xor[v] ^= n + k
+    for sid in fam.ids:
+        parent = fam.parent_of(sid)
+        if parent is not None:
+            count[parent] += count[sid]
+            merge_xor[parent] ^= merge_xor[sid]
+
+    candidates = [sid for sid in sat if count[sid] == 1]
     heapq.heapify(candidates)
+    pruned: set[int] = set()
     prunes = 0
     while candidates:
         sid = heapq.heappop(candidates)
-        if deg[sid] != 1:
+        if count[sid] != 1:
             continue
-        removed = tree_vs & fam.vertices(sid)
-        tree_vs -= removed
-        for idx, alive in edge_alive.items():
-            if not alive:
-                continue
-            u, v, _ = inst.edges[idx]
-            if u in removed or v in removed:
-                edge_alive[idx] = False
-                for other in crossing[idx]:
-                    deg[other] -= 1
-                    if deg[other] == 1:
-                        heapq.heappush(candidates, other)
+        # the bridge's other crossing sets outside sid: the saturated
+        # ancestors of sid and of the outer endpoint below its merge set
+        merge_set = merge_xor[sid]
+        u, v, _ = inst.edges[forest[merge_set - n]]
+        if inside(u, sid) == inside(v, sid):
+            raise InvariantError(
+                f"bridge of set {sid} has both ends on one side")
+        outer = v if inside(u, sid) else u
+        count[sid] = 0
+        for cur in (up[sid], outer if outer in sat else up[outer]):
+            while cur is not None and cur < merge_set:
+                count[cur] -= 1
+                merge_xor[cur] ^= merge_set
+                if count[cur] == 1:
+                    heapq.heappush(candidates, cur)
+                cur = up[cur]
+        pruned.add(sid)
         prunes += 1
         if prunes > len(sat):
             raise InvariantError("prune phase exceeded its step budget")
         state._record(kind="prune", epsilon=Fraction(0), set_id=sid)
         if state._check:
-            check_prune_invariants(state, tree_vs, [
-                i for i, alive in edge_alive.items() if alive])
-    if any(d == 1 for d in deg.values()):
+            check_prune_invariants(state, *_pruned_tree(state, pruned))
+    if any(count[sid] == 1 for sid in sat):
         raise InvariantError("prune phase stopped with a pending bridge")
 
-    kept = sorted(idx for idx, alive in edge_alive.items() if alive)
+    tree_vs, kept = _pruned_tree(state, pruned)
+    kept.sort()
     cost = sum((inst.edges[idx][2] for idx in kept), Fraction(0))
     penalty = sum((inst.prizes[v] for v in range(inst.n)
                    if v not in tree_vs), Fraction(0))
@@ -421,6 +478,31 @@ def run_phase2(state: SolverState) -> Solution:
             f"{sol.lagrangean_objective} exceeds twice the lower bound "
             f"{cert.lower_bound}")
     return sol
+
+
+def _kept_sets(state: SolverState, pruned) -> list[bool]:
+    """Per set id: inside the final maximal set and not inside a pruned
+    set.  Parents come after their children, so one descending pass
+    settles every parent first."""
+    fam = state.fam
+    kept = [False] * len(fam)
+    for sid in reversed(fam.ids):
+        parent = fam.parent_of(sid)
+        if parent is None:
+            kept[sid] = sid == state.final_maximal
+        else:
+            kept[sid] = kept[parent] and sid not in pruned
+    return kept
+
+
+def _pruned_tree(state: SolverState, pruned) -> tuple[set[int], list[int]]:
+    """Vertices and forest edge indices (forest order) left in the tree
+    once the given sets are pruned."""
+    kept = _kept_sets(state, pruned)
+    edges = state.inst.edges
+    return ({v for v in range(state.inst.n) if kept[v]},
+            [idx for idx in state.forest
+             if kept[edges[idx][0]] and kept[edges[idx][1]]])
 
 
 def solve(inst: Instance, *, check_invariants: Optional[bool] = None,

@@ -7,6 +7,7 @@ of it.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 import time
@@ -88,6 +89,61 @@ def solve_by_rescan(inst):
         rescan_step(state)
     sv.run_phase1(state)  # no active pair left; finalizes the phase
     return sv.run_phase2(state)
+
+
+# -- reference prune -----------------------------------------------------------
+
+
+def chain_of_vertex(fam, v):
+    """Leaf-to-root id chain of the singleton {v}, off the parent links."""
+    chain = [v]
+    cur = fam.parent_of(v)
+    while cur is not None:
+        chain.append(cur)
+        cur = fam.parent_of(cur)
+    return chain
+
+
+def reference_prune(state):
+    """Phase two the slow way, on a grown state left untouched: the
+    saturated sets crossing each tree edge are the symmetric difference
+    of its endpoints' full chains, and every prune rescans every tree
+    edge.  Returns (pruned ids in order, tree vertices, tree edge
+    indices ascending)."""
+    inst, fam, sat = state.inst, state.fam, state.saturated
+    tree_vs = set(fam.vertices(state.final_maximal))
+    edge_alive: dict[int, bool] = {}
+    crossing: dict[int, list[int]] = {}
+    deg = {sid: 0 for sid in sat}
+    for idx in state.forest:
+        u, v, _ = inst.edges[idx]
+        if u in tree_vs and v in tree_vs:
+            edge_alive[idx] = True
+            sides = set(chain_of_vertex(fam, u)) ^ set(chain_of_vertex(fam, v))
+            crossing[idx] = [sid for sid in sorted(sides) if sid in sat]
+            for sid in crossing[idx]:
+                deg[sid] += 1
+    candidates = [sid for sid, d in deg.items() if d == 1]
+    heapq.heapify(candidates)
+    order = []
+    while candidates:
+        sid = heapq.heappop(candidates)
+        if deg[sid] != 1:
+            continue
+        removed = tree_vs & fam.vertices(sid)
+        tree_vs -= removed
+        for idx, alive in edge_alive.items():
+            u, v, _ = inst.edges[idx]
+            if alive and (u in removed or v in removed):
+                edge_alive[idx] = False
+                for other in crossing[idx]:
+                    deg[other] -= 1
+                    if deg[other] == 1:
+                        heapq.heappush(candidates, other)
+        order.append(sid)
+    assert all(d != 1 for d in deg.values())
+    kept = tuple(sorted(idx for idx, alive in edge_alive.items() if alive))
+    return order, frozenset(tree_vs), kept
 
 
 # -- reference connected-subset enumeration ----------------------------------

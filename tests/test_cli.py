@@ -96,6 +96,32 @@ def test_solve_hostile_number_fails_fast(tmp_path, capsys, name):
     assert "exponent" in capsys.readouterr().err
 
 
+HOSTILE_SHAPE_FILES = {
+    "digit-literal.json": '{"n": 1, "prizes": [%s], "edges": []}'
+                          % ("9" * 6000),
+    "digit-string.json": '{"n": 1, "prizes": ["%s"], "edges": []}'
+                         % ("9" * 20_000),
+    "exponent-fraction.json": '{"n": 1, "prizes": ["1/1E-999999"], '
+                              '"edges": []}',
+    "nested.json": '{"n": 1, "prizes": %s, "edges": []}'
+                   % ("[" * 200_000 + "]" * 200_000),
+    "digit-cost.stp": "SECTION Graph\nNodes 2\nEdges 1\nE 1 2 %s\n"
+                      "END\nEOF\n" % ("9" * 20_000),
+    "digit-nodes.stp": "SECTION Graph\nNodes %s\nEND\nEOF\n"
+                       % ("9" * 6000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_SHAPE_FILES))
+def test_solve_hostile_shape_fails_fast(tmp_path, capsys, name):
+    path = tmp_path / name
+    path.write_text(HOSTILE_SHAPE_FILES[name])
+    started = time.perf_counter()
+    assert run_cli("solve", str(path)) == 2
+    assert time.perf_counter() - started < 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_solve_missing_file(tmp_path, capsys):
     assert run_cli("solve", str(tmp_path / "nope.json")) == 2
     assert "cannot read" in capsys.readouterr().err
@@ -234,6 +260,11 @@ def test_verify_malformed_solution_is_parse_error(solved, capsys):
     sol_path.write_text("{]")
     assert run_cli("verify", str(sol_path), str(star_file)) == 2
     sol_path.write_text("{}")
+    assert run_cli("verify", str(sol_path), str(star_file)) == 2
+    for hostile in ("[" * 200_000, '{"cost": %s}' % ("9" * 6000)):
+        sol_path.write_text(hostile)
+        assert run_cli("verify", str(sol_path), str(star_file)) == 2
+    sol_path.write_bytes(b'{"cost": "\xff"}')  # not utf-8
     assert run_cli("verify", str(sol_path), str(star_file)) == 2
     capsys.readouterr()
 

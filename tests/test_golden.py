@@ -28,6 +28,10 @@ def pinned_instance(name):
             200, "1/25", max_cost=10, max_prize=8, seed=99),
         "random-1000-1/250-seed99": lambda: gen_random(
             1000, "1/250", max_cost=10, max_prize=8, seed=99),
+        "random-2000-1/500-seed99": lambda: gen_random(
+            2000, "1/500", max_cost=10, max_prize=8, seed=99),
+        "random-4000-1/1000-seed99": lambda: gen_random(
+            4000, "1/1000", max_cost=10, max_prize=8, seed=99),
     }[name]()
 
 

@@ -1,4 +1,5 @@
 """Instance model, rational tokens, both file formats, generators."""
+import json
 from fractions import Fraction
 
 import pytest
@@ -229,6 +230,119 @@ def test_unknown_format_rejected():
         parse_instance("{}", "xml")
     with pytest.raises(ValueError):
         emit_instance(Instance(1, (), (0,)), "xml")
+
+
+# -- fuzzing: every input parses or is refused with the parser's error ------
+
+# numeric tokens: plain and exotic spellings, long digit runs on both
+# sides of Python's 4300-digit int() limit, exponents on both sides of
+# MAX_EXPONENT
+digit_runs = st.integers(1, 12_000).map(lambda k: "7" * k)
+numeric_tokens = st.one_of(
+    st.from_regex(r"[-+]?\d{0,6}(\.\d{0,6})?([eE][-+]?\d{1,7})?"
+                  r"(/[-+]?\d{0,4})?", fullmatch=True),
+    digit_runs,
+    st.builds("{}e{}".format, st.integers(-9, 9), st.integers(-10**6, 10**6)),
+    st.sampled_from(["1_000", "0x10", "nan", "inf", "1/0", " 3/4 ", "½",
+                     "٣", "1e", "e5", "--1", "1..2", "\x00"]),
+)
+
+
+@given(st.one_of(numeric_tokens, st.text(max_size=40)))
+def test_parse_rational_parses_or_raises_value_error(token):
+    try:
+        value = parse_rational(token)
+    except ValueError:
+        return
+    assert isinstance(value, Fraction)
+
+
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 12), st.text(max_size=6),
+    numeric_tokens)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.sampled_from(["n", "prizes", "edges", "names",
+                                         "x"]), inner, max_size=4)),
+    max_leaves=12)
+# raw json number literals are written into the text as they are
+json_literals = st.one_of(st.integers(-3, 12).map(str), digit_runs,
+                          st.from_regex(r"-?\d{1,3}(\.\d{1,3})?"
+                                        r"([eE][-+]?\d{1,7})?",
+                                        fullmatch=True))
+
+
+@st.composite
+def instance_shaped_json(draw):
+    n = draw(st.one_of(json_literals, json_values.map(json.dumps)))
+    items = st.one_of(json_literals, json_values.map(json.dumps))
+    prizes = draw(st.lists(items, max_size=4))
+    edges = draw(st.lists(
+        st.lists(items, min_size=2, max_size=4).map(
+            lambda parts: "[" + ", ".join(parts) + "]"),
+        max_size=4))
+    return '{"n": %s, "prizes": [%s], "edges": [%s]}' % (
+        n, ", ".join(prizes), ", ".join(edges))
+
+
+@given(st.one_of(st.text(max_size=200), json_values.map(json.dumps),
+                 instance_shaped_json()))
+def test_parse_json_parses_or_raises_parse_error(text):
+    try:
+        inst = parse_instance(text, "json")
+    except ParseError:
+        return
+    assert isinstance(inst, Instance)
+
+
+# small vertex numbers and counts, or digit runs past int()'s limit; a
+# Nodes count of, say, 10**12 parses and then builds 10**12 prizes
+stp_ints = st.one_of(st.integers(-2, 9).map(str),
+                     st.integers(4_301, 5_000).map(lambda k: "9" * k),
+                     st.sampled_from(["", "x", "1.5", "²", "٣"]))
+stp_lines = st.one_of(
+    st.sampled_from(["SECTION Graph", "SECTION Terminals", "SECTION Other",
+                     "END", "EOF", "# note", ""]),
+    st.builds("Nodes {}".format, stp_ints),
+    st.builds("Edges {}".format, stp_ints),
+    st.builds("E {} {} {}".format, stp_ints, stp_ints, numeric_tokens),
+    st.builds("TP {} {}".format, stp_ints, numeric_tokens),
+    st.text(max_size=20),
+)
+
+
+@given(st.one_of(
+    st.text(max_size=200),
+    st.lists(stp_lines, max_size=14).map("\n".join),
+    # a valid skeleton with fuzzed lines spliced into it
+    st.tuples(st.lists(stp_lines, max_size=3), st.lists(stp_lines, max_size=3))
+    .map(lambda parts: "\n".join(["SECTION Graph", "Nodes 3", *parts[0],
+                                   "E 1 2 1", "END", "SECTION Terminals",
+                                   *parts[1], "TP 1 2", "END", "EOF"]))))
+def test_parse_stp_parses_or_raises_parse_error(text):
+    try:
+        inst = parse_instance(text, "stp")
+    except ParseError:
+        return
+    assert isinstance(inst, Instance)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("Nodes 3", "Nodes " + "9" * 5000),
+    ("Edges 2", "Edges " + "9" * 5000),
+    ("Nodes 3", "Nodes ²"),  # a digit to isdigit(), not to int()
+])
+def test_stp_bad_counts_are_parse_errors(old, new):
+    with pytest.raises(ParseError, match="bad"):
+        parse_instance(STP_SAMPLE.replace(old, new), "stp")
+
+
+def test_deeply_nested_json_is_a_parse_error():
+    deep = "[" * 100_000 + "]" * 100_000
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_instance('{"n": 1, "prizes": %s, "edges": []}' % deep)
 
 
 # -- generators ----------------------------------------------------------------

@@ -41,21 +41,30 @@ def test_merge_rejects_non_maximal_and_self():
         fam.merge(nid, nid)
 
 
-def test_chain_of_vertex_ascends():
-    fam = lam.LaminarFamily(4)
-    a = fam.merge(0, 1)
-    b = fam.merge(a, 2)
-    assert fam.chain_of_vertex(0) == [0, a, b]
-    assert fam.chain_of_vertex(2) == [2, b]
-    assert fam.chain_of_vertex(3) == [3]
-
-
-def test_crossing_sets():
-    fam = lam.LaminarFamily(3)
-    fam.merge(0, 1)
-    # sets holding exactly one endpoint of (0, 2): {0}, {2}, {0,1}
-    assert fam.crossing_sets(0, 2) == [0, 2, 3]
-    assert fam.crossing_sets(0, 1) == [0, 1]
+@pytest.mark.parametrize("seed", range(6))
+def test_loads_match_a_per_vertex_sum(seed):
+    """add_load on a maximal set reaches exactly its members, across
+    unions and path compression."""
+    n = 12
+    fam = lam.LaminarFamily(n)
+    expected = [Fraction(0)] * n
+    rng = random.Random(seed)
+    while True:
+        tops = fam.maximal_ids()
+        sid = rng.choice(tops)
+        value = Fraction(rng.randint(0, 9), rng.randint(1, 4))
+        fam.add_load(sid, value)
+        for v in fam.vertices(sid):
+            expected[v] += value
+        if len(tops) == 1:
+            break
+        if rng.random() < 0.3:  # reading compresses paths; let some grow
+            assert [fam.load(v) for v in range(n)] == expected
+        a, b = rng.sample(tops, 2)
+        fam.merge(a, b)
+    assert [fam.load(v) for v in range(n)] == expected
+    with pytest.raises(ValueError, match="not maximal"):
+        fam.add_load(0, Fraction(1))
 
 
 def test_vertices_cached_consistent_after_merges():

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (naive_epsilon, rescan_step, solve_by_rescan,
-                      sweep_instance)
-from pcst import (Instance, gen_random, gen_tight_path, gen_tight_star,
-                  solve)
+from conftest import (naive_epsilon, reference_prune, rescan_step,
+                      solve_by_rescan, sweep_instance)
+from pcst import (Instance, from_records, gen_random, gen_tight_path,
+                  gen_tight_star, records_from_json, solve, to_records,
+                  verify)
+from pcst import laminar as lam
 from pcst import solver as sv
 
 
@@ -170,6 +172,69 @@ def test_compute_epsilon_matches_naive_definition(seed):
 
     state._pop_next = checked_pop
     sv.run_phase1(state)
+
+
+@pytest.mark.parametrize("seed", range(1, 101))
+def test_chain_loads_match_membership_sums(seed):
+    """The union-find's frozen loads plus the live clock give, after
+    every growth step, the dual mass on the sets holding each vertex."""
+    inst = sweep_instance(seed)
+    state = sv.init_state(inst)
+    after_step = state._after_step
+
+    def checked_after_step():
+        after_step()
+        duals = state.dual_assignment()
+        assert [state._chain_load(v) for v in range(inst.n)] == [
+            verify.vertex_chain_load(state.fam, duals, v)
+            for v in range(inst.n)]
+
+    state._after_step = checked_after_step
+    sv.run_phase1(state)
+
+
+PRUNE_PROBABILITIES = ("1/4", "1/2", "2/3")
+
+
+def prune_instance(seed):
+    if seed >= 290:  # the tight path family, 2 to 11 edges
+        return gen_tight_path(seed - 288, ("1/10", "1", "19/10")[seed % 3])
+    if seed >= 250:  # sparse, n = 100..300: deep families, nested prunes
+        n = 100 + 10 * (seed % 21)
+        return gen_random(n, Fraction(2, n), max_cost=10, max_prize=8,
+                          seed=5000 + seed)
+    return gen_random(3 + seed % 38, PRUNE_PROBABILITIES[seed % 3],
+                      max_cost=10, max_prize=8, seed=5000 + seed)
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_prune_matches_the_chain_reference(seed):
+    """Prune counts read off the merge tree give the same prune events,
+    in the same order, and the same tree as full chains rescanned on
+    every prune."""
+    state = grown(prune_instance(seed))
+    order, tree_vertices, tree_edge_indices = reference_prune(state)
+    sol = sv.run_phase2(state)
+    assert [ev.set_id for ev in sol.trace if ev.kind == "prune"] == order
+    assert sol.tree_vertices == tree_vertices
+    assert sol.tree_edge_indices == tree_edge_indices
+
+
+def test_unchecked_solve_builds_no_vertex_set(monkeypatch):
+    """Growth, prune, the certificate, the document and its reload run
+    on parent links and the union-find alone."""
+    inst = gen_random(1000, "1/250", max_cost=10, max_prize=8, seed=99)
+
+    def refuse(fam, sid):
+        raise AssertionError(f"vertex set of {sid} built")
+
+    monkeypatch.setattr(lam.LaminarFamily, "vertices", refuse)
+    sol = solve(inst, check_invariants=False)
+    document = [r.to_json_obj() for r in to_records(sol.fam, sol.duals)]
+    fam, duals = from_records(records_from_json(document), inst.n)
+    assert [fam.parent_of(sid) for sid in fam.ids] == \
+        [sol.fam.parent_of(sid) for sid in sol.fam.ids]
+    assert duals == sol.duals
 
 
 # -- budgets, determinism, flags -------------------------------------------------
