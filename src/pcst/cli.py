@@ -3,7 +3,7 @@
 Four subcommands: ``solve`` runs the approximation and prints a report,
 ``exact`` runs the brute-force oracle, ``gen`` writes generated
 instances, and ``verify`` re-checks a saved solution against its
-instance with the naive verifier.
+instance with the independent verifier in ``pcst.verify``.
 
 Conventions shared by all commands:
 

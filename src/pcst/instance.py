@@ -58,6 +58,10 @@ FORMATS = ("json", "stp")
 # refuse it.
 MAX_TOKEN_CHARS = 10_000
 MAX_EXPONENT = 1_000
+# Limit on a declared vertex count, checked before anything is sized by
+# it: an STP "Nodes" line costs a few bytes whatever its value, but
+# every vertex costs a prize and a heap entry.
+MAX_VERTICES = 10**6
 _EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)")
 
 
@@ -246,6 +250,8 @@ def _parse_json(text: str) -> Instance:
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool):
         raise ParseError(f'"n" must be an integer, got {n!r}')
+    if n > MAX_VERTICES:
+        raise ParseError(f'"n" is {n}, more than {MAX_VERTICES} vertices')
     if not isinstance(doc["prizes"], list):
         raise ParseError('"prizes" must be a list')
     if not isinstance(doc["edges"], list):
@@ -335,6 +341,9 @@ def _parse_stp(text: str) -> Instance:
                 if n is not None:
                     fail("duplicate Nodes line", lineno)
                 n = count(parts, line, lineno)
+                if n > MAX_VERTICES:
+                    fail(f"Nodes {n} is more than {MAX_VERTICES} vertices",
+                         lineno)
             elif key == "Edges":
                 if declared_m is not None:
                     fail("duplicate Edges line", lineno)

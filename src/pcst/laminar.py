@@ -17,8 +17,8 @@ the root: adding a value to every member of a maximal set is one
 addition at its root, a union subtracts the new parent root's offset
 from the child root's, and path compression folds the skipped offsets
 into the node it relinks.  The solver keeps the duals of dead sets
-there.  Member vertex sets are built only on request (``vertices``),
-for the verifier, the solver's checked mode and the tests.
+there.  No set's member vertices are ever listed: the parent links
+determine them, and the verifier reads everything it needs off those.
 
 Duals live in a separate DualAssignment: one non-negative Fraction per
 set plus the ids frozen as saturated.  The solver keeps its duals as
@@ -47,9 +47,7 @@ class LaminarFamily:
             raise ValueError(f"need at least one vertex, got {n}")
         self.n = n
         self._parent: list[Optional[SetId]] = [None] * n
-        self._children: list[tuple[SetId, ...]] = [()] * n
         self._size: list[int] = [1] * n
-        self._vertices: dict[SetId, frozenset[int]] = {}
         self._rep: list[int] = list(range(n))  # one member vertex per set
         # union-find over vertices; each root remembers its covering set
         # id, and every node carries a load offset
@@ -117,29 +115,6 @@ class LaminarFamily:
             return self._offset[v]
         return self._offset[v] + self._offset[root]
 
-    def vertices(self, sid: SetId) -> frozenset[int]:
-        """Member vertices, collected by descending to leaf singletons."""
-        if not 0 <= sid < len(self._parent):
-            raise ValueError(f"unknown set id {sid}")
-        cached = self._vertices.get(sid)
-        if cached is not None:
-            return cached
-        if sid < self.n:
-            vs = frozenset((sid,))
-        else:
-            acc: list[int] = []
-            stack = [sid]
-            while stack:
-                cur = stack.pop()
-                kids = self._children[cur]
-                if kids:
-                    stack.extend(kids)
-                else:
-                    acc.append(cur)
-            vs = frozenset(acc)
-        self._vertices[sid] = vs
-        return vs
-
     def merge(self, a: SetId, b: SetId) -> SetId:
         """Append the union of two distinct maximal sets; returns its id."""
         if a == b:
@@ -151,7 +126,6 @@ class LaminarFamily:
                 raise ValueError(f"set {sid} is not maximal")
         nid = len(self._parent)
         self._parent.append(None)
-        self._children.append((a, b))
         self._size.append(self._size[a] + self._size[b])
         self._parent[a] = nid
         self._parent[b] = nid

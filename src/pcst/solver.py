@@ -28,7 +28,7 @@ these clocks and the set of saturated ids; ``dual_assignment`` turns
 them into a DualAssignment for the solution, the certificate and the
 invariant checks.
 
-Neither phase lists the members of a set; only checked mode does.
+Neither phase, nor checked mode, lists the members of a set.
 
 * Frozen loads on the union-find.  Every edge slack needs chain loads,
   the dual mass on the sets holding a vertex.  A set's dual stops
@@ -526,23 +526,8 @@ def solve(inst: Instance, *, check_invariants: Optional[bool] = None,
 # ---------------------------------------------------------------------------
 # runtime invariant checking (growth and prune loops)
 #
-# All recomputation here goes through the verifier's naive loops; none
-# of it trusts the solver's incremental sums.
-
-
-def _saturated_cover_gap(fam: lam.LaminarFamily, saturated: set[int],
-                         region: frozenset[int]) -> int:
-    """Vertices of region not covered by disjoint saturated sets inside
-    it.  Zero means region is a union of saturated sets."""
-    covered: set[int] = set()
-    for sid in sorted((s for s in saturated
-                       if fam.vertices(s) <= region),
-                      key=lambda s: -fam.size(s)):
-        vs = fam.vertices(sid)
-        if vs & covered:
-            continue  # nested inside one already taken
-        covered |= vs
-    return len(region) - len(covered)
+# All recomputation here goes through the verifier's parent-link
+# indexes; none of it trusts the solver's incremental sums.
 
 
 def check_growth_invariants(state: SolverState):
@@ -556,24 +541,24 @@ def check_growth_invariants(state: SolverState):
     sid = verify.disconnected_family_set(fam, forest)
     if sid is not None:
         raise InvariantError(f"forest does not connect family set {sid}")
-    bad = verify.check_feasibility(fam, duals, inst)
-    if bad:
-        raise InvariantError(f"duals infeasible during growth: {bad[0]}")
+    index = verify.DualIndex(fam, duals, inst)
+    if index.violations:
+        raise InvariantError(
+            f"duals infeasible during growth: {index.violations[0]}")
     for idx in state.forest:
-        u, v, c = inst.edges[idx]
-        load = verify.edge_dual_load(fam, duals, u, v)
-        if load != c:
+        c = inst.edges[idx][2]
+        if index.edge_loads[idx] != index.scaled(c):
             raise InvariantError(
-                f"forest edge {idx} not tight: load {load} vs cost {c}")
+                f"forest edge {idx} not tight: load "
+                f"{index.value(index.edge_loads[idx])} vs cost {c}")
     for sid in sorted(duals.saturated):
-        vs = fam.vertices(sid)
-        prize = sum((inst.prizes[v] for v in vs), Fraction(0))
-        if verify.inside_load(fam, duals, vs) != prize:
+        if index.inside[sid] != index.prizes[sid]:
             raise InvariantError(f"saturated set {sid} not exhausted")
-    sat = duals.saturated
+    # against an empty tree, every saturated set inside a set covers it
+    nothing = verify.Tree(frozenset(), ())
+    gaps = verify.TreeIndex(fam, nothing).cover_gaps(duals.saturated)
     for sid in fam.maximal_ids():
-        if sid not in sat and \
-                _saturated_cover_gap(fam, sat, fam.vertices(sid)) == 0:
+        if sid not in duals.saturated and gaps[sid] == 0:
             raise InvariantError(
                 f"active maximal set {sid} is a union of saturated sets")
 
@@ -590,12 +575,12 @@ def check_prune_invariants(state: SolverState, tree_vs: set[int],
         verify.validate_connected_subgraph(inst, tree, require_tree=True)
     except ValueError as exc:
         raise InvariantError(f"pruned subgraph: {exc}") from exc
-    sid = verify.disconnected_family_set(fam, tree)
+    index = verify.TreeIndex(fam, tree)
+    sid = index.disconnected_set()
     if sid is not None:
         raise InvariantError(
             f"tree is disconnected within family set {sid}")
-    region = frozenset(fam.vertices(state.final_maximal) - tree_vs)
-    gap = _saturated_cover_gap(fam, state.saturated, region)
+    gap = index.cover_gaps(state.saturated)[state.final_maximal]
     if gap:
         raise InvariantError(
             f"pruned region is not a union of saturated sets "

@@ -1,11 +1,26 @@
 """Independent checks on dual snapshots and trees.
 
-Everything here recomputes from first principles, with plain membership
-loops and parent links over (family, duals, instance); none of it shares
-the solver's incremental bookkeeping.  The solver's checked mode runs on
-these functions too.  That makes these functions slower than the
-solver but trustworthy as a second opinion: a bug in the solver's cached
-chain sums cannot hide a violation here.
+Everything here recomputes from first principles over (family, duals,
+instance), reading only the family's parent links; none of it shares
+the solver's incremental bookkeeping (its union-find loads, its prune
+counts).  The solver's checked mode runs on these functions too, so a
+bug in the solver's cached sums cannot hide a violation here.
+
+Set ids grow from children to parents, so every check is a few linear
+passes over the parent links:
+
+* descending ids, parents first: the chain load of a set, the dual mass
+  on it and its ancestors; a vertex's chain load is its singleton's;
+* ascending ids, children first: subtree sums, such as the dual mass on
+  the sets inside a set, its prize, or how many tree vertices it holds;
+* the dual mass on the sets an edge uv crosses is
+  chain(u) + chain(v) - 2 * chain(lca), where lca, the lowest set holding
+  both ends, comes from Tarjan's offline algorithm (_lowest_common);
+  the tree edges crossing each set come from +1 at both ends and -2 at
+  the lca, summed over subtrees.
+
+Dual sums are integers over a common denominator of the snapshot's
+duals, costs and prizes (DualIndex.scale); results are exact Fractions.
 
 The two bounds at the heart of the certificate, for duals that respect
 every edge cost and prize budget:
@@ -25,6 +40,9 @@ is not contained in one.
 """
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
@@ -53,69 +71,238 @@ class Violation:
         return f"{self.kind} {self.subject}: slack {self.slack}"
 
 
-# -- naive dual aggregates ---------------------------------------------------
+# -- parent-link indexes -------------------------------------------------------
+
+
+def _lowest_common(parent: list[Optional[int]], n: int,
+                   pairs: list) -> list[Optional[int]]:
+    """Per pair (u, v) of vertices, the lowest set holding both; None if
+    no set does or an end is None.
+
+    Tarjan's offline algorithm: a depth-first pass over the family in
+    which every set, once finished, links to its parent.  When vertex u
+    finishes, the link root of an already finished vertex v is v's
+    lowest unfinished ancestor, which holds u too, unless it is the
+    finished maximal set of an earlier tree."""
+    out: list[Optional[int]] = [None] * len(pairs)
+    asked: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for k, (u, v) in enumerate(pairs):
+        if u is None or v is None:
+            continue
+        if u == v:
+            out[k] = u
+        else:
+            asked[u].append((v, k))
+            asked[v].append((u, k))
+    kids: list[list[int]] = [[] for _ in parent]
+    stack: list[int] = []  # the maximal sets, then ~sid for a finish
+    for sid, up in enumerate(parent):
+        (stack if up is None else kids[up]).append(sid)
+    link = list(range(len(parent)))
+    done = [False] * len(parent)
+    while stack:
+        sid = stack.pop()
+        if sid >= 0:
+            stack.append(~sid)
+            stack.extend(kids[sid])
+            continue
+        sid = ~sid
+        if sid < n:
+            for other, k in asked[sid]:
+                if done[other]:
+                    top = other
+                    while link[top] != top:
+                        top = link[top]
+                    while link[other] != top:
+                        link[other], other = top, link[other]
+                    out[k] = None if done[top] else top
+        done[sid] = True
+        if parent[sid] is not None:
+            link[sid] = parent[sid]
+    return out
+
+
+def _vertex(x, n: int) -> Optional[int]:
+    """x as a vertex of an n-vertex family, or None if it names none.
+    Like set membership, a value equal to an int in 0..n-1 names it."""
+    if type(x) is not int:
+        try:
+            k = int(x)
+        except (TypeError, ValueError, OverflowError):
+            return None
+        if k != x:
+            return None
+        x = k
+    return x if 0 <= x < n else None
+
+
+class DualIndex:
+    """Dual sums of one (family, duals) snapshot, read off the parent
+    links, as integers over ``scale``: a common denominator of the duals
+    and, when an instance is given, of its costs and prizes.
+
+    chain[s] is the dual mass on s and its ancestors, inside[s] the mass
+    on s and the sets below it.  With an instance there are also
+    edge_loads[i], the mass on the sets instance edge i crosses,
+    prizes[s], the prize of s, and violations, the check_feasibility
+    list."""
+
+    def __init__(self, fam: LaminarFamily, duals: DualAssignment,
+                 inst: Optional[Instance] = None):
+        n = fam.n
+        parent = [fam.parent_of(sid) for sid in fam.ids]
+        raw = [duals.y[sid] for sid in fam.ids]
+        values = raw if inst is None else itertools.chain(
+            raw, inst.prizes, (c for _, _, c in inst.edges))
+        self.scale = math.lcm(*{q.denominator for q in values})
+        y = [self.scaled(q) for q in raw]
+        chain = y[:]
+        for sid in reversed(fam.ids):
+            if parent[sid] is not None:
+                chain[sid] += chain[parent[sid]]
+        inside = y[:]
+        for sid, up in enumerate(parent):
+            if up is not None:
+                inside[up] += inside[sid]
+        self.y, self.chain, self.inside = y, chain, inside
+        self.total = sum(y)
+        if inst is None:
+            return
+        # instance vertices past the family's lie in no set
+        ends = [(u if u < n else None, v if v < n else None)
+                for u, v, _ in inst.edges]
+        self.edge_loads = _crossing_loads(
+            chain, ends, _lowest_common(parent, n, ends))
+        prizes = [self.scaled(inst.prizes[v]) for v in range(n)]
+        prizes += [0] * (len(parent) - n)
+        for sid, up in enumerate(parent):
+            if up is not None:
+                prizes[up] += prizes[sid]
+        self.prizes = prizes
+        out = [Violation("negative-dual", sid, q)
+               for sid, q in enumerate(raw) if q < 0]
+        for idx, ((_, _, c), load) in enumerate(zip(inst.edges,
+                                                    self.edge_loads)):
+            slack = self.scaled(c) - load
+            if slack < 0:
+                out.append(Violation("edge", idx, self.value(slack)))
+        for sid in fam.ids:
+            slack = prizes[sid] - inside[sid]
+            if slack < 0:
+                out.append(Violation("set", sid, self.value(slack)))
+        self.violations = out
+
+    def scaled(self, value: Fraction) -> int:
+        return value.numerator * (self.scale // value.denominator)
+
+    def value(self, scaled: int) -> Fraction:
+        return Fraction(scaled, self.scale)
+
+
+def _crossing_loads(chain: list[int], ends: list,
+                    tops: list[Optional[int]]) -> list[int]:
+    """Per (u, v) pair with lowest common set top: the dual mass on the
+    sets holding exactly one end.  An end that is None lies in no set."""
+    out = []
+    for (u, v), top in zip(ends, tops):
+        load = (0 if u is None else chain[u]) + (0 if v is None else chain[v])
+        out.append(load if top is None else load - 2 * chain[top])
+    return out
+
+
+class TreeIndex:
+    """How a tree meets every family set, read off the parent links.
+
+    members[s] counts the tree's vertices in s, crossing[s] the tree
+    edges with exactly one end in s, and joined[s] the edges inside s
+    (both ends tree vertices) that join two pieces of the tree inside s,
+    replayed with a union-find in the ascending order of each edge's
+    lowest common set: an edge inside s has its lowest common set in the
+    subtree of s, and every earlier edge either lies inside that set
+    too or has no end in it.  So s meets the tree in members[s] -
+    joined[s] connected pieces."""
+
+    def __init__(self, fam: LaminarFamily, tree: Tree):
+        self.n = n = fam.n
+        self.parent = parent = [fam.parent_of(sid) for sid in fam.ids]
+        members = [0] * len(parent)
+        for x in tree.vertices:
+            v = _vertex(x, n)
+            if v is not None:
+                members[v] = 1
+        # a tree vertex outside the family lies in no set
+        self.whole = sum(members) == len(tree.vertices)
+        self.ends = ends = [(_vertex(a, n), _vertex(b, n))
+                            for a, b in tree.edges]
+        self.tops = tops = _lowest_common(parent, n, ends)
+        crossing = [0] * len(parent)
+        joined = [0] * len(parent)
+        piece = list(range(n))
+
+        def find(v: int) -> int:
+            while piece[v] != v:
+                piece[v] = piece[piece[v]]
+                v = piece[v]
+            return v
+
+        for top, u, v in sorted((top, u, v) for (u, v), top in zip(ends, tops)
+                                if top is not None
+                                and members[u] and members[v]):
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                piece[ru] = rv
+                joined[top] += 1
+        for (u, v), top in zip(ends, tops):
+            if u is not None:
+                crossing[u] += 1
+            if v is not None:
+                crossing[v] += 1
+            if top is not None:
+                crossing[top] -= 2
+        for sid, up in enumerate(parent):
+            if up is not None:
+                members[up] += members[sid]
+                crossing[up] += crossing[sid]
+                joined[up] += joined[sid]
+        self.size = len(tree.vertices)
+        self.members, self.crossing, self.joined = members, crossing, joined
+
+    def holds_tree(self, sid: int) -> bool:
+        return self.whole and self.members[sid] == self.size
+
+    def disconnected_set(self) -> Optional[int]:
+        """Smallest id of a set that meets the tree in several pieces."""
+        for sid, count in enumerate(self.members):
+            if count - self.joined[sid] > 1:
+                return sid
+        return None
+
+    def cover_gaps(self, saturated: set[int]) -> list[int]:
+        """Per set s: how many vertices of s off the tree lie in no
+        saturated set that is inside s and misses the tree.  Zero means
+        s minus the tree is a union of saturated sets.  One ascending
+        pass: a set has the sum of its children's gaps, or none if it is
+        saturated and misses the tree."""
+        gap = [1 - count for count in self.members[:self.n]]
+        gap += [0] * (len(self.parent) - self.n)
+        for sid, up in enumerate(self.parent):
+            if sid in saturated and not self.members[sid]:
+                gap[sid] = 0
+            if up is not None:
+                gap[up] += gap[sid]
+        return gap
 
 
 def total_load(fam: LaminarFamily, duals: DualAssignment) -> Fraction:
     return sum((duals.y[sid] for sid in fam.ids), Fraction(0))
 
 
-def edge_dual_load(fam: LaminarFamily, duals: DualAssignment,
-                   u: int, v: int) -> Fraction:
-    load = Fraction(0)
-    for sid in fam.ids:
-        vs = fam.vertices(sid)
-        if (u in vs) != (v in vs):
-            load += duals.y[sid]
-    return load
-
-
-def vertex_chain_load(fam: LaminarFamily, duals: DualAssignment,
-                      o: int) -> Fraction:
-    load = Fraction(0)
-    for sid in fam.ids:
-        if o in fam.vertices(sid):
-            load += duals.y[sid]
-    return load
-
-
-def tree_chain_load(fam: LaminarFamily, duals: DualAssignment,
-                    tree_vertices: frozenset[int]) -> Fraction:
-    load = Fraction(0)
-    for sid in fam.ids:
-        if tree_vertices <= fam.vertices(sid):
-            load += duals.y[sid]
-    return load
-
-
-def inside_load(fam: LaminarFamily, duals: DualAssignment,
-                region: frozenset[int]) -> Fraction:
-    load = Fraction(0)
-    for sid in fam.ids:
-        if fam.vertices(sid) <= region:
-            load += duals.y[sid]
-    return load
-
-
 def check_feasibility(fam: LaminarFamily, duals: DualAssignment,
                       inst: Instance) -> list[Violation]:
-    """Every violated constraint: negative duals, overloaded edges,
-    overfilled prize budgets.  Empty list means feasible."""
-    out: list[Violation] = []
-    for sid in fam.ids:
-        if duals.y[sid] < 0:
-            out.append(Violation("negative-dual", sid, duals.y[sid]))
-    for idx, (u, v, c) in enumerate(inst.edges):
-        slack = c - edge_dual_load(fam, duals, u, v)
-        if slack < 0:
-            out.append(Violation("edge", idx, slack))
-    for sid in fam.ids:
-        vs = fam.vertices(sid)
-        prize = sum((inst.prizes[v] for v in vs), Fraction(0))
-        slack = prize - inside_load(fam, duals, vs)
-        if slack < 0:
-            out.append(Violation("set", sid, slack))
-    return out
+    """Every violated constraint: negative duals (by set id), overloaded
+    edges (by edge index), overfilled prize budgets (by set id).  Empty
+    list means feasible."""
+    return DualIndex(fam, duals, inst).violations
 
 
 # -- structural helpers ------------------------------------------------------
@@ -151,12 +338,7 @@ def _connected(vertices: frozenset[int], adj: dict[int, list[int]]) -> bool:
 def disconnected_family_set(fam: LaminarFamily, tree: Tree) -> Optional[int]:
     """Smallest id of a family set that meets the tree's vertices but is
     not connected by the tree edges inside it; None if there is none."""
-    adj = _adjacency(tree.edges)
-    for sid in fam.ids:
-        inter = fam.vertices(sid) & tree.vertices
-        if inter and not _connected(inter, adj):
-            return sid
-    return None
+    return TreeIndex(fam, tree).disconnected_set()
 
 
 def validate_connected_subgraph(inst: Instance, tree: Tree,
@@ -196,19 +378,24 @@ def tree_penalty(inst: Instance, tree: Tree) -> Fraction:
 
 
 def tree_bound(fam: LaminarFamily, duals: DualAssignment, inst: Instance,
-               tree: Tree) -> tuple[Fraction, Fraction]:
+               tree: Tree, index: Optional[DualIndex] = None,
+               tree_index: Optional[TreeIndex] = None
+               ) -> tuple[Fraction, Fraction]:
     """(lhs, rhs) with lhs = dual mass on sets not containing all of T
     and rhs = cost(T) + forfeited prizes.  Feasible duals satisfy
     lhs <= rhs for every connected subgraph T; infeasible duals are
-    refused."""
-    bad = check_feasibility(fam, duals, inst)
+    refused.  A caller running several checks on one snapshot and tree
+    passes their indexes (index with the instance)."""
+    index = index or DualIndex(fam, duals, inst)
+    bad = index.violations
     if bad:
         raise ValueError(f"duals are infeasible ({bad[0]}); "
                          "the bound only holds for feasible duals")
     cost = validate_connected_subgraph(inst, tree)
-    lhs = total_load(fam, duals) - tree_chain_load(fam, duals, tree.vertices)
-    rhs = cost + tree_penalty(inst, tree)
-    return lhs, rhs
+    tree_index = tree_index or TreeIndex(fam, tree)
+    holding = sum(y for sid, y in enumerate(index.y)
+                  if tree_index.holds_tree(sid))
+    return index.value(index.total - holding), cost + tree_penalty(inst, tree)
 
 
 @dataclass(frozen=True)
@@ -245,8 +432,28 @@ def certificate(fam: LaminarFamily, duals: DualAssignment,
                        tuple(chains), total)
 
 
+class GrowthBound:
+    """The growth inequality of one (family, duals) snapshot and tree,
+    shared by every vertex o: the left side is computed once, and the
+    right side at o reads o's chain load."""
+
+    def __init__(self, index: DualIndex, tree_index: TreeIndex):
+        crossing = sum(_crossing_loads(index.chain, tree_index.ends,
+                                       tree_index.tops))
+        outside = sum(y for y, count in zip(index.y, tree_index.members)
+                      if not count)
+        self.index = index
+        self.lhs = index.value(crossing + 2 * outside)
+
+    def at(self, o: int) -> tuple[Fraction, Fraction]:
+        index = self.index
+        return self.lhs, index.value(2 * (index.total - index.chain[o]))
+
+
 def growth_inequality(fam: LaminarFamily, duals: DualAssignment,
-                      tree: Tree, o: int) -> tuple[Fraction, Fraction]:
+                      tree: Tree, o: int,
+                      bound: Optional[GrowthBound] = None
+                      ) -> tuple[Fraction, Fraction]:
     """(lhs, rhs) of the output-side bound at vertex o:
 
         sum over tree edges of crossing dual mass
@@ -255,15 +462,13 @@ def growth_inequality(fam: LaminarFamily, duals: DualAssignment,
 
     The left side dominates cost(T) + 2*penalty(T) when the tree's edges
     are tight and the outside mass covers the forfeited prizes, which is
-    how the factor-2 guarantee is audited."""
+    how the factor-2 guarantee is audited.  A caller asking at many
+    vertices passes the GrowthBound of this snapshot and tree."""
     if not 0 <= o < fam.n:
         raise ValueError(f"vertex {o} out of range")
-    complement = frozenset(range(fam.n)) - tree.vertices
-    lhs = sum((edge_dual_load(fam, duals, u, v) for u, v in tree.edges),
-              Fraction(0))
-    lhs += 2 * inside_load(fam, duals, complement)
-    rhs = 2 * (total_load(fam, duals) - vertex_chain_load(fam, duals, o))
-    return lhs, rhs
+    if bound is None:
+        bound = GrowthBound(DualIndex(fam, duals), TreeIndex(fam, tree))
+    return bound.at(o)
 
 
 class TreePredicates(NamedTuple):
@@ -272,28 +477,26 @@ class TreePredicates(NamedTuple):
     wrapped: Optional[int]
 
 
-def tree_predicates(fam: LaminarFamily, saturated: set[int],
-                    tree: Tree) -> TreePredicates:
+def tree_predicates(fam: LaminarFamily, saturated: set[int], tree: Tree,
+                    tree_index: Optional[TreeIndex] = None
+                    ) -> TreePredicates:
     """Structural facts the pruned output tree must satisfy:
     connected within every family set it meets, no saturated set crossed
     by exactly one tree edge, not contained in a saturated set."""
-    family_connected = disconnected_family_set(fam, tree) is None
-    bridges = []
-    for sid in sorted(saturated):
-        vs = fam.vertices(sid)
-        crossing = sum(1 for u, v in tree.edges if (u in vs) != (v in vs))
-        if crossing == 1:
-            bridges.append(sid)
-    wrapped = None
-    for sid in sorted(saturated):
-        if tree.vertices <= fam.vertices(sid):
-            wrapped = sid
-            break
-    return TreePredicates(family_connected, tuple(bridges), wrapped)
+    ti = tree_index or TreeIndex(fam, tree)
+    sat = sorted(saturated)
+    for sid in sat:
+        if not 0 <= sid < len(fam):
+            raise ValueError(f"unknown set id {sid}")
+    return TreePredicates(
+        ti.disconnected_set() is None,
+        tuple(sid for sid in sat if ti.crossing[sid] == 1),
+        next((sid for sid in sat if ti.holds_tree(sid)), None))
 
 
 def cluster_count_bound(fam: LaminarFamily, saturated: set[int],
-                        tree: Tree) -> tuple[Fraction, Fraction]:
+                        tree: Tree, tree_index: Optional[TreeIndex] = None
+                        ) -> tuple[Fraction, Fraction]:
     """(lhs, rhs) of the counting inequality over the maximal sets:
 
         (1/2) * sum over active maximal sets of tree edges crossing them
@@ -307,7 +510,8 @@ def cluster_count_bound(fam: LaminarFamily, saturated: set[int],
     if len(tree.edges) != len(tree.vertices) - 1 \
             or not _connected(tree.vertices, _adjacency(tree.edges)):
         raise ValueError("hypotheses not met: not a tree")
-    preds = tree_predicates(fam, saturated, tree)
+    ti = tree_index or TreeIndex(fam, tree)
+    preds = tree_predicates(fam, saturated, tree, ti)
     if not preds.family_connected:
         raise ValueError("hypotheses not met: tree disconnected inside "
                          "a family set")
@@ -317,19 +521,11 @@ def cluster_count_bound(fam: LaminarFamily, saturated: set[int],
     if preds.wrapped is not None:
         raise ValueError("hypotheses not met: tree contained in "
                          f"saturated set {preds.wrapped}")
-    part = fam.maximal_ids()
-    active = [sid for sid in part if sid not in saturated]
-    lhs = Fraction(0)
-    missed = 0
-    for sid in active:
-        vs = fam.vertices(sid)
-        lhs += Fraction(sum(1 for u, v in tree.edges
-                            if (u in vs) != (v in vs)), 2)
-        if not vs & tree.vertices:
-            missed += 1
-    lhs += missed
-    rhs = Fraction(len(active) - 1)
-    return lhs, rhs
+    active = [sid for sid, up in enumerate(ti.parent)
+              if up is None and sid not in saturated]
+    crossings = sum(ti.crossing[sid] for sid in active)
+    missed = sum(1 for sid in active if not ti.members[sid])
+    return Fraction(crossings, 2) + missed, Fraction(len(active) - 1)
 
 
 # -- solution audit (used by the command line verifier) ---------------------
@@ -361,9 +557,12 @@ def audit_solution(inst: Instance, fam: LaminarFamily,
     reported carries the solution's own numbers: cost, penalty,
     objective, lagrangean_objective, lower_bound (Fractions) and
     minimizing_vertex (int).  Returns one CheckResult per check; the
-    solution verifies iff every check passed.
+    solution verifies iff every check passed.  The dual and tree indexes
+    are built once, by the first check that needs them.
     """
     out: list[CheckResult] = []
+    dual_index = functools.cache(lambda: DualIndex(fam, duals, inst))
+    tree_index = functools.cache(lambda: TreeIndex(fam, tree))
 
     def run(name: str, fn):
         try:
@@ -375,15 +574,17 @@ def audit_solution(inst: Instance, fam: LaminarFamily,
         if fam.n != inst.n:
             raise ValueError(f"snapshot covers {fam.n} vertices, "
                              f"instance has {inst.n}")
-        covered = sorted(v for sid in fam.maximal_ids()
-                         for v in fam.vertices(sid))
-        ok = covered == list(range(inst.n))
+        # the childless sets are the vertices, and each lies in exactly
+        # one maximal set
+        parents = {fam.parent_of(sid) for sid in fam.ids}
+        ok = [sid for sid in fam.ids if sid not in parents] \
+            == list(range(inst.n))
         out.append(CheckResult(name, ok,
                                detail="" if ok else
                                "maximal sets do not partition the vertices"))
 
     def feasibility(name):
-        bad = check_feasibility(fam, duals, inst)
+        bad = dual_index().violations
         detail = "" if not bad else \
             f"{len(bad)} violated constraint(s); first: {bad[0]}"
         out.append(CheckResult(name, not bad, detail=detail))
@@ -404,7 +605,10 @@ def audit_solution(inst: Instance, fam: LaminarFamily,
         out.append(CheckResult(name, ok, detail=detail))
 
     def cert(name):
-        got = certificate(fam, duals, inst)
+        bad = dual_index().violations
+        if bad:
+            raise ValueError(f"duals are infeasible ({bad[0]})")
+        got = certificate(fam, duals)
         lag = reported["lagrangean_objective"]
         ok = got.lower_bound == reported["lower_bound"] \
             and lag <= 2 * got.lower_bound
@@ -415,28 +619,33 @@ def audit_solution(inst: Instance, fam: LaminarFamily,
                                rhs=2 * got.lower_bound, detail=detail))
 
     def tree_lb(name):
-        lhs, rhs = tree_bound(fam, duals, inst, tree)
+        lhs, rhs = tree_bound(fam, duals, inst, tree, dual_index(),
+                              tree_index())
         out.append(CheckResult(name, lhs <= rhs, lhs=lhs, rhs=rhs))
 
     def growth(name):
+        # the left side is the same at every o: the tightest vertex is
+        # the first with the smallest right side
+        bound = GrowthBound(dual_index(), tree_index())
         worst = None
         for o in range(inst.n):
-            lhs, rhs = growth_inequality(fam, duals, tree, o)
-            if worst is None or lhs - rhs > worst[0] - worst[1]:
+            lhs, rhs = growth_inequality(fam, duals, tree, o, bound)
+            if worst is None or rhs < worst[1]:
                 worst = (lhs, rhs, o)
         lhs, rhs, o = worst
         out.append(CheckResult(name, lhs <= rhs, lhs=lhs, rhs=rhs,
                                detail=f"tightest at vertex {o}"))
 
     def predicates(name):
-        preds = tree_predicates(fam, duals.saturated, tree)
+        preds = tree_predicates(fam, duals.saturated, tree, tree_index())
         ok = preds.family_connected and not preds.bridges \
             and preds.wrapped is None
         detail = "" if ok else f"{preds}"
         out.append(CheckResult(name, ok, detail=detail))
 
     def counting(name):
-        lhs, rhs = cluster_count_bound(fam, duals.saturated, tree)
+        lhs, rhs = cluster_count_bound(fam, duals.saturated, tree,
+                                       tree_index())
         out.append(CheckResult(name, lhs <= rhs, lhs=lhs, rhs=rhs))
 
     run("laminar-structure", structure)

@@ -1,9 +1,9 @@
 """Shared fixtures and independent reference implementations.
 
 The helpers here recompute solver quantities straight from definitions
-(set membership loops, exhaustive enumeration) so the solver's
-incremental bookkeeping is always tested against code that shares none
-of it.
+(set membership loops from naive_checker, exhaustive enumeration) so
+the solver's incremental bookkeeping is always tested against code that
+shares none of it.
 """
 from __future__ import annotations
 
@@ -26,8 +26,9 @@ try:
 except ImportError:  # pragma: no cover - hypothesis is a test extra
     pass
 
+import naive_checker as naive
 from pcst import (ExactResult, Instance, Solution, Tree, exact_solve,
-                  gen_random, solve, verify)
+                  gen_random, solve)
 from pcst import solver as sv
 
 
@@ -42,14 +43,15 @@ def naive_epsilon(inst, fam, duals):
     set id, then smallest edge index.  Returns (eps, kind, payload).
     """
     sat = duals.saturated
+    sets = naive.members(fam)
     best = None
     hit = None
     for sid in fam.maximal_ids():
         if sid in sat:
             continue
-        vs = fam.vertices(sid)
+        vs = sets[sid]
         prize = sum((inst.prizes[v] for v in vs), Fraction(0))
-        slack = prize - verify.inside_load(fam, duals, vs)
+        slack = prize - naive.inside_load(fam, duals, vs)
         assert slack >= 0
         if best is None or slack < best:
             best, hit = slack, ("saturation", sid)
@@ -60,7 +62,7 @@ def naive_epsilon(inst, fam, duals):
         rate = (tu not in sat) + (tv not in sat)
         if rate == 0:
             continue
-        slack = c - verify.edge_dual_load(fam, duals, u, v)
+        slack = c - naive.edge_dual_load(fam, duals, u, v)
         assert slack >= 0
         step = slack / rate
         if best is None or step < best:
@@ -111,7 +113,8 @@ def reference_prune(state):
     edge.  Returns (pruned ids in order, tree vertices, tree edge
     indices ascending)."""
     inst, fam, sat = state.inst, state.fam, state.saturated
-    tree_vs = set(fam.vertices(state.final_maximal))
+    sets = naive.members(fam)
+    tree_vs = set(sets[state.final_maximal])
     edge_alive: dict[int, bool] = {}
     crossing: dict[int, list[int]] = {}
     deg = {sid: 0 for sid in sat}
@@ -130,7 +133,7 @@ def reference_prune(state):
         sid = heapq.heappop(candidates)
         if deg[sid] != 1:
             continue
-        removed = tree_vs & fam.vertices(sid)
+        removed = tree_vs & sets[sid]
         tree_vs -= removed
         for idx, alive in edge_alive.items():
             u, v, _ = inst.edges[idx]

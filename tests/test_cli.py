@@ -109,6 +109,8 @@ HOSTILE_SHAPE_FILES = {
                       "END\nEOF\n" % ("9" * 20_000),
     "digit-nodes.stp": "SECTION Graph\nNodes %s\nEND\nEOF\n"
                        % ("9" * 6000),
+    # a count that parses but would size a prize per vertex
+    "huge-nodes.stp": "SECTION Graph\nNodes 1000000000000\nEND\nEOF\n",
 }
 
 

@@ -10,6 +10,7 @@ from pcst import (Instance, ParseError, approx_decimal, emit_instance,
                   format_rational, gen_random, gen_tight_path,
                   gen_tight_star, parse_instance, parse_rational,
                   rational_token)
+from pcst.instance import MAX_VERTICES
 
 rationals = st.fractions(
     min_value=0, max_value=1000,
@@ -297,9 +298,10 @@ def test_parse_json_parses_or_raises_parse_error(text):
     assert isinstance(inst, Instance)
 
 
-# small vertex numbers and counts, or digit runs past int()'s limit; a
-# Nodes count of, say, 10**12 parses and then builds 10**12 prizes
+# small vertex numbers and counts, counts past MAX_VERTICES, or digit
+# runs past int()'s limit
 stp_ints = st.one_of(st.integers(-2, 9).map(str),
+                     st.integers(MAX_VERTICES + 1, 10**13).map(str),
                      st.integers(4_301, 5_000).map(lambda k: "9" * k),
                      st.sampled_from(["", "x", "1.5", "²", "٣"]))
 stp_lines = st.one_of(
@@ -337,6 +339,14 @@ def test_parse_stp_parses_or_raises_parse_error(text):
 def test_stp_bad_counts_are_parse_errors(old, new):
     with pytest.raises(ParseError, match="bad"):
         parse_instance(STP_SAMPLE.replace(old, new), "stp")
+
+
+def test_vertex_counts_past_the_limit_are_parse_errors():
+    with pytest.raises(ParseError, match="more than 1000000 vertices") as exc:
+        parse_instance(STP_SAMPLE.replace("Nodes 3", "Nodes 1000001"), "stp")
+    assert exc.value.line is not None
+    with pytest.raises(ParseError, match="more than 1000000 vertices"):
+        parse_instance('{"n": 1000001, "prizes": [], "edges": []}')
 
 
 def test_deeply_nested_json_is_a_parse_error():

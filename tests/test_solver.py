@@ -4,13 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+import naive_checker as naive
 from conftest import (naive_epsilon, reference_prune, rescan_step,
                       solve_by_rescan, sweep_instance)
-from pcst import (Instance, from_records, gen_random, gen_tight_path,
-                  gen_tight_star, records_from_json, solve, to_records,
-                  verify)
-from pcst import laminar as lam
+from pcst import Instance, gen_random, gen_tight_path, gen_tight_star, solve
 from pcst import solver as sv
+
+# the solver's checks and the reference checker's, both run on every
+# injected fault below
+GROWTH_CHECKS = (sv.check_growth_invariants, naive.check_growth_invariants)
+PRUNE_CHECKS = (sv.check_prune_invariants, naive.check_prune_invariants)
 
 
 def events_of(trace, *kinds):
@@ -186,7 +189,7 @@ def test_chain_loads_match_membership_sums(seed):
         after_step()
         duals = state.dual_assignment()
         assert [state._chain_load(v) for v in range(inst.n)] == [
-            verify.vertex_chain_load(state.fam, duals, v)
+            naive.vertex_chain_load(state.fam, duals, v)
             for v in range(inst.n)]
 
     state._after_step = checked_after_step
@@ -218,23 +221,6 @@ def test_prune_matches_the_chain_reference(seed):
     assert [ev.set_id for ev in sol.trace if ev.kind == "prune"] == order
     assert sol.tree_vertices == tree_vertices
     assert sol.tree_edge_indices == tree_edge_indices
-
-
-def test_unchecked_solve_builds_no_vertex_set(monkeypatch):
-    """Growth, prune, the certificate, the document and its reload run
-    on parent links and the union-find alone."""
-    inst = gen_random(1000, "1/250", max_cost=10, max_prize=8, seed=99)
-
-    def refuse(fam, sid):
-        raise AssertionError(f"vertex set of {sid} built")
-
-    monkeypatch.setattr(lam.LaminarFamily, "vertices", refuse)
-    sol = solve(inst, check_invariants=False)
-    document = [r.to_json_obj() for r in to_records(sol.fam, sol.duals)]
-    fam, duals = from_records(records_from_json(document), inst.n)
-    assert [fam.parent_of(sid) for sid in fam.ids] == \
-        [sol.fam.parent_of(sid) for sid in sol.fam.ids]
-    assert duals == sol.duals
 
 
 # -- budgets, determinism, flags -------------------------------------------------
@@ -290,10 +276,13 @@ def test_checker_catches_poisoned_duals():
     state = sv.init_state(inst)
     rescan_step(state)
     rescan_step(state)
-    sv.check_growth_invariants(state)  # healthy state passes
+    for check in GROWTH_CHECKS:
+        check(state)  # healthy state passes
     state._birth[0] -= 100  # overload every constraint around vertex 0
-    with pytest.raises(sv.InvariantError):
-        sv.check_growth_invariants(state)
+    for check in GROWTH_CHECKS:
+        with pytest.raises(sv.InvariantError,
+                           match="duals infeasible during growth: edge 0"):
+            check(state)
 
 
 def test_checker_catches_missing_forest_edge():
@@ -302,8 +291,10 @@ def test_checker_catches_missing_forest_edge():
     rescan_step(state)
     rescan_step(state)
     state.forest.pop()  # family set now spans two forest pieces
-    with pytest.raises(sv.InvariantError):
-        sv.check_growth_invariants(state)
+    for check in GROWTH_CHECKS:
+        with pytest.raises(sv.InvariantError,
+                           match="forest does not connect family set 4"):
+            check(state)
 
 
 def grown(inst):
@@ -319,8 +310,9 @@ def grown(inst):
 ])
 def test_prune_checker_catches_non_tree(tree_vs, edges):
     state = grown(Instance(3, ((0, 1, 4), (1, 2, 1)), (10, 10, "1/4")))
-    with pytest.raises(sv.InvariantError, match="pruned subgraph"):
-        sv.check_prune_invariants(state, tree_vs, edges)
+    for check in PRUNE_CHECKS:
+        with pytest.raises(sv.InvariantError, match="pruned subgraph"):
+            check(state, tree_vs, edges)
 
 
 def test_prune_checker_catches_tree_split_inside_family_set():
@@ -329,17 +321,51 @@ def test_prune_checker_catches_tree_split_inside_family_set():
     inst = Instance(3, ((0, 1, 1), (1, 2, 2), (0, 2, 10)), (10, 10, 10))
     state = grown(inst)
     assert state.forest == [0, 1]
-    sv.check_prune_invariants(state, {0, 1, 2}, [0, 1])
-    with pytest.raises(sv.InvariantError, match="within family set 3"):
-        sv.check_prune_invariants(state, {0, 1, 2}, [1, 2])
+    for check in PRUNE_CHECKS:
+        check(state, {0, 1, 2}, [0, 1])
+        with pytest.raises(sv.InvariantError, match="within family set 3"):
+            check(state, {0, 1, 2}, [1, 2])
 
 
 def test_prune_checker_catches_unsaturated_pruned_region():
     state = grown(Instance(3, ((0, 1, 4), (1, 2, 1)), (10, 10, "1/4")))
-    sv.check_prune_invariants(state, {0, 1}, [0])  # {2} pruned, saturated
-    # keeping {1, 2} prunes {0}, which never saturated
-    with pytest.raises(sv.InvariantError, match="union of saturated sets"):
-        sv.check_prune_invariants(state, {1, 2}, [1])
+    for check in PRUNE_CHECKS:
+        check(state, {0, 1}, [0])  # {2} pruned, saturated
+        # keeping {1, 2} prunes {0}, which never saturated
+        with pytest.raises(sv.InvariantError,
+                           match=r"saturated sets \(1 vertices uncovered"):
+            check(state, {1, 2}, [1])
+
+
+def test_prune_checker_ignores_saturated_set_meeting_the_tree():
+    # {0, 1} merges at clock 0 and saturates at 2, then joins {2}; {3}
+    # saturates at 5, before {0, 1, 2}.  A tree keeping 1 and 2 prunes
+    # 0, whose only saturated set {0, 1} the tree still meets
+    state = grown(Instance(4, ((0, 1, 0), (1, 2, 4)), (1, 1, 10, 5)))
+    assert state.saturated == {3, 4} and state.final_maximal == 5
+    for check in PRUNE_CHECKS:
+        check(state, {2}, [])
+        with pytest.raises(sv.InvariantError,
+                           match=r"saturated sets \(1 vertices uncovered"):
+            check(state, {1, 2}, [1])
+
+
+def test_growth_checker_catches_active_union_of_saturated_sets():
+    # {0} and {1} merge at clock 1; lowering their prizes to their duals
+    # and marking them saturated leaves the duals feasible and the
+    # singletons exhausted, but the active set {0, 1} all saturated
+    edges = ((0, 1, 2), (1, 2, 50))
+    state = sv.init_state(Instance(3, edges, (5, 5, 10)))
+    rescan_step(state)
+    assert state.fam.maximal_ids() == [2, 3]
+    for check in GROWTH_CHECKS:
+        check(state)
+    state.inst = Instance(3, edges, (1, 1, 10))
+    state.saturated |= {0, 1}
+    for check in GROWTH_CHECKS:
+        with pytest.raises(sv.InvariantError,
+                           match="active maximal set 3 is a union"):
+            check(state)
 
 
 def test_solve_rejects_stale_phase_calls():

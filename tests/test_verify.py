@@ -1,17 +1,25 @@
-"""Naive verifier: feasibility, certificate, bounds, tree predicates,
-and the solution audit, including injected-fault detection."""
+"""Verifier: feasibility, certificate, bounds, tree predicates, and the
+solution audit, including injected-fault detection.  Fault-injection
+tests run against both the package checker and the naive reference
+checker in naive_checker.py, and agreement tests compare the two."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import naive_checker as naive
 from pcst import (Instance, Tree, audit_solution, certificate,
-                  check_feasibility, cluster_count_bound, gen_tight_star,
-                  growth_inequality, make_tree, solve, tree_bound,
-                  tree_predicates)
+                  check_feasibility, cluster_count_bound, gen_random,
+                  gen_tight_star, growth_inequality, make_tree, solve,
+                  tree_bound, tree_predicates)
 from conftest import rescan_step, sweep_instance
 from pcst import laminar as lam
 from pcst import solver as sv
 from pcst import verify
+
+# the package checker and the reference checker, as module-like objects
+CHECKERS = (verify, naive)
 
 
 PRUNE_INST = Instance(3, ((0, 1, 4), (1, 2, 1)), (10, 10, "1/4"))
@@ -44,15 +52,26 @@ def hand_family():
 def test_loads_on_hand_family():
     fam, duals = hand_family()
     assert verify.total_load(fam, duals) == Fraction(17, 6)
-    assert verify.edge_dual_load(fam, duals, 0, 2) == Fraction(5, 2)
-    assert verify.edge_dual_load(fam, duals, 0, 1) == Fraction(5, 6)
-    assert verify.vertex_chain_load(fam, duals, 0) == Fraction(5, 2)
-    assert verify.vertex_chain_load(fam, duals, 2) == 0
-    assert verify.inside_load(fam, duals, frozenset({0, 1})) == \
+    assert naive.edge_dual_load(fam, duals, 0, 2) == Fraction(5, 2)
+    assert naive.edge_dual_load(fam, duals, 0, 1) == Fraction(5, 6)
+    assert naive.vertex_chain_load(fam, duals, 0) == Fraction(5, 2)
+    assert naive.vertex_chain_load(fam, duals, 2) == 0
+    assert naive.inside_load(fam, duals, frozenset({0, 1})) == \
         Fraction(17, 6)
-    assert verify.inside_load(fam, duals, frozenset({0})) == Fraction(1, 2)
-    assert verify.inside_load(fam, duals, frozenset()) == 0
-    assert verify.tree_chain_load(fam, duals, frozenset({0, 1})) == 2
+    assert naive.inside_load(fam, duals, frozenset({0})) == Fraction(1, 2)
+    assert naive.inside_load(fam, duals, frozenset()) == 0
+    assert naive.tree_chain_load(fam, duals, frozenset({0, 1})) == 2
+    # the same numbers off the parent-link index, over denominator 6
+    inst = Instance(3, ((0, 2, 5), (0, 1, 1)), (1, 1, 1))
+    index = verify.DualIndex(fam, duals, inst)
+    assert index.scale == 6
+    assert [index.value(x) for x in index.edge_loads] == \
+        [Fraction(5, 2), Fraction(5, 6)]
+    assert [index.value(x) for x in index.chain] == \
+        [Fraction(5, 2), Fraction(7, 3), 0, 2]
+    assert [index.value(x) for x in index.inside] == \
+        [Fraction(1, 2), Fraction(1, 3), 0, Fraction(17, 6)]
+    assert index.prizes == [6, 6, 6, 12]
 
 
 # -- feasibility ---------------------------------------------------------------
@@ -75,6 +94,7 @@ def test_feasibility_flags_edge_prize_and_sign():
     assert ("set", 0) in kinds
     edge_violation = next(v for v in bad if v.kind == "edge")
     assert edge_violation.slack == -1  # 1 - (3 + (-1)) = -1
+    assert naive.check_feasibility(fam, duals, inst) == bad
 
 
 # -- certificate ---------------------------------------------------------------
@@ -103,7 +123,7 @@ def test_certificate_chain_loads_match_membership_loop(seed):
     sol = solve(sweep_instance(seed), check_invariants=False)
     cert = certificate(sol.fam, sol.duals)
     assert list(cert.chain_loads) == [
-        verify.vertex_chain_load(sol.fam, sol.duals, v)
+        naive.vertex_chain_load(sol.fam, sol.duals, v)
         for v in range(sol.fam.n)]
 
 
@@ -136,8 +156,9 @@ def test_tree_bound_refuses_infeasible_duals(star):
     inst, sol = star
     duals = lam.DualAssignment(dict(sol.duals.y), set(sol.duals.saturated))
     duals.y[0] += 5
-    with pytest.raises(ValueError):
-        tree_bound(sol.fam, duals, inst, Tree(frozenset({0}), ()))
+    for checker in CHECKERS:
+        with pytest.raises(ValueError, match="infeasible"):
+            checker.tree_bound(sol.fam, duals, inst, Tree(frozenset({0}), ()))
 
 
 @pytest.mark.parametrize("vertices, edges", [
@@ -149,9 +170,10 @@ def test_tree_bound_refuses_infeasible_duals(star):
 ])
 def test_tree_validation_rejects(star, vertices, edges):
     inst, sol = star
-    with pytest.raises(ValueError):
-        tree_bound(sol.fam, sol.duals, inst,
-                   make_tree(vertices, edges))
+    for checker in CHECKERS:
+        with pytest.raises(ValueError):
+            checker.tree_bound(sol.fam, sol.duals, inst,
+                               make_tree(vertices, edges))
 
 
 def test_tree_validation_rejects_repeated_edge(star):
@@ -195,23 +217,26 @@ def test_growth_inequality_rejects_bad_vertex(pruned):
 def test_tree_predicates_flag_bridge(pruned):
     inst, sol = pruned
     fam, sat = sol.fam, sol.duals.saturated
-    # pre-prune tree: saturated singleton {2} is crossed once
-    full = make_tree((0, 1, 2), ((0, 1), (1, 2)))
-    preds = tree_predicates(fam, sat, full)
-    assert preds.family_connected
-    assert preds.bridges == (2,)
-    assert preds.wrapped is None
-    # post-prune tree is clean
-    preds = tree_predicates(fam, sat, sol.tree())
-    assert preds == (True, (), None)
+    for checker in CHECKERS:
+        # pre-prune tree: saturated singleton {2} is crossed once
+        full = make_tree((0, 1, 2), ((0, 1), (1, 2)))
+        preds = checker.tree_predicates(fam, sat, full)
+        assert preds.family_connected
+        assert preds.bridges == (2,)
+        assert preds.wrapped is None
+        # post-prune tree is clean
+        preds = checker.tree_predicates(fam, sat, sol.tree())
+        assert preds == (True, (), None)
 
 
 def test_tree_predicates_flag_wrapped():
     fam = lam.LaminarFamily(2)
     nid = fam.merge(0, 1)
     sat = {nid}
-    preds = tree_predicates(fam, sat, make_tree((0, 1), ((0, 1),)))
-    assert preds.wrapped == nid
+    for checker in CHECKERS:
+        preds = checker.tree_predicates(fam, sat,
+                                        make_tree((0, 1), ((0, 1),)))
+        assert preds.wrapped == nid
 
 
 def test_tree_predicates_flag_disconnection():
@@ -219,8 +244,10 @@ def test_tree_predicates_flag_disconnection():
     fam.merge(0, 2)
     # tree touches {0,2} in two pieces linked only through vertex 1
     tree = make_tree((0, 1, 2), ((0, 1), (1, 2)))
-    preds = tree_predicates(fam, set(), tree)
-    assert not preds.family_connected
+    for checker in CHECKERS:
+        preds = checker.tree_predicates(fam, set(), tree)
+        assert not preds.family_connected
+        assert checker.disconnected_family_set(fam, tree) == 3
 
 
 def test_cluster_count_bound_two_active_sets():
@@ -243,18 +270,22 @@ def test_cluster_count_bound_single_active_set(pruned):
 def test_cluster_count_bound_refuses_broken_hypotheses(pruned):
     inst, sol = pruned
     fam, sat = sol.fam, sol.duals.saturated
-    with pytest.raises(ValueError):  # not a tree (cycle/extra edge)
-        cluster_count_bound(fam, sat, make_tree((0, 1), ()))
-    with pytest.raises(ValueError):  # bridge into saturated singleton {2}
-        cluster_count_bound(fam, sat, make_tree((0, 1, 2),
-                                                ((0, 1), (1, 2))))
+    for checker in CHECKERS:
+        with pytest.raises(ValueError, match="not a tree"):
+            checker.cluster_count_bound(fam, sat, make_tree((0, 1), ()))
+        with pytest.raises(ValueError, match="saturated set 2"):
+            # bridge into saturated singleton {2}
+            checker.cluster_count_bound(
+                fam, sat, make_tree((0, 1, 2), ((0, 1), (1, 2))))
 
 
 def test_cluster_count_bound_refuses_wrapped_tree():
     fam = lam.LaminarFamily(2)
     nid = fam.merge(0, 1)
-    with pytest.raises(ValueError):
-        cluster_count_bound(fam, {nid}, make_tree((0, 1), ((0, 1),)))
+    for checker in CHECKERS:
+        with pytest.raises(ValueError, match="contained in saturated"):
+            checker.cluster_count_bound(fam, {nid},
+                                        make_tree((0, 1), ((0, 1),)))
 
 
 # -- audit ----------------------------------------------------------------------
@@ -277,25 +308,34 @@ AUDIT_NAMES = ["laminar-structure", "dual-feasibility", "tree-structure",
                "cluster-counting"]
 
 
+def failing_names(results):
+    return {r.name for r in results if not r.passed}
+
+
+def audits(inst, fam, duals, tree, reported):
+    """The package audit, after checking that the reference checker's
+    audit serializes identically."""
+    got = audit_solution(inst, fam, duals, tree, reported)
+    assert [r.to_json_obj() for r in got] == [
+        r.to_json_obj()
+        for r in naive.audit_solution(inst, fam, duals, tree, reported)]
+    return got
+
+
 def test_audit_all_pass_on_solver_output(pruned):
     inst, sol = pruned
-    results = audit_solution(inst, sol.fam, sol.duals, sol.tree(),
-                             reported_of(sol))
+    results = audits(inst, sol.fam, sol.duals, sol.tree(), reported_of(sol))
     assert [r.name for r in results] == AUDIT_NAMES
     assert all(r.passed for r in results), \
         [(r.name, r.detail) for r in results if not r.passed]
-
-
-def failing_names(results):
-    return {r.name for r in results if not r.passed}
 
 
 def test_audit_flags_corrupted_dual(pruned):
     inst, sol = pruned
     duals = lam.DualAssignment(dict(sol.duals.y), set(sol.duals.saturated))
     duals.y[0] += 1
-    bad = failing_names(audit_solution(inst, sol.fam, duals, sol.tree(),
-                                       reported_of(sol)))
+    bad = failing_names(audits(inst, sol.fam, duals, sol.tree(),
+                               reported_of(sol)))
     assert "dual-feasibility" in bad
 
 
@@ -303,8 +343,8 @@ def test_audit_flags_wrong_arithmetic(pruned):
     inst, sol = pruned
     reported = reported_of(sol)
     reported["cost"] += 1
-    bad = failing_names(audit_solution(inst, sol.fam, sol.duals, sol.tree(),
-                                       reported))
+    bad = failing_names(audits(inst, sol.fam, sol.duals, sol.tree(),
+                               reported))
     assert "objective-arithmetic" in bad
 
 
@@ -312,24 +352,24 @@ def test_audit_flags_wrong_lower_bound(pruned):
     inst, sol = pruned
     reported = reported_of(sol)
     reported["lower_bound"] += Fraction(1, 7)
-    bad = failing_names(audit_solution(inst, sol.fam, sol.duals, sol.tree(),
-                                       reported))
+    bad = failing_names(audits(inst, sol.fam, sol.duals, sol.tree(),
+                               reported))
     assert "certificate-lower-bound" in bad
 
 
 def test_audit_flags_broken_tree(pruned):
     inst, sol = pruned
     tree = Tree(frozenset({0, 1}), ())  # dropped the only tree edge
-    bad = failing_names(audit_solution(inst, sol.fam, sol.duals, tree,
-                                       reported_of(sol)))
+    bad = failing_names(audits(inst, sol.fam, sol.duals, tree,
+                               reported_of(sol)))
     assert "tree-structure" in bad
 
 
 def test_audit_flags_family_instance_mismatch(pruned):
     inst, sol = pruned
     other = Instance(4, ((0, 1, 4), (1, 2, 1)), (10, 10, "1/4", 5))
-    bad = failing_names(audit_solution(other, sol.fam, sol.duals,
-                                       sol.tree(), reported_of(sol)))
+    bad = failing_names(audits(other, sol.fam, sol.duals,
+                               sol.tree(), reported_of(sol)))
     assert "laminar-structure" in bad
 
 
@@ -342,3 +382,71 @@ def test_audit_results_serialize(pruned):
     assert obj["pass"] is True
     assert obj["lhs"] == "9/2"
     assert obj["rhs"] == "9/2"
+
+
+# -- agreement with the reference checker ----------------------------------------
+
+
+def test_audit_agrees_with_naive_checker_on_sweep(sweep):
+    for run in sweep.runs:
+        inst, sol = run.inst, run.sol
+        audits(inst, sol.fam, sol.duals, sol.tree(), reported_of(sol))
+        assert check_feasibility(sol.fam, sol.duals, inst) == \
+            naive.check_feasibility(sol.fam, sol.duals, inst) == []
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 12), data=st.data())
+@settings(max_examples=200)
+def test_checkers_agree_on_perturbed_solutions(seed, n, data):
+    """Nudged duals, flipped saturation flags and an edited tree: the
+    audits serialize identically, and tree_bound, cluster_count_bound
+    and the growth bound give the same results or the same errors."""
+    inst = gen_random(n, "1/2", max_cost=6, max_prize=6, seed=seed)
+    sol = solve(inst, check_invariants=False)
+    fam = sol.fam
+    set_ids = st.sampled_from(list(fam.ids))
+    y = dict(sol.duals.y)
+    for sid in data.draw(st.lists(set_ids, max_size=3)):
+        y[sid] += data.draw(st.fractions(-2, 2, max_denominator=6))
+    flipped = set(data.draw(st.lists(set_ids, max_size=3)))
+    duals = lam.DualAssignment(y, set(sol.duals.saturated) ^ flipped)
+    edges = [e for e in sol.tree_edges if not data.draw(st.booleans())]
+    if inst.edges:
+        edges += [inst.edges[k][:2] for k in data.draw(
+            st.lists(st.integers(0, inst.m - 1), max_size=3))]
+    vertices = set(sol.tree_vertices) | {v for e in edges for v in e}
+    vertices |= set(data.draw(st.lists(st.integers(0, n), max_size=2)))
+    tree = make_tree(vertices, edges)
+    audits(inst, fam, duals, tree, reported_of(sol))
+    for package, reference, args in [
+            (tree_bound, naive.tree_bound, (fam, duals, inst, tree)),
+            (cluster_count_bound, naive.cluster_count_bound,
+             (fam, duals.saturated, tree)),
+            (tree_predicates, naive.tree_predicates,
+             (fam, duals.saturated, tree)),
+            (growth_inequality, naive.growth_inequality,
+             (fam, duals, tree, data.draw(st.integers(0, n))))]:
+        assert outcome(package, *args) == outcome(reference, *args)
+
+
+def test_audit_passes_at_n_1000():
+    """The audit of the solver's own output passes at n = 1000, where
+    the reference checker is no longer usable, on the family reloaded
+    from its document records as ``pcst verify`` does."""
+    inst = gen_random(1000, "1/250", max_cost=10, max_prize=8, seed=99)
+    sol = solve(inst, check_invariants=False)
+    document = [r.to_json_obj() for r in lam.to_records(sol.fam, sol.duals)]
+    fam, duals = lam.from_records(lam.records_from_json(document), inst.n)
+    assert duals == sol.duals
+    results = audit_solution(inst, fam, duals, sol.tree(), reported_of(sol))
+    assert [r.name for r in results] == AUDIT_NAMES
+    assert all(r.passed for r in results), \
+        [(r.name, r.detail) for r in results if not r.passed]
