@@ -17,7 +17,7 @@ from .instance import (FORMATS, Instance, ParseError, approx_decimal,
                        parse_rational, rational_token)
 from .laminar import (DualAssignment, LaminarFamily, SetRecord,
                       from_records, records_from_json, to_records)
-from .oracle import ExactResult, exact_solve, iter_connected_masks
+from .oracle import ExactResult, exact_solve
 from .solver import (Event, InvariantError, Solution, SolverState,
                      init_state, run_phase1, run_phase2, solve,
                      trace_json_lines)
@@ -35,7 +35,7 @@ __all__ = [
     "rational_token",
     "DualAssignment", "LaminarFamily", "SetRecord", "from_records",
     "records_from_json", "to_records",
-    "ExactResult", "exact_solve", "iter_connected_masks",
+    "ExactResult", "exact_solve",
     "Event", "InvariantError", "Solution", "SolverState", "init_state",
     "run_phase1", "run_phase2", "solve", "trace_json_lines",
     "Certificate", "CheckResult", "Tree", "Violation", "audit_solution",

@@ -195,14 +195,6 @@ class Instance:
     def prize_total(self) -> Fraction:
         return sum(self.prizes, Fraction(0))
 
-    def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Per-vertex list of (neighbour, edge index)."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for idx, (u, v, _) in enumerate(self.edges):
-            adj[u].append((v, idx))
-            adj[v].append((u, idx))
-        return adj
-
 
 # ---------------------------------------------------------------------------
 # parsing / emission

@@ -163,11 +163,11 @@ class SolverState:
         for idx, (u, v, _) in enumerate(inst.edges):
             self._incident[u].append(idx)
             self._incident[v].append(idx)
-        self._heap: list[tuple] = []
-        for v in range(n):
-            heapq.heappush(self._heap, (inst.prizes[v], _KIND_SAT, v))
-        for idx, (u, v, c) in enumerate(inst.edges):
-            heapq.heappush(self._heap, (c / 2, _KIND_MERGE, idx, 0))
+        self._heap: list[tuple] = [(inst.prizes[v], _KIND_SAT, v)
+                                   for v in range(n)]
+        self._heap += [(c / 2, _KIND_MERGE, idx, 0)
+                       for idx, (_, _, c) in enumerate(inst.edges)]
+        heapq.heapify(self._heap)
 
     # -- clock-derived quantities ------------------------------------
 
@@ -538,7 +538,7 @@ def check_growth_invariants(state: SolverState):
     inst, fam, duals = state.inst, state.fam, state.dual_assignment()
     forest = verify.Tree(frozenset(range(inst.n)),
                          tuple(inst.edges[idx][:2] for idx in state.forest))
-    sid = verify.disconnected_family_set(fam, forest)
+    sid = verify.TreeIndex(fam, forest).disconnected_set()
     if sid is not None:
         raise InvariantError(f"forest does not connect family set {sid}")
     index = verify.DualIndex(fam, duals, inst)
@@ -571,11 +571,11 @@ def check_prune_invariants(state: SolverState, tree_vs: set[int],
     inst, fam = state.inst, state.fam
     tree = verify.Tree(frozenset(tree_vs),
                        tuple(inst.edges[idx][:2] for idx in tree_edge_indices))
+    index = verify.TreeIndex(fam, tree, inst)
     try:
-        verify.validate_connected_subgraph(inst, tree, require_tree=True)
+        index.check(require_tree=True)
     except ValueError as exc:
         raise InvariantError(f"pruned subgraph: {exc}") from exc
-    index = verify.TreeIndex(fam, tree)
     sid = index.disconnected_set()
     if sid is not None:
         raise InvariantError(

@@ -19,6 +19,14 @@ passes over the parent links:
   the tree edges crossing each set come from +1 at both ends and -2 at
   the lca, summed over subtrees.
 
+A tree is checked in one place, TreeIndex, on one union-find: its edges
+are replayed in ascending order of their lca, which counts the pieces
+the tree leaves inside every set, and the edges with no common set are
+replayed last, which tells whether the whole tree is connected.  Given
+the instance, the same index validates the tree (vertex range, instance
+edges, no repeats, connected) and holds its cost and penalty, so an
+audit validates the tree once and every check reads the same index.
+
 Dual sums are integers over a common denominator of the snapshot's
 duals, costs and prizes (DualIndex.scale); results are exact Fractions.
 
@@ -57,8 +65,7 @@ class Tree(NamedTuple):
 
 
 def make_tree(vertices: Iterable[int], edges: Iterable) -> Tree:
-    return Tree(frozenset(vertices),
-                tuple((int(u), int(v)) for u, v in edges))
+    return Tree(frozenset(vertices), tuple((u, v) for u, v in edges))
 
 
 @dataclass(frozen=True)
@@ -220,24 +227,34 @@ class TreeIndex:
     lowest common set: an edge inside s has its lowest common set in the
     subtree of s, and every earlier edge either lies inside that set
     too or has no end in it.  So s meets the tree in members[s] -
-    joined[s] connected pieces."""
+    joined[s] connected pieces.  The edges in no common set are replayed
+    last, so connected tells whether the tree's edges join all of it.
 
-    def __init__(self, fam: LaminarFamily, tree: Tree):
+    With an instance, the index also holds the tree's cost and penalty
+    and error, the first way the tree fails to be a connected subgraph
+    of the instance (None if it does not); check raises it."""
+
+    def __init__(self, fam: LaminarFamily, tree: Tree,
+                 inst: Optional[Instance] = None):
         self.n = n = fam.n
         self.parent = parent = [fam.parent_of(sid) for sid in fam.ids]
         members = [0] * len(parent)
+        # union-find slots: the family's vertices, then tree vertices
+        # outside the family, which lie in no set
+        slot: dict = {}
         for x in tree.vertices:
             v = _vertex(x, n)
-            if v is not None:
+            if v is None:
+                slot[x] = n + len(slot)
+            else:
                 members[v] = 1
-        # a tree vertex outside the family lies in no set
-        self.whole = sum(members) == len(tree.vertices)
+        self.whole = not slot
         self.ends = ends = [(_vertex(a, n), _vertex(b, n))
                             for a, b in tree.edges]
         self.tops = tops = _lowest_common(parent, n, ends)
         crossing = [0] * len(parent)
         joined = [0] * len(parent)
-        piece = list(range(n))
+        piece = list(range(n + len(slot)))
 
         def find(v: int) -> int:
             while piece[v] != v:
@@ -245,13 +262,24 @@ class TreeIndex:
                 v = piece[v]
             return v
 
+        def union(u: int, v: int) -> bool:
+            ru, rv = find(u), find(v)
+            piece[ru] = rv
+            return ru != rv
+
         for top, u, v in sorted((top, u, v) for (u, v), top in zip(ends, tops)
                                 if top is not None
                                 and members[u] and members[v]):
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                piece[ru] = rv
-                joined[top] += 1
+            joined[top] += union(u, v)
+        unions = sum(joined)
+        for (a, b), (u, v), top in zip(tree.edges, ends, tops):
+            if top is None:
+                u = slot.get(a) if u is None else (u if members[u] else None)
+                v = slot.get(b) if v is None else (v if members[v] else None)
+                if u is not None and v is not None:
+                    unions += union(u, v)
+        self.size = len(tree.vertices)
+        self.connected = self.size > 0 and unions == self.size - 1
         for (u, v), top in zip(ends, tops):
             if u is not None:
                 crossing[u] += 1
@@ -264,8 +292,43 @@ class TreeIndex:
                 members[up] += members[sid]
                 crossing[up] += crossing[sid]
                 joined[up] += joined[sid]
-        self.size = len(tree.vertices)
         self.members, self.crossing, self.joined = members, crossing, joined
+        if inst is not None:
+            self.penalty = sum((inst.prizes[v] for v in range(inst.n)
+                                if v not in tree.vertices), Fraction(0))
+            self.cost, self.error = self._validate(inst, tree)
+
+    def _validate(self, inst: Instance, tree: Tree
+                  ) -> tuple[Optional[Fraction], Optional[str]]:
+        if not tree.vertices:
+            return None, "a tree needs at least one vertex"
+        for x in tree.vertices:
+            if _vertex(x, inst.n) is None:
+                return None, f"tree vertex {x} out of range"
+        costs = {(u, v): c for u, v, c in inst.edges}
+        total = Fraction(0)
+        seen: set[tuple[int, int]] = set()
+        for u, v in tree.edges:
+            key = (u, v) if u < v else (v, u)
+            if key not in costs:
+                return None, f"tree edge ({u}, {v}) is not an instance edge"
+            if key in seen:
+                return None, f"tree edge ({u}, {v}) repeated"
+            if u not in tree.vertices or v not in tree.vertices:
+                return None, f"tree edge ({u}, {v}) leaves the vertex set"
+            seen.add(key)
+            total += costs[key]
+        if not self.connected:
+            return None, "tree is not connected"
+        return total, None
+
+    def check(self, require_tree: bool = False) -> None:
+        """Raise ValueError if the tree is not a connected subgraph of
+        the index's instance, or, with require_tree, has a cycle."""
+        if self.error:
+            raise ValueError(self.error)
+        if require_tree and len(self.ends) != self.size - 1:
+            raise ValueError("subgraph has a cycle, not a tree")
 
     def holds_tree(self, sid: int) -> bool:
         return self.whole and self.members[sid] == self.size
@@ -293,85 +356,12 @@ class TreeIndex:
         return gap
 
 
-def total_load(fam: LaminarFamily, duals: DualAssignment) -> Fraction:
-    return sum((duals.y[sid] for sid in fam.ids), Fraction(0))
-
-
 def check_feasibility(fam: LaminarFamily, duals: DualAssignment,
                       inst: Instance) -> list[Violation]:
     """Every violated constraint: negative duals (by set id), overloaded
     edges (by edge index), overfilled prize budgets (by set id).  Empty
     list means feasible."""
     return DualIndex(fam, duals, inst).violations
-
-
-# -- structural helpers ------------------------------------------------------
-
-
-def _pair_costs(inst: Instance) -> dict[tuple[int, int], Fraction]:
-    return {(u, v): c for u, v, c in inst.edges}
-
-
-def _adjacency(edges: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    return adj
-
-
-def _connected(vertices: frozenset[int], adj: dict[int, list[int]]) -> bool:
-    """Whether the edges of adj running inside vertices connect them all."""
-    if not vertices:
-        return False
-    seen: set[int] = set()
-    stack = [next(iter(vertices))]
-    while stack:
-        cur = stack.pop()
-        if cur in seen:
-            continue
-        seen.add(cur)
-        stack.extend(nxt for nxt in adj.get(cur, ()) if nxt in vertices)
-    return len(seen) == len(vertices)
-
-
-def disconnected_family_set(fam: LaminarFamily, tree: Tree) -> Optional[int]:
-    """Smallest id of a family set that meets the tree's vertices but is
-    not connected by the tree edges inside it; None if there is none."""
-    return TreeIndex(fam, tree).disconnected_set()
-
-
-def validate_connected_subgraph(inst: Instance, tree: Tree,
-                                require_tree: bool = False) -> Fraction:
-    """Check tree against the instance and return its edge cost total."""
-    if not tree.vertices:
-        raise ValueError("a tree needs at least one vertex")
-    for v in tree.vertices:
-        if not 0 <= v < inst.n:
-            raise ValueError(f"tree vertex {v} out of range")
-    costs = _pair_costs(inst)
-    total = Fraction(0)
-    seen: set[tuple[int, int]] = set()
-    for u, v in tree.edges:
-        key = (u, v) if u < v else (v, u)
-        if key not in costs:
-            raise ValueError(f"tree edge ({u}, {v}) is not an instance edge")
-        if key in seen:
-            raise ValueError(f"tree edge ({u}, {v}) repeated")
-        if u not in tree.vertices or v not in tree.vertices:
-            raise ValueError(f"tree edge ({u}, {v}) leaves the vertex set")
-        seen.add(key)
-        total += costs[key]
-    if not _connected(tree.vertices, _adjacency(tree.edges)):
-        raise ValueError("tree is not connected")
-    if require_tree and len(tree.edges) != len(tree.vertices) - 1:
-        raise ValueError("subgraph has a cycle, not a tree")
-    return total
-
-
-def tree_penalty(inst: Instance, tree: Tree) -> Fraction:
-    return sum((inst.prizes[v] for v in range(inst.n)
-                if v not in tree.vertices), Fraction(0))
 
 
 # -- bounds ------------------------------------------------------------------
@@ -385,17 +375,18 @@ def tree_bound(fam: LaminarFamily, duals: DualAssignment, inst: Instance,
     and rhs = cost(T) + forfeited prizes.  Feasible duals satisfy
     lhs <= rhs for every connected subgraph T; infeasible duals are
     refused.  A caller running several checks on one snapshot and tree
-    passes their indexes (index with the instance)."""
+    passes their indexes, both built with the instance."""
     index = index or DualIndex(fam, duals, inst)
     bad = index.violations
     if bad:
         raise ValueError(f"duals are infeasible ({bad[0]}); "
                          "the bound only holds for feasible duals")
-    cost = validate_connected_subgraph(inst, tree)
-    tree_index = tree_index or TreeIndex(fam, tree)
+    tree_index = tree_index or TreeIndex(fam, tree, inst)
+    tree_index.check()
     holding = sum(y for sid, y in enumerate(index.y)
                   if tree_index.holds_tree(sid))
-    return index.value(index.total - holding), cost + tree_penalty(inst, tree)
+    return (index.value(index.total - holding),
+            tree_index.cost + tree_index.penalty)
 
 
 @dataclass(frozen=True)
@@ -415,21 +406,13 @@ def certificate(fam: LaminarFamily, duals: DualAssignment,
         bad = check_feasibility(fam, duals, inst)
         if bad:
             raise ValueError(f"duals are infeasible ({bad[0]})")
-    # parents have larger ids than their children, so a descending pass
-    # reaches every parent before its children
-    chain = [Fraction(0)] * len(fam)
-    for sid in reversed(fam.ids):
-        parent = fam.parent_of(sid)
-        chain[sid] = duals.y[sid] + (0 if parent is None else chain[parent])
-    chains = chain[:fam.n]
-    total = total_load(fam, duals)
-    best_vertex = 0
-    best_chain = chains[0]
-    for v in range(1, fam.n):
-        if chains[v] > best_chain:
-            best_vertex, best_chain = v, chains[v]
-    return Certificate(total - best_chain, best_vertex,
-                       tuple(chains), total)
+    index = DualIndex(fam, duals)
+    chain = index.chain
+    # the first vertex with the largest chain load
+    best = max(range(fam.n), key=chain.__getitem__)
+    return Certificate(index.value(index.total - chain[best]), best,
+                       tuple(index.value(load) for load in chain[:fam.n]),
+                       index.value(index.total))
 
 
 class GrowthBound:
@@ -507,10 +490,9 @@ def cluster_count_bound(fam: LaminarFamily, saturated: set[int],
     inside every family set it meets, no saturated set is crossed by
     exactly one tree edge, and the tree is not contained in a saturated
     set.  These are exactly the properties the prune phase establishes."""
-    if len(tree.edges) != len(tree.vertices) - 1 \
-            or not _connected(tree.vertices, _adjacency(tree.edges)):
-        raise ValueError("hypotheses not met: not a tree")
     ti = tree_index or TreeIndex(fam, tree)
+    if len(tree.edges) != ti.size - 1 or not ti.connected:
+        raise ValueError("hypotheses not met: not a tree")
     preds = tree_predicates(fam, saturated, tree, ti)
     if not preds.family_connected:
         raise ValueError("hypotheses not met: tree disconnected inside "
@@ -558,11 +540,12 @@ def audit_solution(inst: Instance, fam: LaminarFamily,
     objective, lagrangean_objective, lower_bound (Fractions) and
     minimizing_vertex (int).  Returns one CheckResult per check; the
     solution verifies iff every check passed.  The dual and tree indexes
-    are built once, by the first check that needs them.
+    are built once, by the first check that needs them, so the tree is
+    validated once.
     """
     out: list[CheckResult] = []
     dual_index = functools.cache(lambda: DualIndex(fam, duals, inst))
-    tree_index = functools.cache(lambda: TreeIndex(fam, tree))
+    tree_index = functools.cache(lambda: TreeIndex(fam, tree, inst))
 
     def run(name: str, fn):
         try:
@@ -590,12 +573,13 @@ def audit_solution(inst: Instance, fam: LaminarFamily,
         out.append(CheckResult(name, not bad, detail=detail))
 
     def tree_structure(name):
-        validate_connected_subgraph(inst, tree, require_tree=True)
+        tree_index().check(require_tree=True)
         out.append(CheckResult(name, True))
 
     def arithmetic(name):
-        cost = validate_connected_subgraph(inst, tree, require_tree=True)
-        penalty = tree_penalty(inst, tree)
+        ti = tree_index()
+        ti.check(require_tree=True)
+        cost, penalty = ti.cost, ti.penalty
         ok = (cost == reported["cost"] and penalty == reported["penalty"]
               and reported["objective"] == cost + penalty
               and reported["lagrangean_objective"] == cost + 2 * penalty)

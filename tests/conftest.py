@@ -181,14 +181,17 @@ def connected_subsets_naive(n, edge_pairs):
 
 def random_connected_subtree(inst: Instance, rng: random.Random) -> Tree:
     """Uniform-ish random connected subtree grown edge by edge."""
-    adj = inst.adjacency()
+    adj: list[list[int]] = [[] for _ in range(inst.n)]
+    for u, v, _ in inst.edges:
+        adj[u].append(v)
+        adj[v].append(u)
     root = rng.randrange(inst.n)
     target = rng.randint(1, inst.n)
     vertices = {root}
     edges = []
     while len(vertices) < target:
         frontier = [(u, v) for u in sorted(vertices)
-                    for v, _ in adj[u] if v not in vertices]
+                    for v in adj[u] if v not in vertices]
         if not frontier:
             break
         u, v = frontier[rng.randrange(len(frontier))]

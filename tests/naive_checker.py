@@ -8,9 +8,12 @@ require the two to agree.  It is quadratic and meant for small inputs.
 
 The functions mirror ``pcst.verify`` (check_feasibility, tree_bound,
 certificate, growth_inequality, tree_predicates, cluster_count_bound,
-disconnected_family_set, audit_solution) and the solver's
-check_growth_invariants / check_prune_invariants, with the same
-arguments, results, errors and messages.
+audit_solution) and the solver's check_growth_invariants /
+check_prune_invariants, with the same arguments, results, errors and
+messages.  Trees are validated by a plain graph search
+(validate_connected_subgraph, connected) where the package replays a
+union-find; disconnected_family_set answers what the package's
+``TreeIndex(fam, tree).disconnected_set()`` does.
 """
 from __future__ import annotations
 
@@ -18,8 +21,7 @@ from fractions import Fraction
 
 from pcst.solver import InvariantError
 from pcst.verify import (Certificate, CheckResult, Tree, TreePredicates,
-                         Violation, tree_penalty,
-                         validate_connected_subgraph)
+                         Violation)
 
 
 def members(fam) -> list[frozenset[int]]:
@@ -54,6 +56,38 @@ def connected(vertices, adj) -> bool:
         seen.add(cur)
         stack.extend(nxt for nxt in adj.get(cur, ()) if nxt in vertices)
     return len(seen) == len(vertices)
+
+
+def validate_connected_subgraph(inst, tree, require_tree=False) -> Fraction:
+    """Check tree against the instance and return its edge cost total."""
+    if not tree.vertices:
+        raise ValueError("a tree needs at least one vertex")
+    for v in tree.vertices:
+        if v not in range(inst.n):
+            raise ValueError(f"tree vertex {v} out of range")
+    costs = {(u, v): c for u, v, c in inst.edges}
+    total = Fraction(0)
+    seen: set = set()
+    for u, v in tree.edges:
+        key = (u, v) if u < v else (v, u)
+        if key not in costs:
+            raise ValueError(f"tree edge ({u}, {v}) is not an instance edge")
+        if key in seen:
+            raise ValueError(f"tree edge ({u}, {v}) repeated")
+        if u not in tree.vertices or v not in tree.vertices:
+            raise ValueError(f"tree edge ({u}, {v}) leaves the vertex set")
+        seen.add(key)
+        total += costs[key]
+    if not connected(tree.vertices, adjacency(tree.edges)):
+        raise ValueError("tree is not connected")
+    if require_tree and len(tree.edges) != len(tree.vertices) - 1:
+        raise ValueError("subgraph has a cycle, not a tree")
+    return total
+
+
+def tree_penalty(inst, tree) -> Fraction:
+    return sum((inst.prizes[v] for v in range(inst.n)
+                if v not in tree.vertices), Fraction(0))
 
 
 # -- dual aggregates -----------------------------------------------------------

@@ -20,6 +20,7 @@ from conftest import connected_subsets_naive, random_connected_subtree
 from pcst import (Tree, cluster_count_bound, exact_solve, gen_random,
                   gen_tight_star, growth_inequality, solve, tree_bound)
 from pcst.oracle import iter_connected_masks
+from pcst.verify import DualIndex, TreeIndex
 
 
 @pytest.fixture
@@ -115,12 +116,17 @@ def test_criterion_5_bound_property_sweeps(verdict, sweep):
             trees += [Tree(frozenset({v}), ()) for v in range(inst.n)]
             trees += [random_connected_subtree(inst, rng)
                       for _ in range(100)]
+            # one snapshot per run: its dual index serves every tree,
+            # and each tree's index serves both bounds
+            index = DualIndex(fam, duals, inst)
             for tree in trees:
-                lhs, rhs = tree_bound(fam, duals, inst, tree)
+                tree_index = TreeIndex(fam, tree, inst)
+                lhs, rhs = tree_bound(fam, duals, inst, tree, index,
+                                      tree_index)
                 assert lhs <= rhs, (run.seed, tree, lhs, rhs)
                 try:
                     clhs, crhs = cluster_count_bound(fam, duals.saturated,
-                                                     tree)
+                                                     tree, tree_index)
                 except ValueError:
                     continue  # hypotheses not met for this tree
                 counting_checked += 1

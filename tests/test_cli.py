@@ -271,6 +271,23 @@ def test_verify_malformed_solution_is_parse_error(solved, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("tree", [
+    {"vertices": ["0", "1", "2"], "edges": [[0, 1], [0, 2]]},
+    {"vertices": [0, 1, 2, None], "edges": [[0, 1], [0, 2]]},
+    {"vertices": [0, 1, 2], "edges": [[0.5, 1], [0, 2]]},
+    {"vertices": [0, 1, 2], "edges": [["0", "1"], [0, 2]]},
+    {"vertices": [0, True, 2], "edges": [[0, 1], [0, 2]]},
+    {"vertices": [0.5], "edges": []},
+])
+def test_verify_non_integer_tree_is_parse_error(solved, capsys, tree):
+    star_file, sol_path, _ = solved
+    corrupt_solution(sol_path, lambda doc: doc.update(tree=tree))
+    assert run_cli("verify", str(sol_path), str(star_file)) == 2
+    captured = capsys.readouterr()
+    assert "must be integers" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
 def test_verify_instance_mismatch(solved, tmp_path, capsys):
     _, sol_path, _ = solved
     other = tmp_path / "other.json"

@@ -105,11 +105,6 @@ def test_names_do_not_affect_equality():
     assert a == b
 
 
-def test_adjacency():
-    inst = Instance(3, ((0, 1, 1), (1, 2, 2)), (0, 0, 0))
-    assert inst.adjacency() == [[(1, 0)], [(0, 0), (2, 1)], [(1, 1)]]
-
-
 def test_prize_total():
     inst = Instance(3, (), ("1/2", "1/3", 0))
     assert inst.prize_total() == Fraction(5, 6)

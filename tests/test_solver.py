@@ -310,9 +310,12 @@ def grown(inst):
 ])
 def test_prune_checker_catches_non_tree(tree_vs, edges):
     state = grown(Instance(3, ((0, 1, 4), (1, 2, 1)), (10, 10, "1/4")))
+    messages = []
     for check in PRUNE_CHECKS:
-        with pytest.raises(sv.InvariantError, match="pruned subgraph"):
+        with pytest.raises(sv.InvariantError, match="pruned subgraph") as info:
             check(state, tree_vs, edges)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 def test_prune_checker_catches_tree_split_inside_family_set():

@@ -51,7 +51,7 @@ def hand_family():
 
 def test_loads_on_hand_family():
     fam, duals = hand_family()
-    assert verify.total_load(fam, duals) == Fraction(17, 6)
+    assert naive.total_load(fam, duals) == Fraction(17, 6)
     assert naive.edge_dual_load(fam, duals, 0, 2) == Fraction(5, 2)
     assert naive.edge_dual_load(fam, duals, 0, 1) == Fraction(5, 6)
     assert naive.vertex_chain_load(fam, duals, 0) == Fraction(5, 2)
@@ -71,6 +71,7 @@ def test_loads_on_hand_family():
         [Fraction(5, 2), Fraction(7, 3), 0, 2]
     assert [index.value(x) for x in index.inside] == \
         [Fraction(1, 2), Fraction(1, 3), 0, Fraction(17, 6)]
+    assert index.value(index.total) == Fraction(17, 6)
     assert index.prizes == [6, 6, 6, 12]
 
 
@@ -161,34 +162,57 @@ def test_tree_bound_refuses_infeasible_duals(star):
             checker.tree_bound(sol.fam, duals, inst, Tree(frozenset({0}), ()))
 
 
-@pytest.mark.parametrize("vertices, edges", [
-    ((1, 2), ((1, 2),)),     # not an instance edge
-    ((0, 1, 2), ((0, 1),)),  # disconnected
-    ((0,), ((0, 1),)),       # edge leaves the vertex set
-    ((0, 5), ()),            # vertex out of range
-    ((), ()),                # empty
-])
+def tree_outcomes(inst, sol, tree):
+    """tree_bound's outcome and the audit's tree-structure result, after
+    checking that both checkers give the same."""
+    bound = outcome(tree_bound, sol.fam, sol.duals, inst, tree)
+    assert bound == outcome(naive.tree_bound, sol.fam, sol.duals, inst, tree)
+    results = audits(inst, sol.fam, sol.duals, tree, reported_of(sol))
+    structure = next(r for r in results if r.name == "tree-structure")
+    return bound, structure
+
+
+# (vertices, edges) -> the message both checkers give
+TREE_ERRORS = {
+    ((1, 2), ((1, 2),)): "tree edge (1, 2) is not an instance edge",
+    ((0, 1, 2), ((0, 1),)): "tree is not connected",
+    ((0,), ((0, 1),)): "tree edge (0, 1) leaves the vertex set",
+    ((0, 5), ()): "tree vertex 5 out of range",
+    ((), ()): "a tree needs at least one vertex",
+    # the first failure wins: range, then edges in order, then connectivity
+    ((0, 1, 7), ((1, 2),)): "tree vertex 7 out of range",
+    ((0, 1), ((0, 1), (1, 2), (0, 1))):
+        "tree edge (1, 2) is not an instance edge",
+    ((0, 2), ((0, 1), (0, 2))): "tree edge (0, 1) leaves the vertex set",
+}
+
+
+@pytest.mark.parametrize("vertices, edges", list(TREE_ERRORS))
 def test_tree_validation_rejects(star, vertices, edges):
     inst, sol = star
-    for checker in CHECKERS:
-        with pytest.raises(ValueError):
-            checker.tree_bound(sol.fam, sol.duals, inst,
-                               make_tree(vertices, edges))
+    message = TREE_ERRORS[vertices, edges]
+    bound, structure = tree_outcomes(inst, sol, make_tree(vertices, edges))
+    assert bound == (ValueError, message)
+    assert not structure.passed and structure.detail == message
 
 
 def test_tree_validation_rejects_repeated_edge(star):
     inst, sol = star
-    with pytest.raises(ValueError):
-        verify.validate_connected_subgraph(
-            inst, make_tree((0, 1), ((0, 1), (1, 0))))
+    message = "tree edge (1, 0) repeated"
+    bound, structure = tree_outcomes(
+        inst, sol, make_tree((0, 1), ((0, 1), (1, 0))))
+    assert bound == (ValueError, message)
+    assert not structure.passed and structure.detail == message
 
 
 def test_cycle_allowed_unless_tree_required():
     inst = Instance(3, ((0, 1, 1), (1, 2, 1), (0, 2, 1)), (1, 1, 1))
+    sol = solve(inst)
     cyc = make_tree((0, 1, 2), ((0, 1), (1, 2), (0, 2)))
-    assert verify.validate_connected_subgraph(inst, cyc) == 3
-    with pytest.raises(ValueError):
-        verify.validate_connected_subgraph(inst, cyc, require_tree=True)
+    (lhs, rhs), structure = tree_outcomes(inst, sol, cyc)
+    assert rhs == 3 and lhs <= rhs  # cost 3, nothing forfeited
+    assert not structure.passed
+    assert structure.detail == "subgraph has a cycle, not a tree"
 
 
 # -- output-side growth bound ----------------------------------------------------
@@ -247,7 +271,8 @@ def test_tree_predicates_flag_disconnection():
     for checker in CHECKERS:
         preds = checker.tree_predicates(fam, set(), tree)
         assert not preds.family_connected
-        assert checker.disconnected_family_set(fam, tree) == 3
+    assert verify.TreeIndex(fam, tree).disconnected_set() == 3
+    assert naive.disconnected_family_set(fam, tree) == 3
 
 
 def test_cluster_count_bound_two_active_sets():
@@ -384,6 +409,40 @@ def test_audit_results_serialize(pruned):
     assert obj["rhs"] == "9/2"
 
 
+@pytest.mark.parametrize("broken", [False, True])
+def test_audit_validates_the_tree_once(pruned, monkeypatch, broken):
+    inst, sol = pruned
+    tree = Tree(frozenset({0, 1}), ()) if broken else sol.tree()
+    built = []
+
+    class CountingTreeIndex(verify.TreeIndex):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(verify, "TreeIndex", CountingTreeIndex)
+    results = audit_solution(inst, sol.fam, sol.duals, tree,
+                             reported_of(sol))
+    assert built == [(sol.fam, tree, inst)]
+    assert ({"tree-structure", "objective-arithmetic", "tree-lower-bound",
+             "cluster-counting"} <= failing_names(results)) == broken
+
+
+def test_tree_across_maximal_sets_is_connected():
+    """Edges with no common set join the tree too: {0, 1} and {2} are
+    both maximal, and the tree runs across them."""
+    inst = Instance(3, ((0, 1, 1), (1, 2, 1)), (1, 1, 1))
+    fam = lam.LaminarFamily(3)
+    fam.merge(0, 1)
+    tree = make_tree((0, 1, 2), ((0, 1), (1, 2)))
+    index = verify.TreeIndex(fam, tree, inst)
+    assert index.connected and index.error is None
+    assert (index.cost, index.penalty) == (2, 0)
+    assert reference_tree_check(inst, fam, tree) == (2, 0)
+    assert not verify.TreeIndex(fam, make_tree((0, 1, 2), ((0, 1),)),
+                                inst).connected
+
+
 # -- agreement with the reference checker ----------------------------------------
 
 
@@ -403,12 +462,25 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def package_tree_check(inst, fam, tree):
+    index = verify.TreeIndex(fam, tree, inst)
+    index.check(require_tree=True)
+    return index.cost, index.penalty
+
+
+def reference_tree_check(inst, fam, tree):
+    return (naive.validate_connected_subgraph(inst, tree, require_tree=True),
+            naive.tree_penalty(inst, tree))
+
+
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 12), data=st.data())
 @settings(max_examples=200)
 def test_checkers_agree_on_perturbed_solutions(seed, n, data):
     """Nudged duals, flipped saturation flags and an edited tree: the
-    audits serialize identically, and tree_bound, cluster_count_bound
-    and the growth bound give the same results or the same errors."""
+    audits serialize identically (the tree-structure and
+    objective-arithmetic checks among them), and the tree check,
+    tree_bound, cluster_count_bound and the growth bound give the same
+    results or the same errors."""
     inst = gen_random(n, "1/2", max_cost=6, max_prize=6, seed=seed)
     sol = solve(inst, check_invariants=False)
     fam = sol.fam
@@ -418,15 +490,24 @@ def test_checkers_agree_on_perturbed_solutions(seed, n, data):
         y[sid] += data.draw(st.fractions(-2, 2, max_denominator=6))
     flipped = set(data.draw(st.lists(set_ids, max_size=3)))
     duals = lam.DualAssignment(y, set(sol.duals.saturated) ^ flipped)
-    edges = [e for e in sol.tree_edges if not data.draw(st.booleans())]
+    edges = list(sol.tree_edges)
+    if edges and data.draw(st.booleans()):
+        edges.pop(data.draw(st.integers(0, len(edges) - 1)))
     if inst.edges:
         edges += [inst.edges[k][:2] for k in data.draw(
             st.lists(st.integers(0, inst.m - 1), max_size=3))]
+    vertex = st.integers(0, n)  # n is no vertex
+    junk = data.draw(st.booleans())
+    if junk:  # any pair of vertex numbers
+        edges.append(data.draw(st.tuples(vertex, vertex)))
     vertices = set(sol.tree_vertices) | {v for e in edges for v in e}
-    vertices |= set(data.draw(st.lists(st.integers(0, n), max_size=2)))
+    vertices |= set(data.draw(st.lists(vertex, max_size=2)))
+    if junk:
+        vertices.discard(data.draw(vertex))
     tree = make_tree(vertices, edges)
     audits(inst, fam, duals, tree, reported_of(sol))
     for package, reference, args in [
+            (package_tree_check, reference_tree_check, (inst, fam, tree)),
             (tree_bound, naive.tree_bound, (fam, duals, inst, tree)),
             (cluster_count_bound, naive.cluster_count_bound,
              (fam, duals.saturated, tree)),
