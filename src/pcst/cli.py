@@ -296,7 +296,9 @@ def _load_solution(path: str):
             raise ValueError("tree vertices and edge ends must be integers")
         records = lam.records_from_json(doc["laminar"])
         reported = {key: parse_rational(doc[key]) for key in _REPORTED_KEYS}
-        reported["minimizing_vertex"] = int(doc["minimizing_vertex"])
+        if type(doc["minimizing_vertex"]) is not int:
+            raise ValueError("minimizing_vertex must be an integer")
+        reported["minimizing_vertex"] = doc["minimizing_vertex"]
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed solution field: {exc}")
     return tree, records, reported

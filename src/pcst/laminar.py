@@ -5,20 +5,9 @@ is append-only, each later set being the disjoint union of two sets that
 were maximal when the union was formed.  Containment is therefore a
 forest over set ids, stored with parent links; ids are assigned in
 creation order (singleton {v} has id v) and never reused, so the family
-can hold at most 2n - 1 sets.
-
-A disjoint-set index over the vertices maps each vertex to the maximal
-set currently covering it, which keeps "are these endpoints in the same
-maximal set" queries cheap for the solver.  Every set keeps one member
-vertex as its representative, so a merge finds the two union-find roots
-without listing any members.  Each union-find node also carries an
-offset, and a vertex's load is the sum of the offsets on its path to
-the root: adding a value to every member of a maximal set is one
-addition at its root, a union subtracts the new parent root's offset
-from the child root's, and path compression folds the skipped offsets
-into the node it relinks.  The solver keeps the duals of dead sets
-there.  No set's member vertices are ever listed: the parent links
-determine them, and the verifier reads everything it needs off those.
+can hold at most 2n - 1 sets.  No set's member vertices are ever
+listed: the parent links determine them, and the verifier reads
+everything it needs off those.
 
 Duals live in a separate DualAssignment: one non-negative Fraction per
 set plus the ids frozen as saturated.  The solver keeps its duals as
@@ -48,12 +37,6 @@ class LaminarFamily:
         self.n = n
         self._parent: list[Optional[SetId]] = [None] * n
         self._size: list[int] = [1] * n
-        self._rep: list[int] = list(range(n))  # one member vertex per set
-        # union-find over vertices; each root remembers its covering set
-        # id, and every node carries a load offset
-        self._dsu: list[int] = list(range(n))
-        self._top: list[SetId] = list(range(n))
-        self._offset: list[Fraction] = [Fraction(0)] * n
 
     def __len__(self) -> int:
         return len(self._parent)
@@ -76,45 +59,6 @@ class LaminarFamily:
         return [sid for sid, parent in enumerate(self._parent)
                 if parent is None]
 
-    def _find(self, v: int) -> int:
-        """Union-find root of vertex v.  Relinking a node straight to
-        the root adds the offsets it skips into its own."""
-        dsu = self._dsu
-        parent = dsu[v]
-        if dsu[parent] == parent:
-            return parent  # v is the root or a child of it
-        path = [v]
-        v = parent
-        while dsu[v] != v:
-            path.append(v)
-            v = dsu[v]
-        offset = self._offset
-        acc = offset[path[-1]]  # the root's child keeps its offset
-        for node in reversed(path[:-1]):
-            acc += offset[node]
-            offset[node] = acc
-            dsu[node] = v
-        return v
-
-    def maximal_of(self, v: int) -> SetId:
-        """Id of the maximal set containing vertex v."""
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range")
-        return self._top[self._find(v)]
-
-    def add_load(self, sid: SetId, value: Fraction):
-        """Add value to the load of every member of maximal set sid."""
-        if self._parent[sid] is not None:
-            raise ValueError(f"set {sid} is not maximal")
-        self._offset[self._find(self._rep[sid])] += value
-
-    def load(self, v: int) -> Fraction:
-        """Sum of the values added (add_load) to the sets containing v."""
-        root = self._find(v)
-        if root == v:
-            return self._offset[v]
-        return self._offset[v] + self._offset[root]
-
     def merge(self, a: SetId, b: SetId) -> SetId:
         """Append the union of two distinct maximal sets; returns its id."""
         if a == b:
@@ -129,16 +73,6 @@ class LaminarFamily:
         self._size.append(self._size[a] + self._size[b])
         self._parent[a] = nid
         self._parent[b] = nid
-        self._rep.append(self._rep[a])
-        # maximal sets are exactly the union-find classes: hang the
-        # smaller one's root under the larger one's
-        ra = self._find(self._rep[a])
-        rb = self._find(self._rep[b])
-        if self._size[a] < self._size[b]:
-            ra, rb = rb, ra
-        self._dsu[rb] = ra
-        self._offset[rb] -= self._offset[ra]
-        self._top[ra] = nid
         return nid
 
 
@@ -181,7 +115,9 @@ def to_records(fam: LaminarFamily,
 def records_from_json(items: list) -> tuple[SetRecord, ...]:
     """Records from the json entries of a snapshot.  Keys beyond the
     four a record needs are ignored, so the per-set "vertices" lists of
-    pcst-solution/1 documents are accepted and skipped."""
+    pcst-solution/1 documents are accepted and skipped.  An id must be
+    an int, a parent an int or None and a saturation flag a bool; bool
+    is an int subtype, so it is refused as an id or parent."""
     records = []
     for item in items:
         if not isinstance(item, dict):
@@ -189,9 +125,14 @@ def records_from_json(items: list) -> tuple[SetRecord, ...]:
         missing = {"id", "y", "saturated", "parent"} - set(item)
         if missing:
             raise ValueError(f"snapshot entry missing keys {sorted(missing)}")
-        records.append(SetRecord(
-            item["id"], parse_rational(item["y"]), bool(item["saturated"]),
-            item["parent"]))
+        sid, parent = item["id"], item["parent"]
+        if type(sid) is not int or not (parent is None
+                                         or type(parent) is int):
+            raise ValueError("snapshot ids and parents must be integers")
+        if type(item["saturated"]) is not bool:
+            raise ValueError("snapshot saturation flags must be booleans")
+        records.append(SetRecord(sid, parse_rational(item["y"]),
+                                 item["saturated"], parent))
     return tuple(records)
 
 

@@ -30,13 +30,19 @@ invariant checks.
 
 Neither phase, nor checked mode, lists the members of a set.
 
-* Frozen loads on the union-find.  Every edge slack needs chain loads,
-  the dual mass on the sets holding a vertex.  A set's dual stops
-  changing when it dies (it saturates or is merged away), and a dying
-  set is maximal, so its members are exactly one class of the family's
-  union-find: adding its final dual to all of them is one addition at
-  the class root (``LaminarFamily.add_load``).  A chain load is then the
-  vertex's union-find load plus the live dual of its maximal set.
+* Frozen loads on the solver's union-find.  The state keeps a
+  disjoint-set index over the vertices whose classes are exactly the
+  maximal sets: each root remembers its maximal set, and each maximal
+  set its root, so a merge unions the two roots without listing any
+  members.  Every edge slack needs chain loads, the dual mass on the
+  sets holding a vertex.  A set's dual stops changing when it dies (it
+  saturates or is merged away), and a dying set is maximal, so adding
+  its final dual to all its members is one addition to an offset at
+  its root.  A vertex's frozen load is the sum of the offsets on its
+  path to the root: a union subtracts the new parent root's offset from
+  the child root's, and path compression folds the skipped offsets into
+  the node it relinks.  A chain load is then the vertex's frozen load
+  plus the live dual of its maximal set, both read off one find.
 * Prune counts from merge sets.  Forest edge k created set n + k, the
   lowest set holding both of its endpoints.  One ascending pass over
   the parent links, adding 1 at each endpoint of a tree edge and -2 at
@@ -157,6 +163,12 @@ class SolverState:
         self._death: list[Optional[Fraction]] = [None] * n
         # prize a set still had to fill at its birth
         self._budget: list[Fraction] = list(inst.prizes)
+        # union-find over vertices: parent links and load offsets per
+        # vertex, the maximal set of each root, the root of each set
+        self._dsu: list[int] = list(range(n))
+        self._offset: list[Fraction] = [Fraction(0)] * n
+        self._top: list[int] = list(range(n))
+        self._root: list[int] = list(range(n))
         self._active = n
         self._eversion = [0] * inst.m
         self._incident: dict[int, list[int]] = {v: [] for v in range(n)}
@@ -178,12 +190,38 @@ class SolverState:
         death = self._death[sid]
         return (self.clock if death is None else death) - self._birth[sid]
 
+    def _find(self, v: int) -> int:
+        """Union-find root of vertex v.  Relinking a node straight to
+        the root adds the offsets it skips into its own."""
+        dsu = self._dsu
+        parent = dsu[v]
+        if dsu[parent] == parent:
+            return parent  # v is the root or a child of it
+        path = [v]
+        v = parent
+        while dsu[v] != v:
+            path.append(v)
+            v = dsu[v]
+        offset = self._offset
+        acc = offset[path[-1]]  # the root's child keeps its offset
+        for node in reversed(path[:-1]):
+            acc += offset[node]
+            offset[node] = acc
+            dsu[node] = v
+        return v
+
+    def _maximal_of(self, v: int) -> int:
+        return self._top[self._find(v)]
+
     def _chain_load(self, v: int) -> Fraction:
         """Dual mass on the sets containing vertex v, at the current clock:
-        the frozen duals of its dead sets, kept as loads on the family's
+        the frozen duals of its dead sets, kept as offsets on the
         union-find, plus the growing dual of its maximal set if alive."""
-        load = self.fam.load(v)
-        top = self.fam.maximal_of(v)
+        root = self._find(v)
+        load = self._offset[v]
+        if root != v:
+            load += self._offset[root]
+        top = self._top[root]
         if self._death[top] is None:
             load += self.clock - self._birth[top]
         return load
@@ -217,13 +255,12 @@ class SolverState:
         revives a frozen side.  Edges whose extremes merely merged with
         other live sets keep their old queue entries.
         """
-        fam = self.fam
         edges = self.inst.edges
         kept: list[int] = []
         for idx in edge_list:
             u, v, c = edges[idx]
-            tu = fam.maximal_of(u)
-            tv = fam.maximal_of(v)
+            tu = self._maximal_of(u)
+            tv = self._maximal_of(v)
             self._eversion[idx] += 1
             if tu == tv:
                 continue  # internal now and forever; drop
@@ -239,12 +276,32 @@ class SolverState:
                                         _KIND_MERGE, idx, self._eversion[idx]))
         return kept
 
-    def _fold_chain(self, sid: int):
-        """Add the final dual of a newly dead maximal set into its
-        members' frozen chain loads."""
-        value = self._dual_of(sid)
+    def _kill(self, sid: int):
+        """Stop the growth of maximal set sid now and add its final dual
+        into its members' frozen chain loads, at its union-find root."""
+        self._death[sid] = self.clock
+        value = self.clock - self._birth[sid]
         if value != 0:
-            self.fam.add_load(sid, value)
+            self._offset[self._root[sid]] += value
+
+    def _merge(self, a: int, b: int) -> int:
+        """Append the union of maximal sets a and b, born now, and union
+        their classes.  A live child dies first: its final dual must land
+        on its root before the union hangs one root under the other."""
+        for sid in (a, b):
+            if self._alive(sid):
+                self._kill(sid)
+        nid = self.fam.merge(a, b)
+        ra, rb = self._root[a], self._root[b]
+        if self.fam.size(a) < self.fam.size(b):
+            ra, rb = rb, ra
+        self._dsu[rb] = ra
+        self._offset[rb] -= self._offset[ra]
+        self._top[ra] = nid
+        self._root.append(ra)
+        self._birth.append(self.clock)
+        self._death.append(None)
+        return nid
 
     def _apply_saturation(self, sid: int, eps: Fraction):
         self.clock += eps
@@ -253,8 +310,7 @@ class SolverState:
         if self._saturation_clock(sid) != self.clock:
             raise InvariantError(
                 f"set {sid} saturating while its prize is not exhausted")
-        self._death[sid] = self.clock
-        self._fold_chain(sid)
+        self._kill(sid)
         self.saturated.add(sid)
         self._active -= 1
         self._incident[sid] = self._retouch_edges(self._incident[sid])
@@ -263,8 +319,8 @@ class SolverState:
     def _apply_merge(self, idx: int, eps: Fraction):
         self.clock += eps
         u, v, c = self.inst.edges[idx]
-        a = self.fam.maximal_of(u)
-        b = self.fam.maximal_of(v)
+        a = self._maximal_of(u)
+        b = self._maximal_of(v)
         if a == b:
             raise InvariantError(f"merge along internal edge {idx}")
         alive_ends = self._alive(a) + self._alive(b)
@@ -273,13 +329,7 @@ class SolverState:
         if self._chain_load(u) + self._chain_load(v) != c:
             raise InvariantError(f"merge along edge {idx} before it is tight")
         frozen_children = [sid for sid in (a, b) if not self._alive(sid)]
-        for sid in (a, b):
-            if self._alive(sid):
-                self._death[sid] = self.clock
-                self._fold_chain(sid)
-        nid = self.fam.merge(a, b)
-        self._birth.append(self.clock)
-        self._death.append(None)
+        nid = self._merge(a, b)
         self._budget.append(self._budget[a] - self._dual_of(a)
                             + self._budget[b] - self._dual_of(b))
         self.forest.append(idx)
@@ -313,7 +363,7 @@ class SolverState:
                 if version != self._eversion[idx]:
                     continue
                 u, v, _ = self.inst.edges[idx]
-                if self.fam.maximal_of(u) == self.fam.maximal_of(v):
+                if self._maximal_of(u) == self._maximal_of(v):
                     # swallowed by a merge of two live sets, which does
                     # not bump edge versions
                     continue

@@ -152,11 +152,15 @@ class DualIndex:
     on s and the sets below it.  With an instance there are also
     edge_loads[i], the mass on the sets instance edge i crosses,
     prizes[s], the prize of s, and violations, the check_feasibility
-    list."""
+    list.  An instance with fewer vertices than the family is refused
+    with a ValueError."""
 
     def __init__(self, fam: LaminarFamily, duals: DualAssignment,
                  inst: Optional[Instance] = None):
         n = fam.n
+        if inst is not None and inst.n < n:
+            raise ValueError(f"snapshot covers {n} vertices, "
+                             f"instance has {inst.n}")
         parent = [fam.parent_of(sid) for sid in fam.ids]
         raw = [duals.y[sid] for sid in fam.ids]
         values = raw if inst is None else itertools.chain(
@@ -393,26 +397,20 @@ def tree_bound(fam: LaminarFamily, duals: DualAssignment, inst: Instance,
 class Certificate:
     lower_bound: Fraction
     minimizing_vertex: int
-    chain_loads: tuple[Fraction, ...]
-    dual_total: Fraction
 
 
-def certificate(fam: LaminarFamily, duals: DualAssignment,
-                inst: Optional[Instance] = None) -> Certificate:
-    """Instance-independent lower bound: min over vertices o of the dual
-    mass on sets missing o.  Caller must supply feasible duals; pass the
-    instance to have that refused here instead of trusted."""
-    if inst is not None:
-        bad = check_feasibility(fam, duals, inst)
-        if bad:
-            raise ValueError(f"duals are infeasible ({bad[0]})")
-    index = DualIndex(fam, duals)
-    chain = index.chain
+def _lower_bound(index: DualIndex, n: int) -> Certificate:
     # the first vertex with the largest chain load
-    best = max(range(fam.n), key=chain.__getitem__)
-    return Certificate(index.value(index.total - chain[best]), best,
-                       tuple(index.value(load) for load in chain[:fam.n]),
-                       index.value(index.total))
+    chain = index.chain
+    best = max(range(n), key=chain.__getitem__)
+    return Certificate(index.value(index.total - chain[best]), best)
+
+
+def certificate(fam: LaminarFamily, duals: DualAssignment) -> Certificate:
+    """Instance-independent lower bound: min over vertices o of the dual
+    mass on sets missing o, and the first o attaining it.  It bounds the
+    optimum only for feasible duals (check_feasibility)."""
+    return _lower_bound(DualIndex(fam, duals), fam.n)
 
 
 class GrowthBound:
@@ -589,17 +587,21 @@ def audit_solution(inst: Instance, fam: LaminarFamily,
         out.append(CheckResult(name, ok, detail=detail))
 
     def cert(name):
-        bad = dual_index().violations
-        if bad:
-            raise ValueError(f"duals are infeasible ({bad[0]})")
-        got = certificate(fam, duals)
+        index = dual_index()
+        if index.violations:
+            raise ValueError(f"duals are infeasible ({index.violations[0]})")
+        got = _lower_bound(index, fam.n)
         lag = reported["lagrangean_objective"]
-        ok = got.lower_bound == reported["lower_bound"] \
-            and lag <= 2 * got.lower_bound
-        detail = "" if ok else (
-            f"recomputed lower bound {got.lower_bound} vs reported "
-            f"{reported['lower_bound']}")
-        out.append(CheckResult(name, ok, lhs=lag,
+        detail = ""
+        if got.lower_bound != reported["lower_bound"] \
+                or lag > 2 * got.lower_bound:
+            detail = (f"recomputed lower bound {got.lower_bound} vs "
+                      f"reported {reported['lower_bound']}")
+        elif got.minimizing_vertex != reported["minimizing_vertex"]:
+            detail = (f"recomputed minimizing vertex "
+                      f"{got.minimizing_vertex} vs reported "
+                      f"{reported['minimizing_vertex']}")
+        out.append(CheckResult(name, not detail, lhs=lag,
                                rhs=2 * got.lower_bound, detail=detail))
 
     def tree_lb(name):

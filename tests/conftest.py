@@ -44,6 +44,7 @@ def naive_epsilon(inst, fam, duals):
     """
     sat = duals.saturated
     sets = naive.members(fam)
+    top = {v: sid for sid in fam.maximal_ids() for v in sets[sid]}
     best = None
     hit = None
     for sid in fam.maximal_ids():
@@ -56,7 +57,7 @@ def naive_epsilon(inst, fam, duals):
         if best is None or slack < best:
             best, hit = slack, ("saturation", sid)
     for idx, (u, v, c) in enumerate(inst.edges):
-        tu, tv = fam.maximal_of(u), fam.maximal_of(v)
+        tu, tv = top[u], top[v]
         if tu == tv:
             continue
         rate = (tu not in sat) + (tv not in sat)

@@ -169,15 +169,10 @@ def tree_bound(fam, duals, inst, tree):
     return lhs, rhs
 
 
-def certificate(fam, duals, inst=None) -> Certificate:
-    if inst is not None:
-        bad = check_feasibility(fam, duals, inst)
-        if bad:
-            raise ValueError(f"duals are infeasible ({bad[0]})")
-    chains = tuple(vertex_chain_load(fam, duals, v) for v in range(fam.n))
+def certificate(fam, duals) -> Certificate:
+    chains = [vertex_chain_load(fam, duals, v) for v in range(fam.n)]
     best = max(range(fam.n), key=chains.__getitem__)
-    total = total_load(fam, duals)
-    return Certificate(total - chains[best], best, chains, total)
+    return Certificate(total_load(fam, duals) - chains[best], best)
 
 
 def growth_inequality(fam, duals, tree, o):
@@ -287,14 +282,21 @@ def audit_solution(inst, fam, duals, tree, reported) -> list[CheckResult]:
         out.append(CheckResult(name, ok, detail=detail))
 
     def cert(name):
-        got = certificate(fam, duals, inst)
+        bad = check_feasibility(fam, duals, inst)
+        if bad:
+            raise ValueError(f"duals are infeasible ({bad[0]})")
+        got = certificate(fam, duals)
         lag = reported["lagrangean_objective"]
-        ok = got.lower_bound == reported["lower_bound"] \
-            and lag <= 2 * got.lower_bound
-        detail = "" if ok else (
-            f"recomputed lower bound {got.lower_bound} vs reported "
-            f"{reported['lower_bound']}")
-        out.append(CheckResult(name, ok, lhs=lag,
+        detail = ""
+        if got.lower_bound != reported["lower_bound"] \
+                or lag > 2 * got.lower_bound:
+            detail = (f"recomputed lower bound {got.lower_bound} vs "
+                      f"reported {reported['lower_bound']}")
+        elif got.minimizing_vertex != reported["minimizing_vertex"]:
+            detail = (f"recomputed minimizing vertex "
+                      f"{got.minimizing_vertex} vs reported "
+                      f"{reported['minimizing_vertex']}")
+        out.append(CheckResult(name, not detail, lhs=lag,
                                rhs=2 * got.lower_bound, detail=detail))
 
     def tree_lb(name):

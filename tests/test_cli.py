@@ -288,6 +288,49 @@ def test_verify_non_integer_tree_is_parse_error(solved, capsys, tree):
     assert "Traceback" not in captured.err + captured.out
 
 
+def set_laminar_field(key, value):
+    return lambda doc: doc["laminar"][0].update({key: value})
+
+
+@pytest.mark.parametrize("mutate", [
+    set_laminar_field("parent", "3"),
+    set_laminar_field("parent", 3.0),
+    set_laminar_field("parent", True),
+    set_laminar_field("id", 0.0),
+    set_laminar_field("id", "0"),
+    set_laminar_field("id", False),
+    set_laminar_field("saturated", "no"),
+    set_laminar_field("saturated", 0),
+    set_laminar_field("saturated", None),
+    lambda doc: doc.update(minimizing_vertex=0.9),
+    lambda doc: doc.update(minimizing_vertex=0.0),
+    lambda doc: doc.update(minimizing_vertex="0"),
+    lambda doc: doc.update(minimizing_vertex=False),
+    lambda doc: doc.update(minimizing_vertex=None),
+], ids=["parent-str", "parent-float", "parent-bool", "id-float", "id-str",
+        "id-bool", "saturated-str", "saturated-int", "saturated-null",
+        "vertex-float", "vertex-whole-float", "vertex-str", "vertex-bool",
+        "vertex-null"])
+def test_verify_mistyped_field_is_parse_error(solved, capsys, mutate):
+    star_file, sol_path, _ = solved
+    corrupt_solution(sol_path, mutate)
+    assert run_cli("verify", str(sol_path), str(star_file)) == 2
+    captured = capsys.readouterr()
+    assert "malformed solution field" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize("vertex", [1, 7, 99999, -1])
+def test_verify_catches_wrong_minimizing_vertex(solved, capsys, vertex):
+    star_file, sol_path, _ = solved
+    corrupt_solution(sol_path,
+                     lambda doc: doc.update(minimizing_vertex=vertex))
+    assert run_cli("verify", str(sol_path), str(star_file)) == 3
+    out = capsys.readouterr().out
+    assert "check certificate-lower-bound: FAIL" in out
+    assert f"recomputed minimizing vertex 0 vs reported {vertex}" in out
+
+
 def test_verify_instance_mismatch(solved, tmp_path, capsys):
     _, sol_path, _ = solved
     other = tmp_path / "other.json"

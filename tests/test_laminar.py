@@ -1,12 +1,15 @@
-"""Laminar family structure and snapshot round trips."""
+"""Laminar family structure, the solver's union-find over its maximal
+sets, and snapshot round trips."""
 import random
 from fractions import Fraction
 
 import pytest
 
+import naive_checker as naive
 from naive_checker import members
-from pcst import from_records, records_from_json, to_records
+from pcst import Instance, from_records, records_from_json, to_records
 from pcst import laminar as lam
+from pcst import solver as sv
 
 
 # -- structure -----------------------------------------------------------------
@@ -19,7 +22,6 @@ def test_singletons():
     assert members(fam) == [{0}, {1}, {2}]
     for v in range(3):
         assert fam.size(v) == 1
-        assert fam.maximal_of(v) == v
         assert fam.parent_of(v) is None
 
 
@@ -31,7 +33,6 @@ def test_merge_structure():
     assert fam.parent_of(0) == nid and fam.parent_of(1) == nid
     assert fam.size(nid) == 2
     assert fam.maximal_ids() == [2, 3, 4]
-    assert fam.maximal_of(0) == nid and fam.maximal_of(1) == nid
 
 
 def test_merge_rejects_non_maximal_and_self():
@@ -43,30 +44,51 @@ def test_merge_rejects_non_maximal_and_self():
         fam.merge(nid, nid)
 
 
+# -- the solver's union-find ------------------------------------------------------
+
+
+def assert_union_find_matches_members(state):
+    """Every vertex's maximal set and chain load, read off the solver's
+    union-find, against membership loops over the parent links."""
+    fam, n = state.fam, state.inst.n
+    sets = members(fam)
+    duals = state.dual_assignment()
+    assert [state._maximal_of(v) for v in range(n)] == [
+        next(sid for sid in fam.maximal_ids() if v in sets[sid])
+        for v in range(n)]
+    assert [state._chain_load(v) for v in range(n)] == [
+        naive.vertex_chain_load(fam, duals, v) for v in range(n)]
+
+
+def test_union_find_starts_at_the_singletons():
+    state = sv.init_state(Instance(3, (), (1, 2, 3)))
+    assert_union_find_matches_members(state)
+    assert [state._find(v) for v in range(3)] == [0, 1, 2]
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_loads_match_a_per_vertex_sum(seed):
-    """add_load on a maximal set reaches exactly its members, across
-    unions and path compression."""
+    """The solver's union-find, driven by random kills (a dual frozen
+    onto a maximal set's members) and random merges at random clocks:
+    the frozen loads reach exactly the members, across unions and path
+    compression, and every vertex finds its maximal set."""
     n = 12
-    fam = lam.LaminarFamily(n)
-    expected = [Fraction(0)] * n
+    state = sv.init_state(Instance(n, (), (0,) * n))
     rng = random.Random(seed)
     while True:
-        tops = fam.maximal_ids()
-        sid = rng.choice(tops)
-        value = Fraction(rng.randint(0, 9), rng.randint(1, 4))
-        fam.add_load(sid, value)
-        for v in members(fam)[sid]:
-            expected[v] += value
+        state.clock += Fraction(rng.randint(0, 9), rng.randint(1, 4))
+        tops = state.fam.maximal_ids()
+        alive = [sid for sid in tops if state._alive(sid)]
+        if alive and rng.random() < 0.4:
+            state._kill(rng.choice(alive))
         if len(tops) == 1:
             break
         if rng.random() < 0.3:  # reading compresses paths; let some grow
-            assert [fam.load(v) for v in range(n)] == expected
-        a, b = rng.sample(tops, 2)
-        fam.merge(a, b)
-    assert [fam.load(v) for v in range(n)] == expected
-    with pytest.raises(ValueError, match="not maximal"):
-        fam.add_load(0, Fraction(1))
+            assert_union_find_matches_members(state)
+        state._merge(*rng.sample(tops, 2))
+    assert_union_find_matches_members(state)
+    with pytest.raises(sv.InvariantError, match="inactive set 0"):
+        state._apply_saturation(0, Fraction(0))
 
 
 # -- snapshots -----------------------------------------------------------------

@@ -2,7 +2,9 @@
 solution audit, including injected-fault detection.  Fault-injection
 tests run against both the package checker and the naive reference
 checker in naive_checker.py, and agreement tests compare the two."""
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 import naive_checker as naive
 from pcst import (Instance, Tree, audit_solution, certificate,
                   check_feasibility, cluster_count_bound, gen_random,
-                  gen_tight_star, growth_inequality, make_tree, solve,
+                  gen_tight_path, gen_tight_star, growth_inequality, make_tree, solve,
                   tree_bound, tree_predicates)
 from conftest import rescan_step, sweep_instance
 from pcst import laminar as lam
@@ -101,20 +103,29 @@ def test_feasibility_flags_edge_prize_and_sign():
 # -- certificate ---------------------------------------------------------------
 
 
+def vertex_chains(fam, duals):
+    """Per vertex, its chain load read off a DualIndex."""
+    index = verify.DualIndex(fam, duals)
+    return [index.value(load) for load in index.chain[:fam.n]]
+
+
 def test_certificate_star_values(star):
     inst, sol = star
-    cert = certificate(sol.fam, sol.duals, inst)
-    assert cert.dual_total == 3
-    assert cert.chain_loads == (1, 1, 1)
+    assert check_feasibility(sol.fam, sol.duals, inst) == []
+    assert verify.DualIndex(sol.fam, sol.duals).total == 3
+    assert vertex_chains(sol.fam, sol.duals) == [1, 1, 1]
+    cert = certificate(sol.fam, sol.duals)
     assert cert.lower_bound == 2
     assert cert.minimizing_vertex == 0  # smallest index wins the tie
 
 
 def test_certificate_prune_values(pruned):
     inst, sol = pruned
-    cert = certificate(sol.fam, sol.duals, inst)
-    assert cert.dual_total == Fraction(17, 4)
-    assert cert.chain_loads == (2, 2, Fraction(3, 2))
+    assert check_feasibility(sol.fam, sol.duals, inst) == []
+    index = verify.DualIndex(sol.fam, sol.duals)
+    assert index.value(index.total) == Fraction(17, 4)
+    assert vertex_chains(sol.fam, sol.duals) == [2, 2, Fraction(3, 2)]
+    cert = certificate(sol.fam, sol.duals)
     assert cert.lower_bound == Fraction(9, 4)
     assert cert.minimizing_vertex == 0
 
@@ -122,20 +133,23 @@ def test_certificate_prune_values(pruned):
 @pytest.mark.parametrize("seed", range(1, 101))
 def test_certificate_chain_loads_match_membership_loop(seed):
     sol = solve(sweep_instance(seed), check_invariants=False)
-    cert = certificate(sol.fam, sol.duals)
-    assert list(cert.chain_loads) == [
+    assert vertex_chains(sol.fam, sol.duals) == [
         naive.vertex_chain_load(sol.fam, sol.duals, v)
         for v in range(sol.fam.n)]
+    assert certificate(sol.fam, sol.duals) \
+        == naive.certificate(sol.fam, sol.duals)
 
 
 def test_certificate_refuses_infeasible_only_with_instance():
+    """certificate is arithmetic only; check_feasibility, which needs
+    the instance, is what refuses infeasible duals."""
     inst = Instance(2, ((0, 1, 1),), (5, 5))
     fam = lam.LaminarFamily(2)
     duals = lam.DualAssignment({0: Fraction(7), 1: Fraction(0)}, set())
-    cert = certificate(fam, duals)  # no instance: arithmetic only
-    assert cert.dual_total == 7
-    with pytest.raises(ValueError):
-        certificate(fam, duals, inst)
+    assert certificate(fam, duals).lower_bound == 0
+    assert verify.DualIndex(fam, duals).total == 7
+    assert [(v.kind, v.subject) for v in check_feasibility(fam, duals, inst)
+            ] == [("edge", 0), ("set", 0)]
 
 
 # -- tree bound ----------------------------------------------------------------
@@ -382,6 +396,17 @@ def test_audit_flags_wrong_lower_bound(pruned):
     assert "certificate-lower-bound" in bad
 
 
+@pytest.mark.parametrize("vertex", [1, 2, 99999])
+def test_audit_flags_wrong_minimizing_vertex(pruned, vertex):
+    inst, sol = pruned
+    reported = reported_of(sol)
+    reported["minimizing_vertex"] = vertex
+    results = audits(inst, sol.fam, sol.duals, sol.tree(), reported)
+    assert failing_names(results) == {"certificate-lower-bound"}
+    assert results[4].detail == \
+        f"recomputed minimizing vertex 0 vs reported {vertex}"
+
+
 def test_audit_flags_broken_tree(pruned):
     inst, sol = pruned
     tree = Tree(frozenset({0, 1}), ())  # dropped the only tree edge
@@ -396,6 +421,25 @@ def test_audit_flags_family_instance_mismatch(pruned):
     bad = failing_names(audits(other, sol.fam, sol.duals,
                                sol.tree(), reported_of(sol)))
     assert "laminar-structure" in bad
+
+
+def test_audit_fails_on_instance_smaller_than_family():
+    """Every check that sums duals over the instance fails, naming both
+    vertex counts, instead of reading past the instance's prizes."""
+    inst = gen_tight_path(3, "1/2")
+    sol = solve(inst)
+    small = Instance(2, ((0, 1, 1),), (1, 1))
+    with pytest.raises(ValueError, match="snapshot covers 4 vertices, "
+                                         "instance has 2"):
+        verify.DualIndex(sol.fam, sol.duals, small)
+    results = audit_solution(small, sol.fam, sol.duals, sol.tree(),
+                             reported_of(sol))
+    assert [r.name for r in results] == AUDIT_NAMES
+    failed = {r.name: r.detail for r in results if not r.passed}
+    for name in ("dual-feasibility", "certificate-lower-bound",
+                 "tree-lower-bound", "growth-bound"):
+        assert failed[name] == "snapshot covers 4 vertices, instance has 2"
+    assert "laminar-structure" in failed
 
 
 def test_audit_results_serialize(pruned):
@@ -531,3 +575,26 @@ def test_audit_passes_at_n_1000():
     assert [r.name for r in results] == AUDIT_NAMES
     assert all(r.passed for r in results), \
         [(r.name, r.detail) for r in results if not r.passed]
+
+
+def imported_modules(path):
+    """Every module a source file imports, relative imports resolved
+    against the pcst package."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ("pcst" if node.level else "",
+                                          node.module)))
+            out.add(base)
+            out.update(f"{base}.{alias.name}" for alias in node.names)
+    return out
+
+
+@pytest.mark.parametrize("module", ["laminar", "verify", "instance"])
+def test_checker_modules_do_not_import_the_solver(module):
+    """The verifier and what it reads share none of the solver's code."""
+    package = Path(verify.__file__).parent
+    assert "pcst.solver" in imported_modules(package / "cli.py")
+    assert "pcst.solver" not in imported_modules(package / f"{module}.py")
