@@ -333,7 +333,7 @@ def cmd_verify(args) -> int:
             verdict = "pass" if res.passed else "FAIL"
             extra = ""
             if res.lhs is not None:
-                cmp_sign = "<=" if res.passed else ">"
+                cmp_sign = "<=" if res.lhs <= res.rhs else ">"
                 extra = (f" (lhs {format_rational(res.lhs)} {cmp_sign} "
                          f"rhs {format_rational(res.rhs)})")
             if res.detail:

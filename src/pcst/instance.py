@@ -88,6 +88,8 @@ def parse_rational(token: RationalLike) -> Fraction:
     tokens longer than MAX_TOKEN_CHARS or with an exponent beyond
     MAX_EXPONENT in magnitude are refused.
     """
+    if type(token) is int:  # the common JSON case, before any isinstance
+        return Fraction(token)
     if isinstance(token, Fraction):
         return token
     if isinstance(token, bool):
@@ -151,11 +153,12 @@ class Instance:
     def __post_init__(self):
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise ValueError(f"vertex count must be a positive int, got {self.n!r}")
-        prizes = tuple(parse_rational(p) for p in self.prizes)
+        prizes = tuple(p if type(p) is Fraction else parse_rational(p)
+                       for p in self.prizes)
         if len(prizes) != self.n:
             raise ValueError(f"expected {self.n} prizes, got {len(prizes)}")
         for v, p in enumerate(prizes):
-            if p < 0:
+            if p.numerator < 0:
                 raise ValueError(f"negative prize {p} at vertex {v}")
         seen: set[tuple[int, int]] = set()
         edges = []
@@ -176,8 +179,9 @@ class Instance:
             if (u, v) in seen:
                 raise ValueError(f"parallel edge {k} between {u} and {v}")
             seen.add((u, v))
-            c = parse_rational(c)
-            if c < 0:
+            if type(c) is not Fraction:
+                c = parse_rational(c)
+            if c.numerator < 0:
                 raise ValueError(f"negative cost {c} on edge {k}")
             edges.append((u, v, c))
         if self.names is not None:

@@ -9,11 +9,33 @@ Growth stops when a single active maximal set M remains.  Phase two
 takes the forest restricted to M and repeatedly deletes any saturated
 set that hangs off the tree by exactly one edge.
 
-All event times are Fractions, so the saturation-versus-merge case
-analysis is exact and never depends on a tolerance.  Ties are broken
-deterministically: saturations before merges, then smallest set id,
-then smallest edge index; two runs on the same instance produce
-byte-identical traces.
+Growth and prune run on Python ints.  When the state is built it fixes
+a scale S, twice the lcm of every cost and prize denominator, and every
+clock, dual, budget, load and slack is an integer count of 1/S.  Sums
+and differences of such counts stay integers, and so does a saturation
+time, a birth clock plus a budget.  A merge time is a slack divided by
+the number of live sets the edge joins, one or two.  Every halving is
+checked: an odd slack between two live sets restarts growth from
+scratch at 2S.  Scaling every value by one factor changes no
+comparison, so the restarted run makes the same steps, meets that
+slack doubled, even, and goes on; each restart passes one more
+halving, so growth ends, exact at whatever scale it started.
+
+At S itself no restart happens.  The scaled costs are even, and by
+induction over the events, every vertex of a live maximal set has a
+chain load of the parity of the clock, and every vertex of a frozen
+one that of the set's death clock: growth adds the same amount to
+both, and a frozen set only joins a live one along a tight edge, whose
+even cost is the sum of its ends' loads, so the two parities agree at
+the merge.  A slack between two live sets, an even cost minus two loads
+of one parity, is then even.
+
+The saturation-versus-merge case analysis is exact and never depends on
+a tolerance, and the outputs do not depend on the scale: events, duals,
+the solution and its certificate are Fractions, each converted once
+from its scaled int.  Ties are broken deterministically: saturations
+before merges, then smallest set id, then smallest edge index; two runs
+on the same instance produce byte-identical traces.
 
 The driving loop keeps a lazy priority queue of candidate event times
 (entries are invalidated by a per-edge version counter whenever a merge
@@ -48,16 +70,17 @@ Neither phase, nor checked mode, lists the members of a set.
   the parent links, adding 1 at each endpoint of a tree edge and -2 at
   its merge set, gives every set the number of tree edges crossing it,
   and the XOR of their merge-set ids names the edge of a set crossed
-  once.  Pruning such a set S removes that edge, which crosses exactly
-  the sets below its merge set that hold one endpoint; outside S these
-  are reached through nearest-saturated-ancestor links.  Edges inside S
-  cross only sets inside S, which leave with it and are never read
+  once.  Pruning such a set P removes that edge, which crosses exactly
+  the sets below its merge set that hold one endpoint; outside P these
+  are reached through nearest-saturated-ancestor links.  Edges inside P
+  cross only sets inside P, which leave with it and are never read
   again.  The final tree is read off in one descending pass: the sets
   of the final maximal set that neither are nor lie in a pruned set.
 """
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -137,36 +160,64 @@ class Solution:
         return verify.Tree(self.tree_vertices, self.tree_edges)
 
 
+def _scale(inst: Instance) -> int:
+    """Twice the lcm of every cost and prize denominator: in units of
+    its inverse, costs and prizes are integers and costs are even."""
+    denominators = {c.denominator for _, _, c in inst.edges}
+    denominators.update(p.denominator for p in inst.prizes)
+    return 2 * math.lcm(*denominators)
+
+
+class _OddHalving(Exception):
+    """A merge candidate between two live sets has an odd slack: growth
+    must restart at twice the scale."""
+
+
 class SolverState:
     """Mutable run state: instance, family, growth clocks, forest, trace.
 
-    The private clock fields implement growth lazily; see the module
-    docstring.  External readers should go through dual_assignment().
+    The private fields hold growth in ints at the scale ``_scale``; see
+    the module docstring.  External readers should go through
+    dual_assignment(), which converts to Fractions.
     """
 
     def __init__(self, inst: Instance, *, check_invariants: bool = False,
                  emit_trace: bool = True):
         self.inst = inst
-        self.fam = lam.LaminarFamily(inst.n)
+        self._check = check_invariants
+        self._emit = emit_trace
+        self._start(_scale(inst))
+
+    def _start(self, scale: int):
+        """Set up growth from scratch in units of 1/scale."""
+        inst = self.inst
+        n = inst.n
+        cost = [c.numerator * (scale // c.denominator)
+                for _, _, c in inst.edges]
+        if any(c & 1 for c in cost):
+            # an odd first halving; only a scale without the factor 2
+            # of _scale meets one
+            return self._start(2 * scale)
+        self._scale = scale
+        self._cost = cost
+        self.fam = lam.LaminarFamily(n)
         self.saturated: set[int] = set()
         self.forest: list[int] = []  # edge indices, in insertion order
         self.phase = PHASE_GROWTH
         self.trace: list[Event] = []
-        self.clock = Fraction(0)
+        self.clock = 0
         self.final_maximal: Optional[int] = None
-        self._check = check_invariants
-        self._emit = emit_trace
         self._ordinal = 0
         self._steps = 0
-        n = inst.n
-        self._birth: list[Fraction] = [Fraction(0)] * n
-        self._death: list[Optional[Fraction]] = [None] * n
+        self._birth: list[int] = [0] * n
+        self._death: list[Optional[int]] = [None] * n
         # prize a set still had to fill at its birth
-        self._budget: list[Fraction] = list(inst.prizes)
+        self._budget: list[int] = [p.numerator * (scale // p.denominator)
+                                   for p in inst.prizes]
         # union-find over vertices: parent links and load offsets per
         # vertex, the maximal set of each root, the root of each set
         self._dsu: list[int] = list(range(n))
-        self._offset: list[Fraction] = [Fraction(0)] * n
+        self._offset: list[int] = [0] * n
         self._top: list[int] = list(range(n))
         self._root: list[int] = list(range(n))
         self._active = n
@@ -175,10 +226,10 @@ class SolverState:
         for idx, (u, v, _) in enumerate(inst.edges):
             self._incident[u].append(idx)
             self._incident[v].append(idx)
-        self._heap: list[tuple] = [(inst.prizes[v], _KIND_SAT, v)
-                                   for v in range(n)]
-        self._heap += [(c / 2, _KIND_MERGE, idx, 0)
-                       for idx, (_, _, c) in enumerate(inst.edges)]
+        self._heap: list[tuple] = [(budget, _KIND_SAT, v)
+                                   for v, budget in enumerate(self._budget)]
+        self._heap += [(c >> 1, _KIND_MERGE, idx, 0)
+                       for idx, c in enumerate(cost)]
         heapq.heapify(self._heap)
 
     # -- clock-derived quantities ------------------------------------
@@ -186,7 +237,7 @@ class SolverState:
     def _alive(self, sid: int) -> bool:
         return self._death[sid] is None
 
-    def _dual_of(self, sid: int) -> Fraction:
+    def _dual_of(self, sid: int) -> int:
         death = self._death[sid]
         return (self.clock if death is None else death) - self._birth[sid]
 
@@ -213,7 +264,7 @@ class SolverState:
     def _maximal_of(self, v: int) -> int:
         return self._top[self._find(v)]
 
-    def _chain_load(self, v: int) -> Fraction:
+    def _chain_load(self, v: int) -> int:
         """Dual mass on the sets containing vertex v, at the current clock:
         the frozen duals of its dead sets, kept as offsets on the
         union-find, plus the growing dual of its maximal set if alive."""
@@ -226,22 +277,25 @@ class SolverState:
             load += self.clock - self._birth[top]
         return load
 
-    def _saturation_clock(self, sid: int) -> Fraction:
+    def _saturation_clock(self, sid: int) -> int:
         return self._birth[sid] + self._budget[sid]
 
     def dual_assignment(self) -> lam.DualAssignment:
         """The duals at the current clock, read off the growth clocks."""
+        scale = self._scale
         return lam.DualAssignment(
-            {sid: self._dual_of(sid) for sid in self.fam.ids},
+            {sid: Fraction(self._dual_of(sid), scale) for sid in self.fam.ids},
             set(self.saturated))
 
     # -- event application --------------------------------------------
 
-    def _record(self, **kw):
-        ev = Event(ordinal=self._ordinal, time=self.clock, **kw)
-        self._ordinal += 1
+    def _record(self, eps: int, **kw):
         if self._emit:
-            self.trace.append(ev)
+            scale = self._scale
+            self.trace.append(Event(
+                ordinal=self._ordinal, epsilon=Fraction(eps, scale),
+                time=Fraction(self.clock, scale), **kw))
+        self._ordinal += 1
 
     def _retouch_edges(self, edge_list: list[int]) -> list[int]:
         """Re-evaluate the merge candidacy of the listed edges after the
@@ -255,10 +309,10 @@ class SolverState:
         revives a frozen side.  Edges whose extremes merely merged with
         other live sets keep their old queue entries.
         """
-        edges = self.inst.edges
+        edges, cost = self.inst.edges, self._cost
         kept: list[int] = []
         for idx in edge_list:
-            u, v, c = edges[idx]
+            u, v, _ = edges[idx]
             tu = self._maximal_of(u)
             tv = self._maximal_of(v)
             self._eversion[idx] += 1
@@ -268,12 +322,17 @@ class SolverState:
             rate = self._alive(tu) + self._alive(tv)
             if rate == 0:
                 continue  # both sides frozen; growth cannot tighten it
-            slack = c - self._chain_load(u) - self._chain_load(v)
+            slack = cost[idx] - self._chain_load(u) - self._chain_load(v)
             if slack < 0:
                 raise InvariantError(
-                    f"edge {idx} overloaded by {-slack} during growth")
-            heapq.heappush(self._heap, (self.clock + slack / rate,
-                                        _KIND_MERGE, idx, self._eversion[idx]))
+                    f"edge {idx} overloaded by "
+                    f"{Fraction(-slack, self._scale)} during growth")
+            if rate == 2:
+                if slack & 1:
+                    raise _OddHalving
+                slack >>= 1
+            heapq.heappush(self._heap, (self.clock + slack, _KIND_MERGE,
+                                        idx, self._eversion[idx]))
         return kept
 
     def _kill(self, sid: int):
@@ -303,7 +362,7 @@ class SolverState:
         self._death.append(None)
         return nid
 
-    def _apply_saturation(self, sid: int, eps: Fraction):
+    def _apply_saturation(self, sid: int, eps: int):
         self.clock += eps
         if not (self._alive(sid) and self.fam.is_maximal(sid)):
             raise InvariantError(f"saturation of inactive set {sid}")
@@ -314,11 +373,11 @@ class SolverState:
         self.saturated.add(sid)
         self._active -= 1
         self._incident[sid] = self._retouch_edges(self._incident[sid])
-        self._record(kind="saturation", epsilon=eps, set_id=sid)
+        self._record(eps, kind="saturation", set_id=sid)
 
-    def _apply_merge(self, idx: int, eps: Fraction):
+    def _apply_merge(self, idx: int, eps: int):
         self.clock += eps
-        u, v, c = self.inst.edges[idx]
+        u, v, _ = self.inst.edges[idx]
         a = self._maximal_of(u)
         b = self._maximal_of(v)
         if a == b:
@@ -326,7 +385,7 @@ class SolverState:
         alive_ends = self._alive(a) + self._alive(b)
         if alive_ends == 0:
             raise InvariantError(f"merge along edge {idx} between frozen sets")
-        if self._chain_load(u) + self._chain_load(v) != c:
+        if self._chain_load(u) + self._chain_load(v) != self._cost[idx]:
             raise InvariantError(f"merge along edge {idx} before it is tight")
         frozen_children = [sid for sid in (a, b) if not self._alive(sid)]
         nid = self._merge(a, b)
@@ -346,10 +405,10 @@ class SolverState:
         self._incident[nid] = big
         heapq.heappush(self._heap,
                        (self._saturation_clock(nid), _KIND_SAT, nid))
-        self._record(kind="merge", epsilon=eps, edge_index=idx,
-                     edge=(u, v), new_set_id=nid)
+        self._record(eps, kind="merge", edge_index=idx, edge=(u, v),
+                     new_set_id=nid)
 
-    def _pop_next(self) -> tuple[Fraction, int, int]:
+    def _pop_next(self) -> tuple[int, int, int]:
         """Next valid (epsilon, kind, payload) from the event queue."""
         while self._heap:
             entry = heapq.heappop(self._heap)
@@ -399,10 +458,14 @@ def run_phase1(state: SolverState):
                          f"state is in {state.phase!r}")
     while state._active > 1:
         eps, kind, payload = state._pop_next()
-        if kind == _KIND_SAT:
-            state._apply_saturation(payload, eps)
-        else:
-            state._apply_merge(payload, eps)
+        try:
+            if kind == _KIND_SAT:
+                state._apply_saturation(payload, eps)
+            else:
+                state._apply_merge(payload, eps)
+        except _OddHalving:
+            state._start(2 * state._scale)
+            continue
         state._after_step()
     survivors = [sid for sid in state.fam.maximal_ids() if state._alive(sid)]
     if len(survivors) != 1:
@@ -410,7 +473,7 @@ def run_phase1(state: SolverState):
                              "maximal sets")
     state.final_maximal = survivors[0]
     state.phase = PHASE_PRUNE
-    state._record(kind="phase", epsilon=Fraction(0), phase=PHASE_PRUNE)
+    state._record(0, kind="phase", phase=PHASE_PRUNE)
 
 
 def run_phase2(state: SolverState) -> Solution:
@@ -493,7 +556,7 @@ def run_phase2(state: SolverState) -> Solution:
         prunes += 1
         if prunes > len(sat):
             raise InvariantError("prune phase exceeded its step budget")
-        state._record(kind="prune", epsilon=Fraction(0), set_id=sid)
+        state._record(0, kind="prune", set_id=sid)
         if state._check:
             check_prune_invariants(state, *_pruned_tree(state, pruned))
     if any(count[sid] == 1 for sid in sat):
@@ -501,13 +564,15 @@ def run_phase2(state: SolverState) -> Solution:
 
     tree_vs, kept = _pruned_tree(state, pruned)
     kept.sort()
-    cost = sum((inst.edges[idx][2] for idx in kept), Fraction(0))
-    penalty = sum((inst.prizes[v] for v in range(inst.n)
-                   if v not in tree_vs), Fraction(0))
+    # in units of 1/scale; a singleton's budget is its prize
+    scale = state._scale
+    cost = Fraction(sum(state._cost[idx] for idx in kept), scale)
+    penalty = Fraction(sum(state._budget[v] for v in range(n)
+                           if v not in tree_vs), scale)
     duals = state.dual_assignment()
     cert = verify.certificate(fam, duals)
     state.phase = PHASE_DONE
-    state._record(kind="phase", epsilon=Fraction(0), phase=PHASE_DONE)
+    state._record(0, kind="phase", phase=PHASE_DONE)
     sol = Solution(
         tree_vertices=frozenset(tree_vs),
         tree_edges=tuple(inst.edges[idx][:2] for idx in kept),

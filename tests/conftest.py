@@ -73,13 +73,16 @@ def naive_epsilon(inst, fam, duals):
 
 def rescan_step(state):
     """One growth step picked by naive_epsilon instead of the event
-    queue, applied through the solver's own event methods."""
+    queue, applied through the solver's own event methods, which take
+    the step in the state's units of 1/scale."""
     eps, (kind, payload) = naive_epsilon(state.inst, state.fam,
                                          state.dual_assignment())
+    scaled = eps * state._scale
+    assert scaled.denominator == 1, f"step {eps} is off the scale"
     if kind == "saturation":
-        state._apply_saturation(payload, eps)
+        state._apply_saturation(payload, scaled.numerator)
     else:
-        state._apply_merge(payload, eps)
+        state._apply_merge(payload, scaled.numerator)
     state._after_step()
 
 

@@ -331,6 +331,23 @@ def test_verify_catches_wrong_minimizing_vertex(solved, capsys, vertex):
     assert f"recomputed minimizing vertex 0 vs reported {vertex}" in out
 
 
+def test_verify_sign_follows_the_numbers(solved, capsys):
+    """A check failing on a wrong minimizing vertex, with its inequality
+    holding, prints <=; a check whose inequality breaks prints >."""
+    star_file, sol_path, _ = solved
+    corrupt_solution(sol_path, lambda doc: doc.update(minimizing_vertex=1))
+    assert run_cli("verify", str(sol_path), str(star_file)) == 3
+    assert "check certificate-lower-bound: FAIL (lhs 4/1 <= rhs 4/1) " \
+        "[recomputed minimizing vertex 0 vs reported 1]" in \
+        capsys.readouterr().out.splitlines()
+    corrupt_solution(sol_path, lambda doc: doc.update(
+        minimizing_vertex=0, lagrangean_objective="5"))
+    assert run_cli("verify", str(sol_path), str(star_file)) == 3
+    assert "check certificate-lower-bound: FAIL (lhs 5/1 > rhs 4/1) " \
+        "[recomputed lower bound 2 vs reported 2]" in \
+        capsys.readouterr().out.splitlines()
+
+
 def test_verify_instance_mismatch(solved, tmp_path, capsys):
     _, sol_path, _ = solved
     other = tmp_path / "other.json"

@@ -48,8 +48,9 @@ def test_merge_rejects_non_maximal_and_self():
 
 
 def assert_union_find_matches_members(state):
-    """Every vertex's maximal set and chain load, read off the solver's
-    union-find, against membership loops over the parent links."""
+    """Every vertex's maximal set and chain load (in units of 1/scale),
+    read off the solver's union-find, against membership loops over the
+    parent links."""
     fam, n = state.fam, state.inst.n
     sets = members(fam)
     duals = state.dual_assignment()
@@ -57,7 +58,8 @@ def assert_union_find_matches_members(state):
         next(sid for sid in fam.maximal_ids() if v in sets[sid])
         for v in range(n)]
     assert [state._chain_load(v) for v in range(n)] == [
-        naive.vertex_chain_load(fam, duals, v) for v in range(n)]
+        naive.vertex_chain_load(fam, duals, v) * state._scale
+        for v in range(n)]
 
 
 def test_union_find_starts_at_the_singletons():
@@ -76,7 +78,7 @@ def test_loads_match_a_per_vertex_sum(seed):
     state = sv.init_state(Instance(n, (), (0,) * n))
     rng = random.Random(seed)
     while True:
-        state.clock += Fraction(rng.randint(0, 9), rng.randint(1, 4))
+        state.clock += rng.randint(0, 9) * 12 // rng.randint(1, 4)
         tops = state.fam.maximal_ids()
         alive = [sid for sid in tops if state._alive(sid)]
         if alive and rng.random() < 0.4:
@@ -88,7 +90,7 @@ def test_loads_match_a_per_vertex_sum(seed):
         state._merge(*rng.sample(tops, 2))
     assert_union_find_matches_members(state)
     with pytest.raises(sv.InvariantError, match="inactive set 0"):
-        state._apply_saturation(0, Fraction(0))
+        state._apply_saturation(0, 0)
 
 
 # -- snapshots -----------------------------------------------------------------

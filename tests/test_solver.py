@@ -1,5 +1,7 @@
 """Two-phase solver: frozen small traces, engine cross-checks, edge
-cases, determinism, and checker fault injection."""
+cases, determinism, the integer core's restarts, and checker fault
+injection."""
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ import naive_checker as naive
 from conftest import (naive_epsilon, reference_prune, rescan_step,
                       solve_by_rescan, sweep_instance)
 from pcst import Instance, gen_random, gen_tight_path, gen_tight_star, solve
+from pcst import cli
 from pcst import solver as sv
 
 # the solver's checks and the reference checker's, both run on every
@@ -159,8 +162,8 @@ def test_rescan_engine_agrees_with_event_queue(seed):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_compute_epsilon_matches_naive_definition(seed):
-    """Every step the event queue pops is the step naive_epsilon
-    recomputes from definitions at that moment."""
+    """Every step the event queue pops, in units of 1/scale, is the
+    step naive_epsilon recomputes from definitions at that moment."""
     inst = gen_random(1 + seed % 9, "2/3", max_cost=8, max_prize=6,
                       seed=1000 + seed)
     state = sv.init_state(inst)
@@ -170,7 +173,8 @@ def test_compute_epsilon_matches_naive_definition(seed):
     def checked_pop():
         expected = naive_epsilon(inst, state.fam, state.dual_assignment())
         eps, kind, payload = queue_pop()
-        assert (eps, (kinds[kind], payload)) == expected
+        step = Fraction(eps, state._scale)
+        assert (step, (kinds[kind], payload)) == expected
         return eps, kind, payload
 
     state._pop_next = checked_pop
@@ -180,7 +184,8 @@ def test_compute_epsilon_matches_naive_definition(seed):
 @pytest.mark.parametrize("seed", range(1, 101))
 def test_chain_loads_match_membership_sums(seed):
     """The union-find's frozen loads plus the live clock give, after
-    every growth step, the dual mass on the sets holding each vertex."""
+    every growth step, the dual mass on the sets holding each vertex,
+    in units of 1/scale."""
     inst = sweep_instance(seed)
     state = sv.init_state(inst)
     after_step = state._after_step
@@ -189,7 +194,7 @@ def test_chain_loads_match_membership_sums(seed):
         after_step()
         duals = state.dual_assignment()
         assert [state._chain_load(v) for v in range(inst.n)] == [
-            naive.vertex_chain_load(state.fam, duals, v)
+            naive.vertex_chain_load(state.fam, duals, v) * state._scale
             for v in range(inst.n)]
 
     state._after_step = checked_after_step
@@ -221,6 +226,88 @@ def test_prune_matches_the_chain_reference(seed):
     assert [ev.set_id for ev in sol.trace if ev.kind == "prune"] == order
     assert sol.tree_vertices == tree_vertices
     assert sol.tree_edge_indices == tree_edge_indices
+
+
+# -- the integer core -------------------------------------------------------------
+
+
+def outputs(inst, sol):
+    """The trace lines and the solution document of a solve."""
+    return (sv.trace_json_lines(sol.trace),
+            json.dumps(cli._solution_json_obj(inst, sol, None), indent=2))
+
+
+RESTART_INSTANCES = {
+    "sweep-3": lambda: sweep_instance(3),
+    "sweep-19": lambda: sweep_instance(19),
+    "sweep-38": lambda: sweep_instance(38),
+    "fractional": lambda: Instance(
+        4, ((0, 1, 3), (1, 2, "1/2"), (2, 3, "5/3"), (0, 3, 7)),
+        (5, "3/2", 2, "1/3")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESTART_INSTANCES))
+def test_odd_halving_restarts_at_twice_the_scale(monkeypatch, name):
+    """Without the factor 2 of the scale, an odd cost makes the first
+    halving odd: growth restarts from scratch at twice the scale and
+    gives the unforced solve's trace and document."""
+    inst = RESTART_INSTANCES[name]()
+    unforced = outputs(inst, solve(inst))
+    real_scale, real_start = sv._scale, sv.SolverState._start
+    starts = []
+
+    def recorded_start(state, scale):
+        starts.append(scale)
+        return real_start(state, scale)
+
+    monkeypatch.setattr(sv, "_scale", lambda inst: real_scale(inst) // 2)
+    monkeypatch.setattr(sv.SolverState, "_start", recorded_start)
+    assert outputs(inst, solve(inst)) == unforced
+    assert starts == [real_scale(inst) // 2, real_scale(inst)]
+
+
+@pytest.mark.parametrize("restart_at", [1, 5, 10])
+def test_restart_mid_growth_replays_the_same_run(monkeypatch, restart_at):
+    """An odd halving met in the middle of growth (injected here: at the
+    scale the solver picks, none occurs) restarts phase one from scratch
+    at twice the scale, and the run ends where the unforced one does."""
+    inst = gen_random(40, "1/4", max_cost=10, max_prize=8, seed=7)
+    unforced = outputs(inst, solve(inst, check_invariants=True))
+    real_retouch = sv.SolverState._retouch_edges
+    retouches = []
+
+    def odd_once(state, edge_list):
+        retouches.append(state.clock)
+        if len(retouches) == restart_at:
+            raise sv._OddHalving
+        return real_retouch(state, edge_list)
+
+    monkeypatch.setattr(sv.SolverState, "_retouch_edges", odd_once)
+    state = sv.init_state(inst, check_invariants=True)
+    sv.run_phase1(state)
+    assert state._scale == 2 * sv._scale(inst)
+    assert len(retouches) > restart_at
+    assert outputs(inst, sv.run_phase2(state)) == unforced
+
+
+def test_growth_does_no_fraction_arithmetic(monkeypatch):
+    """Growth runs on ints: no Fraction is compared, added or
+    subtracted inside run_phase1."""
+    state = sv.init_state(gen_random(1000, "1/250", max_cost=10,
+                                     max_prize=8, seed=99))
+    calls = []
+    for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__",
+                 "__add__", "__radd__", "__sub__", "__rsub__"):
+        def counted(a, b, real=getattr(Fraction, name), name=name):
+            calls.append(name)
+            return real(a, b)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    sv.run_phase1(state)
+    monkeypatch.undo()
+    assert len(state.trace) > 1000
+    assert calls == []
 
 
 # -- budgets, determinism, flags -------------------------------------------------
@@ -278,7 +365,8 @@ def test_checker_catches_poisoned_duals():
     rescan_step(state)
     for check in GROWTH_CHECKS:
         check(state)  # healthy state passes
-    state._birth[0] -= 100  # overload every constraint around vertex 0
+    # overload every constraint around vertex 0
+    state._birth[0] -= 100 * state._scale
     for check in GROWTH_CHECKS:
         with pytest.raises(sv.InvariantError,
                            match="duals infeasible during growth: edge 0"):
