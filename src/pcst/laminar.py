@@ -164,7 +164,7 @@ def from_records(records: Iterable[SetRecord],
     for r in recs:
         if r.parent != fam.parent_of(r.sid):
             raise ValueError(f"set {r.sid} parent link inconsistent")
-        if r.y < 0:
+        if r.y.numerator < 0:
             raise ValueError(f"set {r.sid} has negative dual {r.y}")
     duals = DualAssignment({r.sid: r.y for r in recs},
                            {r.sid for r in recs if r.saturated})

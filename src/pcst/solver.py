@@ -14,21 +14,16 @@ a scale S, twice the lcm of every cost and prize denominator, and every
 clock, dual, budget, load and slack is an integer count of 1/S.  Sums
 and differences of such counts stay integers, and so does a saturation
 time, a birth clock plus a budget.  A merge time is a slack divided by
-the number of live sets the edge joins, one or two.  Every halving is
-checked: an odd slack between two live sets restarts growth from
-scratch at 2S.  Scaling every value by one factor changes no
-comparison, so the restarted run makes the same steps, meets that
-slack doubled, even, and goes on; each restart passes one more
-halving, so growth ends, exact at whatever scale it started.
-
-At S itself no restart happens.  The scaled costs are even, and by
-induction over the events, every vertex of a live maximal set has a
-chain load of the parity of the clock, and every vertex of a frozen
-one that of the set's death clock: growth adds the same amount to
-both, and a frozen set only joins a live one along a tight edge, whose
-even cost is the sum of its ends' loads, so the two parities agree at
-the merge.  A slack between two live sets, an even cost minus two loads
-of one parity, is then even.
+the number of live sets the edge joins, one or two, and every halving
+is exact.  The scaled costs are even, and by induction over the
+events, every vertex of a live maximal set has a chain load of the
+parity of the clock, and every vertex of a frozen one that of the
+set's death clock: growth adds the same amount to both, and a frozen
+set only joins a live one along a tight edge, whose even cost is the
+sum of its ends' loads, so the two parities agree at the merge.  A
+slack between two live sets, an even cost minus two loads of one
+parity, is then even.  An odd cost at set-up or an odd slack between
+two live sets is an InvariantError.
 
 The saturation-versus-merge case analysis is exact and never depends on
 a tolerance, and the outputs do not depend on the scale: events, duals,
@@ -168,11 +163,6 @@ def _scale(inst: Instance) -> int:
     return 2 * math.lcm(*denominators)
 
 
-class _OddHalving(Exception):
-    """A merge candidate between two live sets has an odd slack: growth
-    must restart at twice the scale."""
-
-
 class SolverState:
     """Mutable run state: instance, family, growth clocks, forest, trace.
 
@@ -186,20 +176,15 @@ class SolverState:
         self.inst = inst
         self._check = check_invariants
         self._emit = emit_trace
-        self._start(_scale(inst))
-
-    def _start(self, scale: int):
-        """Set up growth from scratch in units of 1/scale."""
-        inst = self.inst
         n = inst.n
-        cost = [c.numerator * (scale // c.denominator)
-                for _, _, c in inst.edges]
-        if any(c & 1 for c in cost):
-            # an odd first halving; only a scale without the factor 2
-            # of _scale meets one
-            return self._start(2 * scale)
-        self._scale = scale
-        self._cost = cost
+        self._scale = scale = _scale(inst)
+        self._cost = cost = [c.numerator * (scale // c.denominator)
+                             for _, _, c in inst.edges]
+        odd = next((idx for idx, c in enumerate(cost) if c & 1), None)
+        if odd is not None:
+            # c >> 1 below would floor it
+            raise InvariantError(
+                f"edge {odd} has odd cost {cost[odd]} at scale {scale}")
         self.fam = lam.LaminarFamily(n)
         self.saturated: set[int] = set()
         self.forest: list[int] = []  # edge indices, in insertion order
@@ -207,7 +192,6 @@ class SolverState:
         self.trace: list[Event] = []
         self.clock = 0
         self.final_maximal: Optional[int] = None
-        self._ordinal = 0
         self._steps = 0
         self._birth: list[int] = [0] * n
         self._death: list[Optional[int]] = [None] * n
@@ -293,9 +277,8 @@ class SolverState:
         if self._emit:
             scale = self._scale
             self.trace.append(Event(
-                ordinal=self._ordinal, epsilon=Fraction(eps, scale),
+                ordinal=len(self.trace), epsilon=Fraction(eps, scale),
                 time=Fraction(self.clock, scale), **kw))
-        self._ordinal += 1
 
     def _retouch_edges(self, edge_list: list[int]) -> list[int]:
         """Re-evaluate the merge candidacy of the listed edges after the
@@ -329,7 +312,9 @@ class SolverState:
                     f"{Fraction(-slack, self._scale)} during growth")
             if rate == 2:
                 if slack & 1:
-                    raise _OddHalving
+                    raise InvariantError(
+                        f"odd slack {slack} on edge {idx} between two "
+                        f"live sets at scale {self._scale}")
                 slack >>= 1
             heapq.heappush(self._heap, (self.clock + slack, _KIND_MERGE,
                                         idx, self._eversion[idx]))
@@ -458,14 +443,10 @@ def run_phase1(state: SolverState):
                          f"state is in {state.phase!r}")
     while state._active > 1:
         eps, kind, payload = state._pop_next()
-        try:
-            if kind == _KIND_SAT:
-                state._apply_saturation(payload, eps)
-            else:
-                state._apply_merge(payload, eps)
-        except _OddHalving:
-            state._start(2 * state._scale)
-            continue
+        if kind == _KIND_SAT:
+            state._apply_saturation(payload, eps)
+        else:
+            state._apply_merge(payload, eps)
         state._after_step()
     survivors = [sid for sid in state.fam.maximal_ids() if state._alive(sid)]
     if len(survivors) != 1:

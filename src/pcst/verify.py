@@ -190,8 +190,8 @@ class DualIndex:
             if up is not None:
                 prizes[up] += prizes[sid]
         self.prizes = prizes
-        out = [Violation("negative-dual", sid, q)
-               for sid, q in enumerate(raw) if q < 0]
+        out = [Violation("negative-dual", sid, raw[sid])
+               for sid, q in enumerate(y) if q < 0]
         for idx, ((_, _, c), load) in enumerate(zip(inst.edges,
                                                     self.edge_loads)):
             slack = self.scaled(c) - load

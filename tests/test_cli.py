@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from pcst import solver as sv
 from pcst.cli import main
 
 
@@ -122,6 +123,19 @@ def test_solve_hostile_shape_fails_fast(tmp_path, capsys, name):
     assert run_cli("solve", str(path)) == 2
     assert time.perf_counter() - started < 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_solve_invariant_failure_exits_4(tmp_path, capsys, monkeypatch):
+    # at half the solver's scale the odd cost 3 cannot be halved exactly
+    path = tmp_path / "odd.json"
+    path.write_text('{"n": 2, "prizes": [1, 1], "edges": [[0, 1, 3]]}')
+    real_scale = sv._scale
+    monkeypatch.setattr(sv, "_scale", lambda inst: real_scale(inst) // 2)
+    assert run_cli("solve", str(path), "--json") == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("invariant failure: edge 0 has odd cost 3 at "
+                            "scale 1\n")
 
 
 def test_solve_missing_file(tmp_path, capsys):
@@ -292,31 +306,43 @@ def set_laminar_field(key, value):
     return lambda doc: doc["laminar"][0].update({key: value})
 
 
-@pytest.mark.parametrize("mutate", [
-    set_laminar_field("parent", "3"),
-    set_laminar_field("parent", 3.0),
-    set_laminar_field("parent", True),
-    set_laminar_field("id", 0.0),
-    set_laminar_field("id", "0"),
-    set_laminar_field("id", False),
-    set_laminar_field("saturated", "no"),
-    set_laminar_field("saturated", 0),
-    set_laminar_field("saturated", None),
-    lambda doc: doc.update(minimizing_vertex=0.9),
-    lambda doc: doc.update(minimizing_vertex=0.0),
-    lambda doc: doc.update(minimizing_vertex="0"),
-    lambda doc: doc.update(minimizing_vertex=False),
-    lambda doc: doc.update(minimizing_vertex=None),
+MALFORMED = "malformed solution field"
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (set_laminar_field("parent", "3"), MALFORMED),
+    (set_laminar_field("parent", 3.0), MALFORMED),
+    (set_laminar_field("parent", True), MALFORMED),
+    (set_laminar_field("id", 0.0), MALFORMED),
+    (set_laminar_field("id", "0"), MALFORMED),
+    (set_laminar_field("id", False), MALFORMED),
+    (set_laminar_field("saturated", "no"), MALFORMED),
+    (set_laminar_field("saturated", 0), MALFORMED),
+    (set_laminar_field("saturated", None), MALFORMED),
+    (lambda doc: doc.update(minimizing_vertex=0.9), MALFORMED),
+    (lambda doc: doc.update(minimizing_vertex=0.0), MALFORMED),
+    (lambda doc: doc.update(minimizing_vertex="0"), MALFORMED),
+    (lambda doc: doc.update(minimizing_vertex=False), MALFORMED),
+    (lambda doc: doc.update(minimizing_vertex=None), MALFORMED),
+    (lambda doc: [doc], "solution document must be a json object"),
+    (lambda doc: doc.update(tree={"vertices": [0, 1, 2]}),
+     "solution tree must carry vertices and edges"),
+    (lambda doc: doc.update(tree=[[0, 1, 2], [[0, 1], [0, 2]]]),
+     "solution tree must carry vertices and edges"),
 ], ids=["parent-str", "parent-float", "parent-bool", "id-float", "id-str",
         "id-bool", "saturated-str", "saturated-int", "saturated-null",
         "vertex-float", "vertex-whole-float", "vertex-str", "vertex-bool",
-        "vertex-null"])
-def test_verify_mistyped_field_is_parse_error(solved, capsys, mutate):
+        "vertex-null", "document-list", "tree-without-edges",
+        "tree-list"])
+def test_verify_mistyped_field_is_parse_error(solved, capsys, mutate,
+                                              message):
     star_file, sol_path, _ = solved
-    corrupt_solution(sol_path, mutate)
+    # a row edits the document in place or returns its replacement
+    doc = json.loads(sol_path.read_text())
+    sol_path.write_text(json.dumps(mutate(doc) or doc))
     assert run_cli("verify", str(sol_path), str(star_file)) == 2
     captured = capsys.readouterr()
-    assert "malformed solution field" in captured.err
+    assert message in captured.err
     assert "Traceback" not in captured.err + captured.out
 
 

@@ -1,5 +1,6 @@
 """Instance model, rational tokens, both file formats, generators."""
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -125,22 +126,32 @@ def test_json_rational_strings():
     assert inst.edges[0][2] == Fraction(1, 3)
 
 
-@pytest.mark.parametrize("text", [
-    "[]",
-    "{",
-    '{"n": 2, "prizes": [0, 0]}',
-    '{"n": 2, "prizes": [0, 0], "edges": [], "bogus": 1}',
-    '{"n": "2", "prizes": [0, 0], "edges": []}',
-    '{"n": 2, "prizes": [0, 0], "edges": [[0, 1]]}',
-    '{"n": 2, "prizes": [0, 0], "edges": [[0, 1, 1], [0, 1, 2]]}',
-    '{"n": 1, "prizes": [Infinity], "edges": []}',
-    '{"n": 1, "prizes": [-1], "edges": []}',
-    '{"n": 1, "prizes": [1e4000000], "edges": []}',
-    pytest.param('{"n": 1, "prizes": [1%s], "edges": []}' % ("0" * 5000),
-                 id="5001-digit-int"),
-])
+JSON_REJECTS = {  # document: what the error says
+    "[]": "top-level json value must be an object",
+    "{": "invalid json",
+    '{"n": 2, "prizes": [0, 0]}': "missing required key 'edges'",
+    '{"n": 2, "prizes": [0, 0], "edges": [], "bogus": 1}': "unknown keys",
+    '{"n": "2", "prizes": [0, 0], "edges": []}': '"n" must be an integer',
+    '{"n": 2, "prizes": [0, 0], "edges": [[0, 1]]}':
+        "edge 0 must be a [u, v, cost] triple",
+    '{"n": 2, "prizes": [0, 0], "edges": [[0, 1, 1], [0, 1, 2]]}':
+        "parallel edge 1",
+    '{"n": 1, "prizes": [Infinity], "edges": []}': "non-finite number",
+    '{"n": 1, "prizes": [-1], "edges": []}': "negative prize -1",
+    '{"n": 1, "prizes": [1e4000000], "edges": []}': "exponent",
+    '{"n": 1, "prizes": [1%s], "edges": []}' % ("0" * 5000): "5001 digits",
+    '{"n": 1, "prizes": 0, "edges": []}': '"prizes" must be a list',
+    '{"n": 1, "prizes": [0], "edges": {}}': '"edges" must be a list',
+    '{"n": 1, "prizes": [0], "edges": [], "names": "a"}':
+        '"names" must be a list of strings',
+}
+
+
+@pytest.mark.parametrize(
+    "text", JSON_REJECTS,
+    ids=lambda text: "5001-digit-int" if len(text) > 5000 else None)
 def test_json_rejects_malformed(text):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=re.escape(JSON_REJECTS[text])):
         parse_instance(text)
 
 
@@ -204,13 +215,21 @@ def test_stp_errors_carry_line_numbers(mutation, lineno):
 
 
 @pytest.mark.parametrize("mutation", [
-    ("Edges 2", "Edges 3"),
-    ("EOF", ""),
-    ("TP 3 0.5", "TP 1 1"),
+    ("Edges 2", "Edges 3", "Edges line declares 3 edges but 2 E lines"),
+    ("EOF", "", "missing EOF line"),
+    ("TP 3 0.5", "TP 1 1", "duplicate prize for vertex 1"),
+    ("EOF", "EOF\nTP 2 1", "content after EOF"),
+    ("SECTION Terminals", "SECTION Steiner", "unknown section"),
+    ("SECTION Terminals", "SECTION Graph", "duplicate Graph section"),
+    ("SECTION Graph", "SECTION Terminals",
+     "Terminals section before Graph section"),
+    ("# comment line", "END", "END outside a section"),
+    ("Nodes 3\n", "", "edge line before Nodes line"),
+    (STP_SAMPLE, "SECTION Graph\nEND\nEOF\n", "missing Nodes line"),
 ])
 def test_stp_consistency_errors(mutation):
-    old, new = mutation
-    with pytest.raises(ParseError):
+    old, new, message = mutation
+    with pytest.raises(ParseError, match=re.escape(message)):
         parse_instance(STP_SAMPLE.replace(old, new), "stp")
 
 

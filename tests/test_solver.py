@@ -1,7 +1,8 @@
 """Two-phase solver: frozen small traces, engine cross-checks, edge
-cases, determinism, the integer core's restarts, and checker fault
-injection."""
+cases, determinism, the integer core's parity checks, and checker
+fault injection."""
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -237,58 +238,74 @@ def outputs(inst, sol):
             json.dumps(cli._solution_json_obj(inst, sol, None), indent=2))
 
 
-RESTART_INSTANCES = {
-    "sweep-3": lambda: sweep_instance(3),
-    "sweep-19": lambda: sweep_instance(19),
-    "sweep-38": lambda: sweep_instance(38),
-    "fractional": lambda: Instance(
+def doubled_costs(inst):
+    return Instance(inst.n, tuple((u, v, 2 * c) for u, v, c in inst.edges),
+                    inst.prizes)
+
+
+FRACTIONAL_PRIZES = (5, "3/2", 2, "1/3")
+HALVED_SCALE_INSTANCES = {
+    # name: (instance, whether some cost is odd at half the scale)
+    "sweep-3": (lambda: sweep_instance(3), True),
+    "sweep-19": (lambda: sweep_instance(19), True),
+    "sweep-38": (lambda: sweep_instance(38), True),
+    "sweep-38-doubled": (lambda: doubled_costs(sweep_instance(38)), False),
+    "fractional": (lambda: Instance(
         4, ((0, 1, 3), (1, 2, "1/2"), (2, 3, "5/3"), (0, 3, 7)),
-        (5, "3/2", 2, "1/3")),
+        FRACTIONAL_PRIZES), True),
+    "fractional-even": (lambda: Instance(
+        4, ((0, 1, 3), (1, 2, 1), (2, 3, "2/3"), (0, 3, 7)),
+        FRACTIONAL_PRIZES), False),
+    "tight-path": (lambda: gen_tight_path(6, "1/10"), False),
 }
 
 
-@pytest.mark.parametrize("name", sorted(RESTART_INSTANCES))
-def test_odd_halving_restarts_at_twice_the_scale(monkeypatch, name):
-    """Without the factor 2 of the scale, an odd cost makes the first
-    halving odd: growth restarts from scratch at twice the scale and
-    gives the unforced solve's trace and document."""
-    inst = RESTART_INSTANCES[name]()
+@pytest.mark.parametrize("name", sorted(HALVED_SCALE_INSTANCES))
+def test_halved_scale_refuses_odd_costs_and_keeps_even_runs(monkeypatch,
+                                                            name):
+    """Without the factor 2 of the scale, an odd cost is refused at
+    set-up, where its first halving would floor.  Costs that stay even
+    are all the parity proof needs: growth runs exact at half the scale
+    and gives the unforced solve's trace and document."""
+    make, odd = HALVED_SCALE_INSTANCES[name]
+    inst = make()
     unforced = outputs(inst, solve(inst))
-    real_scale, real_start = sv._scale, sv.SolverState._start
-    starts = []
-
-    def recorded_start(state, scale):
-        starts.append(scale)
-        return real_start(state, scale)
-
-    monkeypatch.setattr(sv, "_scale", lambda inst: real_scale(inst) // 2)
-    monkeypatch.setattr(sv.SolverState, "_start", recorded_start)
-    assert outputs(inst, solve(inst)) == unforced
-    assert starts == [real_scale(inst) // 2, real_scale(inst)]
+    half = sv._scale(inst) // 2
+    monkeypatch.setattr(sv, "_scale", lambda inst: half)
+    if odd:
+        with pytest.raises(sv.InvariantError,
+                           match=rf"edge \d+ has odd cost \d+ at scale {half}$"):
+            sv.init_state(inst)
+    else:
+        assert sv.init_state(inst)._scale == half
+        assert outputs(inst, solve(inst)) == unforced
 
 
-@pytest.mark.parametrize("restart_at", [1, 5, 10])
-def test_restart_mid_growth_replays_the_same_run(monkeypatch, restart_at):
-    """An odd halving met in the middle of growth (injected here: at the
-    scale the solver picks, none occurs) restarts phase one from scratch
-    at twice the scale, and the run ends where the unforced one does."""
+def test_odd_live_slack_mid_growth_is_an_invariant_failure(monkeypatch):
+    """The parity proof leaves no odd slack between two live sets.  One
+    forced here, by bumping a scaled cost once growth has begun, fails
+    the run with an InvariantError naming the edge."""
     inst = gen_random(40, "1/4", max_cost=10, max_prize=8, seed=7)
-    unforced = outputs(inst, solve(inst, check_invariants=True))
     real_retouch = sv.SolverState._retouch_edges
-    retouches = []
+    bumped = []
 
-    def odd_once(state, edge_list):
-        retouches.append(state.clock)
-        if len(retouches) == restart_at:
-            raise sv._OddHalving
+    def bump_a_live_pair(state, edge_list):
+        for idx in edge_list if state.clock > 0 else ():
+            u, v, _ = inst.edges[idx]
+            a, b = state._maximal_of(u), state._maximal_of(v)
+            if a != b and state._alive(a) and state._alive(b):
+                state._cost[idx] += 1
+                bumped.append(idx)
+                break
         return real_retouch(state, edge_list)
 
-    monkeypatch.setattr(sv.SolverState, "_retouch_edges", odd_once)
+    monkeypatch.setattr(sv.SolverState, "_retouch_edges", bump_a_live_pair)
     state = sv.init_state(inst, check_invariants=True)
-    sv.run_phase1(state)
-    assert state._scale == 2 * sv._scale(inst)
-    assert len(retouches) > restart_at
-    assert outputs(inst, sv.run_phase2(state)) == unforced
+    with pytest.raises(sv.InvariantError) as info:
+        sv.run_phase1(state)
+    [idx] = bumped
+    assert re.fullmatch(rf"odd slack \d+ on edge {idx} between two live "
+                        r"sets at scale 2", str(info.value))
 
 
 def test_growth_does_no_fraction_arithmetic(monkeypatch):
@@ -382,6 +399,36 @@ def test_checker_catches_missing_forest_edge():
     for check in GROWTH_CHECKS:
         with pytest.raises(sv.InvariantError,
                            match="forest does not connect family set 4"):
+            check(state)
+
+
+def test_checker_catches_slack_forest_edge():
+    # {2} saturates at 1/4 and {1} merges with it along edge 1 at 3/4;
+    # shrinking the dead {1}'s dual by 1/4 leaves edge 1 slack
+    inst = Instance(3, ((0, 1, 4), (1, 2, 1)), (10, 10, "1/4"))
+    state = sv.init_state(inst)
+    rescan_step(state)
+    rescan_step(state)
+    assert state.forest == [1] and not state._alive(1)
+    state._birth[1] += state._scale // 4
+    for check in GROWTH_CHECKS:
+        with pytest.raises(sv.InvariantError,
+                           match="^forest edge 1 not tight: load 3/4 vs "
+                                 "cost 1$"):
+            check(state)
+
+
+def test_checker_catches_unexhausted_saturated_set():
+    # {2} saturates at 1/4; raising its prize to 1/2 keeps the duals
+    # feasible but leaves it short of its prize
+    edges = ((0, 1, 4), (1, 2, 1))
+    state = sv.init_state(Instance(3, edges, (10, 10, "1/4")))
+    rescan_step(state)
+    assert state.saturated == {2}
+    state.inst = Instance(3, edges, (10, 10, "1/2"))
+    for check in GROWTH_CHECKS:
+        with pytest.raises(sv.InvariantError,
+                           match="^saturated set 2 not exhausted$"):
             check(state)
 
 
