@@ -281,22 +281,27 @@ def test_halved_scale_refuses_odd_costs_and_keeps_even_runs(monkeypatch,
         assert outputs(inst, solve(inst)) == unforced
 
 
-def test_odd_live_slack_mid_growth_is_an_invariant_failure(monkeypatch):
+@pytest.mark.parametrize("bump_at", [1, 5, 10])
+def test_odd_live_slack_mid_growth_is_an_invariant_failure(monkeypatch,
+                                                           bump_at):
     """The parity proof leaves no odd slack between two live sets.  One
-    forced here, by bumping a scaled cost once growth has begun, fails
-    the run with an InvariantError naming the edge."""
+    forced here, by bumping the scaled cost of the bump_at-th live-live
+    edge that growth re-evaluates, fails the run with an InvariantError
+    naming that edge."""
     inst = gen_random(40, "1/4", max_cost=10, max_prize=8, seed=7)
     real_retouch = sv.SolverState._retouch_edges
-    bumped = []
+    live_pairs, bumped = [], []
 
     def bump_a_live_pair(state, edge_list):
-        for idx in edge_list if state.clock > 0 else ():
+        for idx in edge_list:
             u, v, _ = inst.edges[idx]
             a, b = state._maximal_of(u), state._maximal_of(v)
             if a != b and state._alive(a) and state._alive(b):
-                state._cost[idx] += 1
-                bumped.append(idx)
-                break
+                live_pairs.append(idx)
+                if len(live_pairs) == bump_at:
+                    state._cost[idx] += 1
+                    bumped.append(idx)
+                    break
         return real_retouch(state, edge_list)
 
     monkeypatch.setattr(sv.SolverState, "_retouch_edges", bump_a_live_pair)
