@@ -42,6 +42,7 @@ cut counting in the solver stays unambiguous.
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 from dataclasses import dataclass, field
@@ -62,6 +63,14 @@ MAX_EXPONENT = 1_000
 # it: an STP "Nodes" line costs a few bytes whatever its value, but
 # every vertex costs a prize and a heap entry.
 MAX_VERTICES = 10**6
+# Limits on what a parsed instance adds up to.  Growth runs on ints at
+# the scale S = 2 * lcm of every cost and prize denominator, and every
+# rational a solve reports is an int over S of at most S * (cost total
+# + 2 * prize total), the scaled total.  Both bounds keep that int well
+# below Python's 4300-digit (about 14,284-bit) int-to-str limit, so every
+# report and document prints.
+MAX_SCALE_BITS = 4096
+MAX_TOTAL_BITS = 14_000
 _EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)")
 
 
@@ -205,11 +214,36 @@ class Instance:
 
 
 def parse_instance(text: str, fmt: str = "json") -> Instance:
+    """The instance in text; a ParseError if it is malformed or past
+    MAX_SCALE_BITS or MAX_TOTAL_BITS."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    if fmt == "json":
-        return _parse_json(text)
-    return _parse_stp(text)
+    inst = _parse_json(text) if fmt == "json" else _parse_stp(text)
+    _check_budget(inst)
+    return inst
+
+
+def _check_budget(inst: Instance):
+    """Refuse an instance whose scale or scaled total is too large to
+    run and report exactly.  The lcm stops growing at the first
+    denominator that takes it past the budget."""
+    denominators = {c.denominator for _, _, c in inst.edges}
+    denominators.update(p.denominator for p in inst.prizes)
+    lcm = 1
+    for q in denominators:
+        lcm = math.lcm(lcm, q)
+        if lcm.bit_length() >= MAX_SCALE_BITS:
+            raise ParseError("the scale, twice the lcm of the denominators, "
+                             f"needs more than {MAX_SCALE_BITS} bits")
+    scale = 2 * lcm
+    total = sum(c.numerator * (scale // c.denominator)
+                for _, _, c in inst.edges)
+    total += 2 * sum(p.numerator * (scale // p.denominator)
+                     for p in inst.prizes)
+    if total.bit_length() > MAX_TOTAL_BITS:
+        raise ParseError("the cost total plus twice the prize total, at "
+                         f"the instance's scale, needs {total.bit_length()} "
+                         f"bits, more than {MAX_TOTAL_BITS}")
 
 
 def emit_instance(inst: Instance, fmt: str = "json") -> str:

@@ -3,8 +3,8 @@
 Everything here recomputes from first principles over (family, duals,
 instance), reading only the family's parent links; none of it shares
 the solver's incremental bookkeeping (its union-find loads, its prune
-counts).  The solver's checked mode runs on these functions too, so a
-bug in the solver's cached sums cannot hide a violation here.
+counts), so a bug in the solver's cached sums cannot hide a violation
+here.
 
 Set ids grow from children to parents, so every check is a few linear
 passes over the parent links:
@@ -240,7 +240,7 @@ class TreeIndex:
 
     def __init__(self, fam: LaminarFamily, tree: Tree,
                  inst: Optional[Instance] = None):
-        self.n = n = fam.n
+        n = fam.n
         self.parent = parent = [fam.parent_of(sid) for sid in fam.ids]
         members = [0] * len(parent)
         # union-find slots: the family's vertices, then tree vertices
@@ -343,21 +343,6 @@ class TreeIndex:
             if count - self.joined[sid] > 1:
                 return sid
         return None
-
-    def cover_gaps(self, saturated: set[int]) -> list[int]:
-        """Per set s: how many vertices of s off the tree lie in no
-        saturated set that is inside s and misses the tree.  Zero means
-        s minus the tree is a union of saturated sets.  One ascending
-        pass: a set has the sum of its children's gaps, or none if it is
-        saturated and misses the tree."""
-        gap = [1 - count for count in self.members[:self.n]]
-        gap += [0] * (len(self.parent) - self.n)
-        for sid, up in enumerate(self.parent):
-            if sid in saturated and not self.members[sid]:
-                gap[sid] = 0
-            if up is not None:
-                gap[up] += gap[sid]
-        return gap
 
 
 def check_feasibility(fam: LaminarFamily, duals: DualAssignment,

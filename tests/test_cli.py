@@ -1,5 +1,6 @@
 """Command line front end: subcommands, exit codes, output formats."""
 import json
+import random
 import subprocess
 import sys
 import time
@@ -8,6 +9,7 @@ import pytest
 
 from pcst import solver as sv
 from pcst.cli import main
+from pcst.instance import MAX_SCALE_BITS, MAX_TOTAL_BITS
 
 
 def run_cli(*argv):
@@ -123,6 +125,60 @@ def test_solve_hostile_shape_fails_fast(tmp_path, capsys, name):
     assert run_cli("solve", str(path)) == 2
     assert time.perf_counter() - started < 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def fifty_digit_ratios(count, seed):
+    rng = random.Random(seed)
+    return [f"{rng.randrange(10 ** 49, 10 ** 50)}/"
+            f"{rng.randrange(10 ** 49, 10 ** 50)}" for _ in range(count)]
+
+
+def hostile_ratios_instance():
+    """n=100, two edges per vertex, every cost and prize a distinct
+    50-digit over 50-digit ratio: the lcm of the denominators runs to
+    tens of thousands of bits."""
+    n = 100
+    edges = [[v, (v + step) % n] for v in range(n) for step in (1, 7)]
+    edges = [[min(e), max(e)] + [c] for e, c in
+             zip(edges, fifty_digit_ratios(len(edges), 1))]
+    return {"n": n, "prizes": fifty_digit_ratios(n, 2), "edges": edges}
+
+
+HOSTILE_BUDGET_FILES = {
+    # the scale, 2 * lcm of the denominators, past MAX_SCALE_BITS
+    "ratios.json": (hostile_ratios_instance, f"{MAX_SCALE_BITS} bits"),
+    # two 4300-digit costs: a cost total past MAX_TOTAL_BITS
+    "digits.json": (lambda: {"n": 3, "prizes": [1, 1, 1],
+                             "edges": [[0, 1, "9" * 4300],
+                                       [1, 2, "9" * 4300]]},
+                    f"more than {MAX_TOTAL_BITS}"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_BUDGET_FILES))
+def test_solve_refuses_instances_past_the_budget(tmp_path, capsys, name):
+    make, message = HOSTILE_BUDGET_FILES[name]
+    path = tmp_path / name
+    path.write_text(json.dumps(make()))
+    for flags in ((), ("--json",)):
+        started = time.perf_counter()
+        assert run_cli("solve", str(path), *flags) == 2
+        assert time.perf_counter() - started < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_solve_prints_an_instance_at_the_budget(tmp_path, capsys):
+    # costs plus twice the prizes, at scale 2, just inside MAX_TOTAL_BITS;
+    # the tree buys an edge of cost big, and every total prints
+    big = 2 ** (MAX_TOTAL_BITS - 5)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 3, "prizes": [big, big, 1],
+                                "edges": [[0, 1, big], [1, 2, big]]}))
+    for flags in ((), ("--json",)):
+        assert run_cli("solve", str(path), *flags) == 0
+        assert f"{big}/1" in capsys.readouterr().out
 
 
 def test_solve_invariant_failure_exits_4(tmp_path, capsys, monkeypatch):

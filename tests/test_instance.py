@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pcst import (Instance, ParseError, approx_decimal, emit_instance,
-                  format_rational, gen_random, gen_tight_path,
+from pcst import (FORMATS, Instance, ParseError, approx_decimal,
+                  emit_instance, format_rational, gen_random, gen_tight_path,
                   gen_tight_star, parse_instance, parse_rational,
                   rational_token)
-from pcst.instance import MAX_VERTICES
+from pcst.instance import MAX_SCALE_BITS, MAX_TOTAL_BITS, MAX_VERTICES
 
 rationals = st.fractions(
     min_value=0, max_value=1000,
@@ -361,6 +361,32 @@ def test_vertex_counts_past_the_limit_are_parse_errors():
     assert exc.value.line is not None
     with pytest.raises(ParseError, match="more than 1000000 vertices"):
         parse_instance('{"n": 1000001, "prizes": [], "edges": []}')
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_scale_past_the_budget_is_a_parse_error(fmt):
+    # twice the lcm 2**k has k + 1 bits
+    at_limit = parse_instance(emit_instance(Instance(
+        2, ((0, 1, f"1/{2 ** (MAX_SCALE_BITS - 2)}"),), (1, 1)), fmt), fmt)
+    assert at_limit.edges[0][2].denominator.bit_length() == MAX_SCALE_BITS - 1
+    # two denominators of half the budget whose lcm is past it
+    half = 2 ** (MAX_SCALE_BITS // 2)
+    over = Instance(2, ((0, 1, f"1/{half + 1}"),), (f"1/{half - 1}", 1))
+    with pytest.raises(ParseError, match=f"more than {MAX_SCALE_BITS} bits"):
+        parse_instance(emit_instance(over, fmt), fmt)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_totals_past_the_budget_are_a_parse_error(fmt):
+    # at scale 2, the scaled total is 2 * (costs + 2 * prizes)
+    cost = 2 ** (MAX_TOTAL_BITS - 3)
+    at_limit = Instance(2, ((0, 1, cost),), (0, 2 ** (MAX_TOTAL_BITS - 4)))
+    assert parse_instance(emit_instance(at_limit, fmt), fmt) == at_limit
+    over = Instance(2, ((0, 1, cost),), (0, 2 ** (MAX_TOTAL_BITS - 2)))
+    with pytest.raises(ParseError,
+                       match=f"needs {MAX_TOTAL_BITS + 1} bits, more than "
+                             f"{MAX_TOTAL_BITS}$"):
+        parse_instance(emit_instance(over, fmt), fmt)
 
 
 def test_deeply_nested_json_is_a_parse_error():

@@ -13,6 +13,7 @@ from conftest import (naive_epsilon, reference_prune, rescan_step,
 from pcst import Instance, gen_random, gen_tight_path, gen_tight_star, solve
 from pcst import cli
 from pcst import solver as sv
+from pcst import verify
 
 # the solver's checks and the reference checker's, both run on every
 # injected fault below
@@ -313,11 +314,14 @@ def test_odd_live_slack_mid_growth_is_an_invariant_failure(monkeypatch,
                         r"sets at scale 2", str(info.value))
 
 
-def test_growth_does_no_fraction_arithmetic(monkeypatch):
+@pytest.mark.parametrize("n, check", [(1000, False), (64, True)])
+def test_growth_does_no_fraction_arithmetic(monkeypatch, n, check):
     """Growth runs on ints: no Fraction is compared, added or
-    subtracted inside run_phase1."""
-    state = sv.init_state(gen_random(1000, "1/250", max_cost=10,
-                                     max_prize=8, seed=99))
+    subtracted inside run_phase1, nor by its checks after every step
+    when they pass; a check builds Fractions only for its message."""
+    state = sv.init_state(gen_random(n, Fraction(1, n // 4), max_cost=10,
+                                     max_prize=8, seed=99),
+                          check_invariants=check)
     calls = []
     for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__",
                  "__add__", "__radd__", "__sub__", "__rsub__"):
@@ -328,8 +332,55 @@ def test_growth_does_no_fraction_arithmetic(monkeypatch):
         monkeypatch.setattr(Fraction, name, counted)
     sv.run_phase1(state)
     monkeypatch.undo()
-    assert len(state.trace) > 1000
+    assert len(state.trace) > n
     assert calls == []
+
+
+def test_checked_growth_runs_no_lca_pass(monkeypatch):
+    """The checker keeps every edge's lowest common set from the step
+    its set appeared: checked growth makes no offline LCA pass."""
+    calls = []
+    real = verify._lowest_common
+    monkeypatch.setattr(verify, "_lowest_common",
+                        lambda *args: (calls.append(1), real(*args))[1])
+    state = sv.init_state(gen_random(64, "1/16", max_cost=10, max_prize=8,
+                                     seed=99), check_invariants=True)
+    sv.run_phase1(state)
+    assert state._steps > 64
+    assert calls == []
+
+
+# what the solver keeps for itself: its union-find, scaled costs and
+# prize budgets
+SOLVER_SUMS = ("_dsu", "_offset", "_top", "_root", "_cost", "_budget")
+
+
+class BlindState(sv.SolverState):
+    """A state whose SOLVER_SUMS fail the test when read."""
+
+
+for _name in SOLVER_SUMS:
+    setattr(BlindState, _name, property(
+        lambda state, name=_name: pytest.fail(f"the checker read {name}")))
+
+
+def test_checks_read_none_of_the_solvers_sums():
+    """The checks recompute from the parent links, the instance, the
+    forest and the growth clocks: with the solver's own sums unreadable,
+    the growth check passes after every step, and the prune check on the
+    grown state."""
+    inst = gen_random(12, "1/2", max_cost=10, max_prize=8, seed=11)
+    state = sv.init_state(inst)
+    for _ in range(8):
+        rescan_step(state)
+        state.__class__ = BlindState
+        sv.check_growth_invariants(state)
+        state.__class__ = sv.SolverState
+    assert state.phase == sv.PHASE_GROWTH and len(state.forest) > 2
+    sv.run_phase1(state)
+    tree = sv._pruned_tree(state, ())
+    state.__class__ = BlindState
+    sv.check_prune_invariants(state, *tree)
 
 
 # -- budgets, determinism, flags -------------------------------------------------
@@ -400,11 +451,16 @@ def test_checker_catches_missing_forest_edge():
     state = sv.init_state(inst)
     rescan_step(state)
     rescan_step(state)
-    state.forest.pop()  # family set now spans two forest pieces
+    for check in GROWTH_CHECKS:
+        check(state)  # healthy state passes
+    edge = state.forest.pop()  # family set now spans two forest pieces
     for check in GROWTH_CHECKS:
         with pytest.raises(sv.InvariantError,
                            match="forest does not connect family set 4"):
             check(state)
+    state.forest.append(edge)
+    for check in GROWTH_CHECKS:
+        check(state)  # repaired, it passes again
 
 
 def test_checker_catches_slack_forest_edge():
@@ -415,6 +471,8 @@ def test_checker_catches_slack_forest_edge():
     rescan_step(state)
     rescan_step(state)
     assert state.forest == [1] and not state._alive(1)
+    for check in GROWTH_CHECKS:
+        check(state)  # healthy state passes
     state._birth[1] += state._scale // 4
     for check in GROWTH_CHECKS:
         with pytest.raises(sv.InvariantError,
@@ -430,6 +488,8 @@ def test_checker_catches_unexhausted_saturated_set():
     state = sv.init_state(Instance(3, edges, (10, 10, "1/4")))
     rescan_step(state)
     assert state.saturated == {2}
+    for check in GROWTH_CHECKS:
+        check(state)  # healthy state passes
     state.inst = Instance(3, edges, (10, 10, "1/2"))
     for check in GROWTH_CHECKS:
         with pytest.raises(sv.InvariantError,
@@ -452,6 +512,7 @@ def test_prune_checker_catches_non_tree(tree_vs, edges):
     state = grown(Instance(3, ((0, 1, 4), (1, 2, 1)), (10, 10, "1/4")))
     messages = []
     for check in PRUNE_CHECKS:
+        check(state, {0, 1}, [0])  # {2} pruned: a healthy tree passes
         with pytest.raises(sv.InvariantError, match="pruned subgraph") as info:
             check(state, tree_vs, edges)
         messages.append(str(info.value))
