@@ -63,12 +63,13 @@ MAX_EXPONENT = 1_000
 # it: an STP "Nodes" line costs a few bytes whatever its value, but
 # every vertex costs a prize and a heap entry.
 MAX_VERTICES = 10**6
-# Limits on what a parsed instance adds up to.  Growth runs on ints at
-# the scale S = 2 * lcm of every cost and prize denominator, and every
-# rational a solve reports is an int over S of at most S * (cost total
-# + 2 * prize total), the scaled total.  Both bounds keep that int well
-# below Python's 4300-digit (about 14,284-bit) int-to-str limit, so every
-# report and document prints.
+# Limits on what an instance adds up to.  Growth runs on ints at the
+# scale S = 2 * lcm of every cost and prize denominator.  Every
+# rational a solve reports, the ratio of objective to lower bound
+# included, has a numerator and a denominator of at most S or the
+# scaled total S * (cost total + 2 * prize total).  Both bounds keep
+# these ints below Python's 4300-digit (about 14,284-bit) int-to-str
+# limit, so every report and document prints.
 MAX_SCALE_BITS = 4096
 MAX_TOTAL_BITS = 14_000
 _EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)")
@@ -151,13 +152,16 @@ class Instance:
     edges hold (u, v, cost) with u < v, in input order; the position of an
     edge in this tuple is its edge index, which the solver uses for
     deterministic tie-breaking.  ``names`` is cosmetic and ignored by
-    equality (the stp format cannot carry labels).
+    equality (the stp format cannot carry labels).  ``scale`` is twice
+    the lcm of every cost and prize denominator, fixed at construction:
+    an instance past MAX_SCALE_BITS or MAX_TOTAL_BITS is refused.
     """
 
     n: int
     edges: tuple[tuple[int, int, Fraction], ...]
     prizes: tuple[Fraction, ...]
     names: Optional[tuple[str, ...]] = field(default=None, compare=False)
+    scale: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
@@ -169,6 +173,8 @@ class Instance:
         for v, p in enumerate(prizes):
             if p.numerator < 0:
                 raise ValueError(f"negative prize {p} at vertex {v}")
+        denominators = {p.denominator for p in prizes}
+        numerators = 0  # of the costs
         seen: set[tuple[int, int]] = set()
         edges = []
         for k, e in enumerate(self.edges):
@@ -190,8 +196,11 @@ class Instance:
             seen.add((u, v))
             if type(c) is not Fraction:
                 c = parse_rational(c)
-            if c.numerator < 0:
+            numerator = c.numerator
+            if numerator < 0:
                 raise ValueError(f"negative cost {c} on edge {k}")
+            numerators += numerator
+            denominators.add(c.denominator)
             edges.append((u, v, c))
         if self.names is not None:
             names = tuple(str(s) for s in self.names)
@@ -200,6 +209,35 @@ class Instance:
             object.__setattr__(self, "names", names)
         object.__setattr__(self, "prizes", prizes)
         object.__setattr__(self, "edges", tuple(edges))
+        object.__setattr__(self, "scale",
+                           self._budgeted_scale(denominators, numerators))
+
+    def _budgeted_scale(self, denominators: set[int], numerators: int) -> int:
+        """Twice the lcm of the denominators, checked against the
+        budget.  The lcm stops growing at the first denominator that
+        takes it past MAX_SCALE_BITS; with every value an integer, the
+        cost numerators summed while validating are the cost total."""
+        lcm = 1
+        for q in denominators:
+            lcm = math.lcm(lcm, q)
+            if lcm.bit_length() >= MAX_SCALE_BITS:
+                raise ValueError("the scale, twice the lcm of the "
+                                 "denominators, needs more than "
+                                 f"{MAX_SCALE_BITS} bits")
+        scale = 2 * lcm
+        if lcm == 1:
+            costs = scale * numerators
+        else:
+            costs = sum(c.numerator * (scale // c.denominator)
+                        for _, _, c in self.edges)
+        total = costs + 2 * sum(p.numerator * (scale // p.denominator)
+                                for p in self.prizes)
+        if total.bit_length() > MAX_TOTAL_BITS:
+            raise ValueError("the cost total plus twice the prize total, at "
+                             f"the instance's scale, needs "
+                             f"{total.bit_length()} bits, more than "
+                             f"{MAX_TOTAL_BITS}")
+        return scale
 
     @property
     def m(self) -> int:
@@ -214,36 +252,11 @@ class Instance:
 
 
 def parse_instance(text: str, fmt: str = "json") -> Instance:
-    """The instance in text; a ParseError if it is malformed or past
-    MAX_SCALE_BITS or MAX_TOTAL_BITS."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    inst = _parse_json(text) if fmt == "json" else _parse_stp(text)
-    _check_budget(inst)
-    return inst
-
-
-def _check_budget(inst: Instance):
-    """Refuse an instance whose scale or scaled total is too large to
-    run and report exactly.  The lcm stops growing at the first
-    denominator that takes it past the budget."""
-    denominators = {c.denominator for _, _, c in inst.edges}
-    denominators.update(p.denominator for p in inst.prizes)
-    lcm = 1
-    for q in denominators:
-        lcm = math.lcm(lcm, q)
-        if lcm.bit_length() >= MAX_SCALE_BITS:
-            raise ParseError("the scale, twice the lcm of the denominators, "
-                             f"needs more than {MAX_SCALE_BITS} bits")
-    scale = 2 * lcm
-    total = sum(c.numerator * (scale // c.denominator)
-                for _, _, c in inst.edges)
-    total += 2 * sum(p.numerator * (scale // p.denominator)
-                     for p in inst.prizes)
-    if total.bit_length() > MAX_TOTAL_BITS:
-        raise ParseError("the cost total plus twice the prize total, at "
-                         f"the instance's scale, needs {total.bit_length()} "
-                         f"bits, more than {MAX_TOTAL_BITS}")
+    if fmt == "json":
+        return _parse_json(text)
+    return _parse_stp(text)
 
 
 def emit_instance(inst: Instance, fmt: str = "json") -> str:

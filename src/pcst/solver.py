@@ -179,11 +179,10 @@ class Solution:
 
 
 def _scale(inst: Instance) -> int:
-    """Twice the lcm of every cost and prize denominator: in units of
-    its inverse, costs and prizes are integers and costs are even."""
-    denominators = {c.denominator for _, _, c in inst.edges}
-    denominators.update(p.denominator for p in inst.prizes)
-    return 2 * math.lcm(*denominators)
+    """Twice the lcm of every cost and prize denominator, fixed by the
+    instance: in units of its inverse, costs and prizes are integers and
+    costs are even."""
+    return inst.scale
 
 
 class SolverState:

@@ -363,30 +363,53 @@ def test_vertex_counts_past_the_limit_are_parse_errors():
         parse_instance('{"n": 1000001, "prizes": [], "edges": []}')
 
 
-@pytest.mark.parametrize("fmt", FORMATS)
-def test_scale_past_the_budget_is_a_parse_error(fmt):
+def two_vertex_texts(prizes, cost) -> dict:
+    """A two-vertex instance in both formats, written from its tokens."""
+    stp = ("SECTION Graph\nNodes 2\nEdges 1\nE 1 2 %s\nEND\n"
+           "SECTION Terminals\nTP 1 %s\nTP 2 %s\nEND\nEOF\n"
+           % (cost, *prizes))
+    return {"json": json.dumps({"n": 2, "prizes": list(prizes),
+                                "edges": [[0, 1, cost]]}),
+            "stp": stp}
+
+
+HALF_SCALE = 2 ** (MAX_SCALE_BITS // 2)
+BUDGET_CASES = {
+    # name: (prizes, cost, why the instance is refused or None)
     # twice the lcm 2**k has k + 1 bits
-    at_limit = parse_instance(emit_instance(Instance(
-        2, ((0, 1, f"1/{2 ** (MAX_SCALE_BITS - 2)}"),), (1, 1)), fmt), fmt)
-    assert at_limit.edges[0][2].denominator.bit_length() == MAX_SCALE_BITS - 1
-    # two denominators of half the budget whose lcm is past it
-    half = 2 ** (MAX_SCALE_BITS // 2)
-    over = Instance(2, ((0, 1, f"1/{half + 1}"),), (f"1/{half - 1}", 1))
-    with pytest.raises(ParseError, match=f"more than {MAX_SCALE_BITS} bits"):
-        parse_instance(emit_instance(over, fmt), fmt)
+    "scale-at-limit": ((1, 1), f"1/{2 ** (MAX_SCALE_BITS - 2)}", None),
+    # two coprime denominators of half the budget
+    "scale-past-limit": ((f"1/{HALF_SCALE + 1}", 1), f"1/{HALF_SCALE - 1}",
+                         f"needs more than {MAX_SCALE_BITS} bits"),
+    # at scale 2, the scaled total is 2 * (cost + 2 * prizes)
+    "total-at-limit": ((1, 2 ** (MAX_TOTAL_BITS - 4) - 1),
+                       2 ** (MAX_TOTAL_BITS - 3), None),
+    "total-past-limit": ((1, 2 ** (MAX_TOTAL_BITS - 2)),
+                         2 ** (MAX_TOTAL_BITS - 3),
+                         f"needs {MAX_TOTAL_BITS + 1} bits, more than "
+                         f"{MAX_TOTAL_BITS}$"),
+}
 
 
-@pytest.mark.parametrize("fmt", FORMATS)
-def test_totals_past_the_budget_are_a_parse_error(fmt):
-    # at scale 2, the scaled total is 2 * (costs + 2 * prizes)
-    cost = 2 ** (MAX_TOTAL_BITS - 3)
-    at_limit = Instance(2, ((0, 1, cost),), (0, 2 ** (MAX_TOTAL_BITS - 4)))
-    assert parse_instance(emit_instance(at_limit, fmt), fmt) == at_limit
-    over = Instance(2, ((0, 1, cost),), (0, 2 ** (MAX_TOTAL_BITS - 2)))
-    with pytest.raises(ParseError,
-                       match=f"needs {MAX_TOTAL_BITS + 1} bits, more than "
-                             f"{MAX_TOTAL_BITS}$"):
-        parse_instance(emit_instance(over, fmt), fmt)
+@pytest.mark.parametrize("name", sorted(BUDGET_CASES))
+def test_instances_past_the_budget_are_refused(name):
+    """An instance is refused when its scale needs more than
+    MAX_SCALE_BITS bits or its scaled total more than MAX_TOTAL_BITS,
+    by the Instance type and by both parsers; one at the limits is
+    not."""
+    prizes, cost, refusal = BUDGET_CASES[name]
+    texts = two_vertex_texts(prizes, cost)
+    if refusal is None:
+        inst = Instance(2, ((0, 1, cost),), prizes)
+        assert inst.scale.bit_length() <= MAX_SCALE_BITS
+        for fmt in FORMATS:
+            assert parse_instance(texts[fmt], fmt) == inst
+        return
+    with pytest.raises(ValueError, match=refusal):
+        Instance(2, ((0, 1, cost),), prizes)
+    for fmt in FORMATS:
+        with pytest.raises(ParseError, match=refusal):
+            parse_instance(texts[fmt], fmt)
 
 
 def test_deeply_nested_json_is_a_parse_error():

@@ -314,26 +314,27 @@ def test_odd_live_slack_mid_growth_is_an_invariant_failure(monkeypatch,
                         r"sets at scale 2", str(info.value))
 
 
-@pytest.mark.parametrize("n, check", [(1000, False), (64, True)])
-def test_growth_does_no_fraction_arithmetic(monkeypatch, n, check):
+def test_growth_does_no_fraction_arithmetic(monkeypatch):
     """Growth runs on ints: no Fraction is compared, added or
-    subtracted inside run_phase1, nor by its checks after every step
-    when they pass; a check builds Fractions only for its message."""
-    state = sv.init_state(gen_random(n, Fraction(1, n // 4), max_cost=10,
-                                     max_prize=8, seed=99),
-                          check_invariants=check)
-    calls = []
-    for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__",
-                 "__add__", "__radd__", "__sub__", "__rsub__"):
-        def counted(a, b, real=getattr(Fraction, name), name=name):
-            calls.append(name)
-            return real(a, b)
+    subtracted inside run_phase1, unchecked at n=1000, nor by the
+    checks after every step at n=64 while they pass; a check builds
+    Fractions only for its message."""
+    for n, check in ((1000, False), (64, True)):
+        state = sv.init_state(gen_random(n, Fraction(1, n // 4),
+                                         max_cost=10, max_prize=8, seed=99),
+                              check_invariants=check)
+        calls = []
+        for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__",
+                     "__add__", "__radd__", "__sub__", "__rsub__"):
+            def counted(a, b, real=getattr(Fraction, name), name=name):
+                calls.append(name)
+                return real(a, b)
 
-        monkeypatch.setattr(Fraction, name, counted)
-    sv.run_phase1(state)
-    monkeypatch.undo()
-    assert len(state.trace) > n
-    assert calls == []
+            monkeypatch.setattr(Fraction, name, counted)
+        sv.run_phase1(state)
+        monkeypatch.undo()
+        assert len(state.trace) > n
+        assert calls == [], check
 
 
 def test_checked_growth_runs_no_lca_pass(monkeypatch):
