@@ -12,8 +12,8 @@ everything it needs off those.
 Duals live in a separate DualAssignment: one non-negative Fraction per
 set plus the ids frozen as saturated.  The solver keeps its duals as
 growth clocks and builds a DualAssignment from them only for its
-output.  This module only stores and queries;
-growth scheduling lives in the solver.
+output.  This module only stores and queries; growth scheduling lives
+in the solver.
 
 A snapshot record carries a set's id, dual, saturation flag and parent
 link; the member vertices are not stored, because the parent links
