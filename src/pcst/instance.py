@@ -145,6 +145,17 @@ def approx_decimal(value: Fraction, digits: int = 6) -> str:
         return "inf"
 
 
+def budgeted_scale(denominators: Iterable[int], factor: int, name: str) -> int:
+    """factor times the lcm of the denominators, refused with a ValueError
+    at the first denominator that takes it past MAX_SCALE_BITS."""
+    lcm = 1
+    for q in denominators:
+        lcm = math.lcm(lcm, q)
+        if (factor * lcm).bit_length() > MAX_SCALE_BITS:
+            raise ValueError(f"{name} needs more than {MAX_SCALE_BITS} bits")
+    return factor * lcm
+
+
 @dataclass(frozen=True)
 class Instance:
     """Immutable problem instance.
@@ -209,23 +220,11 @@ class Instance:
             object.__setattr__(self, "names", names)
         object.__setattr__(self, "prizes", prizes)
         object.__setattr__(self, "edges", tuple(edges))
-        object.__setattr__(self, "scale",
-                           self._budgeted_scale(denominators, numerators))
-
-    def _budgeted_scale(self, denominators: set[int], numerators: int) -> int:
-        """Twice the lcm of the denominators, checked against the
-        budget.  The lcm stops growing at the first denominator that
-        takes it past MAX_SCALE_BITS; with every value an integer, the
-        cost numerators summed while validating are the cost total."""
-        lcm = 1
-        for q in denominators:
-            lcm = math.lcm(lcm, q)
-            if lcm.bit_length() >= MAX_SCALE_BITS:
-                raise ValueError("the scale, twice the lcm of the "
-                                 "denominators, needs more than "
-                                 f"{MAX_SCALE_BITS} bits")
-        scale = 2 * lcm
-        if lcm == 1:
+        scale = budgeted_scale(denominators, 2, "the scale, twice the lcm "
+                               "of the denominators,")
+        # with every value an integer, the cost numerators summed while
+        # validating are the cost total
+        if scale == 2:
             costs = scale * numerators
         else:
             costs = sum(c.numerator * (scale // c.denominator)
@@ -237,7 +236,7 @@ class Instance:
                              f"the instance's scale, needs "
                              f"{total.bit_length()} bits, more than "
                              f"{MAX_TOTAL_BITS}")
-        return scale
+        object.__setattr__(self, "scale", scale)
 
     @property
     def m(self) -> int:

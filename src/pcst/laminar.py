@@ -9,15 +9,14 @@ can hold at most 2n - 1 sets.  No set's member vertices are ever
 listed: the parent links determine them, and the verifier reads
 everything it needs off those.
 
-Duals live in a separate DualAssignment: one non-negative Fraction per
-set plus the ids frozen as saturated.  The solver keeps its duals as
-growth clocks and builds a DualAssignment from them only for its
-output.  This module only stores and queries; growth scheduling lives
-in the solver.
+Duals live in a separate DualAssignment: one non-negative int per set
+over a common scale, plus the ids frozen as saturated.  The solver
+reads it off its growth clocks at its own scale.  This module only
+stores and queries; growth scheduling lives in the solver.
 
 A snapshot record carries a set's id, dual, saturation flag and parent
 link; the member vertices are not stored, because the parent links
-determine them.
+determine them.  A dual is a Fraction only in a record.
 """
 from __future__ import annotations
 
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .instance import format_rational, parse_rational
+from .instance import budgeted_scale, format_rational, parse_rational
 
 SetId = int
 
@@ -78,9 +77,10 @@ class LaminarFamily:
 
 @dataclass
 class DualAssignment:
-    """Per-set dual values plus the ids frozen as saturated."""
+    """Per-set duals, set s having dual y[s] / scale, and the saturated ids."""
 
-    y: dict[SetId, Fraction]
+    y: list[int]
+    scale: int
     saturated: set[SetId]
 
 
@@ -107,9 +107,9 @@ class SetRecord:
 def to_records(fam: LaminarFamily,
                duals: DualAssignment) -> tuple[SetRecord, ...]:
     return tuple(
-        SetRecord(sid, duals.y[sid], sid in duals.saturated,
+        SetRecord(sid, Fraction(y, duals.scale), sid in duals.saturated,
                   fam.parent_of(sid))
-        for sid in fam.ids)
+        for sid, y in zip(fam.ids, duals.y))
 
 
 def records_from_json(items: list) -> tuple[SetRecord, ...]:
@@ -142,7 +142,8 @@ def from_records(records: Iterable[SetRecord],
 
     Accepts exactly the families this package produces: singleton ids
     0..n-1, every later id the union of exactly two children, parents
-    created after their children.
+    created after their children.  The duals come back as ints over the
+    lcm of their denominators.
     """
     recs = sorted(records, key=lambda r: r.sid)
     if [r.sid for r in recs] != list(range(len(recs))):
@@ -166,6 +167,6 @@ def from_records(records: Iterable[SetRecord],
             raise ValueError(f"set {r.sid} parent link inconsistent")
         if r.y.numerator < 0:
             raise ValueError(f"set {r.sid} has negative dual {r.y}")
-    duals = DualAssignment({r.sid: r.y for r in recs},
-                           {r.sid for r in recs if r.saturated})
-    return fam, duals
+    scale = budgeted_scale({r.y.denominator for r in recs}, 1, "the duals' scale")
+    y = [r.y.numerator * (scale // r.y.denominator) for r in recs]
+    return fam, DualAssignment(y, scale, {r.sid for r in recs if r.saturated})

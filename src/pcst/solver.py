@@ -26,9 +26,9 @@ parity, is then even.  An odd cost at set-up or an odd slack between
 two live sets is an InvariantError.
 
 The saturation-versus-merge case analysis is exact and never depends on
-a tolerance, and the outputs do not depend on the scale: events, duals,
-the solution and its certificate are Fractions, each converted once
-from its scaled int.  Ties are broken deterministically: saturations
+a tolerance, and the outputs do not depend on the scale: events and the
+solution are Fractions converted once from scaled ints, and the duals
+carry their scale.  Ties are broken deterministically: saturations
 before merges, then smallest set id, then smallest edge index; two runs
 on the same instance produce byte-identical traces.
 
@@ -41,9 +41,9 @@ definitions, and check that the two agree step for step.
 Dual values are derived from growth intervals: a set grows from its
 creation until it saturates, is merged away, or growth ends, so its
 dual is just the clock span of that interval.  The state keeps only
-these clocks and the set of saturated ids; ``dual_assignment`` turns
-them into a DualAssignment for the solution and the certificate, and the
-invariant checks read the clocks as ints.
+these clocks and the set of saturated ids; ``dual_assignment`` reads
+the spans, at the scale, for the solution, the certificate and the
+invariant checks.
 
 Neither phase, nor checked mode, lists the members of a set.
 
@@ -190,7 +190,7 @@ class SolverState:
 
     The private fields hold growth in ints at the scale ``_scale``; see
     the module docstring.  External readers should go through
-    dual_assignment(), which converts to Fractions.
+    dual_assignment(), the clock spans at that scale.
     """
 
     def __init__(self, inst: Instance, *, check_invariants: bool = False,
@@ -289,10 +289,8 @@ class SolverState:
 
     def dual_assignment(self) -> lam.DualAssignment:
         """The duals at the current clock, read off the growth clocks."""
-        scale = self._scale
-        return lam.DualAssignment(
-            {sid: Fraction(self._dual_of(sid), scale) for sid in self.fam.ids},
-            set(self.saturated))
+        return lam.DualAssignment([self._dual_of(sid) for sid in self.fam.ids],
+                                  self._scale, set(self.saturated))
 
     # -- event application --------------------------------------------
 
@@ -673,9 +671,7 @@ class _CheckIndex:
     def __init__(self, state: SolverState):
         inst, n = state.inst, state.fam.n
         self.inst, self.fam = inst, state.fam
-        denominators = {c.denominator for _, _, c in inst.edges}
-        denominators.update(p.denominator for p in inst.prizes)
-        self.scale = scale = math.lcm(state._scale, *denominators)
+        self.scale = scale = math.lcm(state._scale, inst.scale)
         self.unit = scale // state._scale  # index units per clock tick
         # per edge (u, v, lowest common set or -1, scaled cost)
         self.rows = [(u, v, -1, c.numerator * (scale // c.denominator))
@@ -808,11 +804,8 @@ def check_growth_invariants(state: SolverState):
     if index.split is not None:
         raise InvariantError(
             f"forest does not connect family set {index.split}")
-    clock, scale = state.clock, index.scale
-    y = [(clock if death is None else death) - birth
-         for birth, death in zip(state._birth, state._death)]
-    if index.unit != 1:
-        y = [q * index.unit for q in y]
+    scale = index.scale
+    y = [q * index.unit for q in state.dual_assignment().y]
     chain = y[:]  # the dual mass on a set and its ancestors
     for sid, up in reversed(index.links):
         chain[sid] += chain[up]

@@ -27,8 +27,8 @@ the instance, the same index validates the tree (vertex range, instance
 edges, no repeats, connected) and holds its cost and penalty, so an
 audit validates the tree once and every check reads the same index.
 
-Dual sums are integers over a common denominator of the snapshot's
-duals, costs and prizes (DualIndex.scale); results are exact Fractions.
+Dual sums are integers over DualIndex.scale, the duals' scale or its
+lcm with the instance's scale; results are exact Fractions.
 
 The two bounds at the heart of the certificate, for duals that respect
 every edge cost and prize budget:
@@ -49,7 +49,6 @@ is not contained in one.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -145,8 +144,8 @@ def _vertex(x, n: int) -> Optional[int]:
 
 class DualIndex:
     """Dual sums of one (family, duals) snapshot, read off the parent
-    links, as integers over ``scale``: a common denominator of the duals
-    and, when an instance is given, of its costs and prizes.
+    links, as integers over ``scale``: the duals' scale and, when an
+    instance is given, the lcm of it and the instance's scale.
 
     chain[s] is the dual mass on s and its ancestors, inside[s] the mass
     on s and the sets below it.  With an instance there are also
@@ -162,11 +161,9 @@ class DualIndex:
             raise ValueError(f"snapshot covers {n} vertices, "
                              f"instance has {inst.n}")
         parent = [fam.parent_of(sid) for sid in fam.ids]
-        raw = [duals.y[sid] for sid in fam.ids]
-        values = raw if inst is None else itertools.chain(
-            raw, inst.prizes, (c for _, _, c in inst.edges))
-        self.scale = math.lcm(*{q.denominator for q in values})
-        y = [self.scaled(q) for q in raw]
+        self.scale = math.lcm(duals.scale, inst.scale) if inst else duals.scale
+        unit = self.scale // duals.scale
+        y = [q * unit for q in duals.y]
         chain = y[:]
         for sid in reversed(fam.ids):
             if parent[sid] is not None:
@@ -190,7 +187,7 @@ class DualIndex:
             if up is not None:
                 prizes[up] += prizes[sid]
         self.prizes = prizes
-        out = [Violation("negative-dual", sid, raw[sid])
+        out = [Violation("negative-dual", sid, self.value(q))
                for sid, q in enumerate(y) if q < 0]
         for idx, ((_, _, c), load) in enumerate(zip(inst.edges,
                                                     self.edge_loads)):

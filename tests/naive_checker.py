@@ -17,8 +17,10 @@ union-find; disconnected_family_set answers what the package's
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
+from pcst.laminar import DualAssignment
 from pcst.solver import InvariantError
 from pcst.verify import (Certificate, CheckResult, Tree, TreePredicates,
                          Violation)
@@ -93,15 +95,29 @@ def tree_penalty(inst, tree) -> Fraction:
 # -- dual aggregates -----------------------------------------------------------
 
 
+def dual(duals, sid) -> Fraction:
+    """Set sid's dual as a Fraction."""
+    return Fraction(duals.y[sid], duals.scale)
+
+
+def duals_from(values, saturated=()) -> DualAssignment:
+    """A DualAssignment holding the given Fractions, in set id order,
+    as ints over the lcm of their denominators."""
+    values = [Fraction(q) for q in values]
+    scale = math.lcm(*(q.denominator for q in values))
+    return DualAssignment([q.numerator * (scale // q.denominator)
+                           for q in values], scale, set(saturated))
+
+
 def total_load(fam, duals) -> Fraction:
-    return sum((duals.y[sid] for sid in fam.ids), Fraction(0))
+    return sum((dual(duals, sid) for sid in fam.ids), Fraction(0))
 
 
 def edge_dual_load(fam, duals, u, v) -> Fraction:
     load = Fraction(0)
     for sid, vs in enumerate(members(fam)):
         if (u in vs) != (v in vs):
-            load += duals.y[sid]
+            load += dual(duals, sid)
     return load
 
 
@@ -109,7 +125,7 @@ def vertex_chain_load(fam, duals, o) -> Fraction:
     load = Fraction(0)
     for sid, vs in enumerate(members(fam)):
         if o in vs:
-            load += duals.y[sid]
+            load += dual(duals, sid)
     return load
 
 
@@ -117,7 +133,7 @@ def tree_chain_load(fam, duals, tree_vertices) -> Fraction:
     load = Fraction(0)
     for sid, vs in enumerate(members(fam)):
         if tree_vertices <= vs:
-            load += duals.y[sid]
+            load += dual(duals, sid)
     return load
 
 
@@ -125,7 +141,7 @@ def inside_load(fam, duals, region) -> Fraction:
     load = Fraction(0)
     for sid, vs in enumerate(members(fam)):
         if vs <= region:
-            load += duals.y[sid]
+            load += dual(duals, sid)
     return load
 
 
@@ -133,7 +149,7 @@ def check_feasibility(fam, duals, inst) -> list[Violation]:
     out: list[Violation] = []
     for sid in fam.ids:
         if duals.y[sid] < 0:
-            out.append(Violation("negative-dual", sid, duals.y[sid]))
+            out.append(Violation("negative-dual", sid, dual(duals, sid)))
     for idx, (u, v, c) in enumerate(inst.edges):
         slack = c - edge_dual_load(fam, duals, u, v)
         if slack < 0:

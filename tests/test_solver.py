@@ -42,7 +42,7 @@ def test_star_trace_and_duals():
     assert sol.objective == 4
     assert sol.lower_bound == 2
     assert sol.minimizing_vertex == 0
-    assert {sid: sol.duals.y[sid] for sid in sol.fam.ids} == {
+    assert {sid: naive.dual(sol.duals, sid) for sid in sol.fam.ids} == {
         0: 1, 1: 1, 2: 1, 3: 0, 4: 0}
     assert not sol.duals.saturated
     assert sol.tree_vertices == {0, 1, 2}
@@ -65,7 +65,7 @@ def test_prune_example_full_run():
     assert sol.trace[1].edge_index == 1
     assert sol.trace[2].edge_index == 0
     assert sol.trace[4].set_id == 2
-    assert {sid: sol.duals.y[sid] for sid in sol.fam.ids} == {
+    assert {sid: naive.dual(sol.duals, sid) for sid in sol.fam.ids} == {
         0: 2, 1: Fraction(3, 4), 2: Fraction(1, 4),
         3: Fraction(5, 4), 4: 0}
     assert sol.duals.saturated == {2}
@@ -314,27 +314,46 @@ def test_odd_live_slack_mid_growth_is_an_invariant_failure(monkeypatch,
                         r"sets at scale 2", str(info.value))
 
 
+FRACTION_ARITHMETIC = ("__eq__", "__lt__", "__le__", "__gt__", "__ge__",
+                       "__add__", "__radd__", "__sub__", "__rsub__")
+
+
 def test_growth_does_no_fraction_arithmetic(monkeypatch):
     """Growth runs on ints: no Fraction is compared, added or
     subtracted inside run_phase1, unchecked at n=1000, nor by the
     checks after every step at n=64 while they pass; a check builds
-    Fractions only for its message."""
-    for n, check in ((1000, False), (64, True)):
+    Fractions only for its message.  The duals stay ints too: untraced
+    and unchecked, run_phase2 builds as few Fractions at n=1000 as at
+    n=100, for the solution's totals and none per set."""
+    built = []
+    for n, check, phase, names in (
+            (1000, False, sv.run_phase1, FRACTION_ARITHMETIC),
+            (64, True, sv.run_phase1, FRACTION_ARITHMETIC),
+            (100, False, sv.run_phase2, ("__new__",)),
+            (1000, False, sv.run_phase2, ("__new__",))):
         state = sv.init_state(gen_random(n, Fraction(1, n // 4),
                                          max_cost=10, max_prize=8, seed=99),
-                              check_invariants=check)
+                              check_invariants=check,
+                              emit_trace=phase is sv.run_phase1)
+        if phase is sv.run_phase2:
+            sv.run_phase1(state)
         calls = []
-        for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__",
-                     "__add__", "__radd__", "__sub__", "__rsub__"):
-            def counted(a, b, real=getattr(Fraction, name), name=name):
+        for name in names:
+            def counted(*args, real=getattr(Fraction, name), name=name,
+                        **kwargs):
                 calls.append(name)
-                return real(a, b)
+                return real(*args, **kwargs)
 
             monkeypatch.setattr(Fraction, name, counted)
-        sv.run_phase1(state)
+        phase(state)
         monkeypatch.undo()
-        assert len(state.trace) > n
-        assert calls == [], check
+        if phase is sv.run_phase1:
+            assert len(state.trace) > n
+            assert calls == [], check
+        else:
+            assert len(state.fam) > n
+            built.append(len(calls))
+    assert built[0] == built[1] <= 10, built
 
 
 def test_checked_growth_runs_no_lca_pass(monkeypatch):

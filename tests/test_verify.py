@@ -42,10 +42,8 @@ def hand_family():
     """n=3, sets {0},{1},{2},{0,1}; y = 1/2, 1/3, 0, 2."""
     fam = lam.LaminarFamily(3)
     nid = fam.merge(0, 1)
-    duals = lam.DualAssignment(
-        {0: Fraction(1, 2), 1: Fraction(1, 3), 2: Fraction(0),
-         nid: Fraction(2)}, set())
-    return fam, duals
+    assert nid == 3
+    return fam, naive.duals_from([Fraction(1, 2), Fraction(1, 3), 0, 2])
 
 
 # -- aggregates ----------------------------------------------------------------
@@ -63,18 +61,26 @@ def test_loads_on_hand_family():
     assert naive.inside_load(fam, duals, frozenset({0})) == Fraction(1, 2)
     assert naive.inside_load(fam, duals, frozenset()) == 0
     assert naive.tree_chain_load(fam, duals, frozenset({0, 1})) == 2
-    # the same numbers off the parent-link index, over denominator 6
-    inst = Instance(3, ((0, 2, 5), (0, 1, 1)), (1, 1, 1))
-    index = verify.DualIndex(fam, duals, inst)
-    assert index.scale == 6
-    assert [index.value(x) for x in index.edge_loads] == \
-        [Fraction(5, 2), Fraction(5, 6)]
-    assert [index.value(x) for x in index.chain] == \
-        [Fraction(5, 2), Fraction(7, 3), 0, 2]
-    assert [index.value(x) for x in index.inside] == \
-        [Fraction(1, 2), Fraction(1, 3), 0, Fraction(17, 6)]
-    assert index.value(index.total) == Fraction(17, 6)
-    assert index.prizes == [6, 6, 6, 12]
+    # the same numbers off the parent-link index, over the lcm of the
+    # duals' scale 6 and the instance's scale: 2, which 6 is a multiple
+    # of, or 8, which it does not divide
+    assert duals.scale == 6
+    for cost, scale in ((1, 6), ("1/4", 24)):
+        inst = Instance(3, ((0, 2, 5), (0, 1, cost)), (1, 1, 1))
+        index = verify.DualIndex(fam, duals, inst)
+        assert index.scale == scale
+        assert [index.value(x) for x in index.edge_loads] == \
+            [Fraction(5, 2), Fraction(5, 6)]
+        assert [index.value(x) for x in index.chain] == \
+            [Fraction(5, 2), Fraction(7, 3), 0, 2]
+        assert [index.value(x) for x in index.inside] == \
+            [Fraction(1, 2), Fraction(1, 3), 0, Fraction(17, 6)]
+        assert index.value(index.total) == Fraction(17, 6)
+        assert index.prizes == [scale, scale, scale, 2 * scale]
+        assert index.violations == \
+            naive.check_feasibility(fam, duals, inst) == \
+            [verify.Violation("edge", 1, Fraction(-7, 12))] * (cost != 1) \
+            + [verify.Violation("set", 3, Fraction(-5, 6))]
 
 
 # -- feasibility ---------------------------------------------------------------
@@ -89,7 +95,7 @@ def test_feasibility_flags_edge_prize_and_sign():
     inst = Instance(2, ((0, 1, 1),), (2, "1/2"))
     fam = lam.LaminarFamily(2)
     # y0 = 3 breaks edge 0 and the prize budget of {0}
-    duals = lam.DualAssignment({0: Fraction(3), 1: Fraction(-1)}, set())
+    duals = naive.duals_from([3, -1])
     bad = check_feasibility(fam, duals, inst)
     kinds = {(v.kind, v.subject) for v in bad}
     assert ("negative-dual", 1) in kinds
@@ -112,7 +118,8 @@ def vertex_chains(fam, duals):
 def test_certificate_star_values(star):
     inst, sol = star
     assert check_feasibility(sol.fam, sol.duals, inst) == []
-    assert verify.DualIndex(sol.fam, sol.duals).total == 3
+    index = verify.DualIndex(sol.fam, sol.duals)
+    assert index.value(index.total) == 3
     assert vertex_chains(sol.fam, sol.duals) == [1, 1, 1]
     cert = certificate(sol.fam, sol.duals)
     assert cert.lower_bound == 2
@@ -145,7 +152,7 @@ def test_certificate_refuses_infeasible_only_with_instance():
     the instance, is what refuses infeasible duals."""
     inst = Instance(2, ((0, 1, 1),), (5, 5))
     fam = lam.LaminarFamily(2)
-    duals = lam.DualAssignment({0: Fraction(7), 1: Fraction(0)}, set())
+    duals = naive.duals_from([7, 0])
     assert certificate(fam, duals).lower_bound == 0
     assert verify.DualIndex(fam, duals).total == 7
     assert [(v.kind, v.subject) for v in check_feasibility(fam, duals, inst)
@@ -169,8 +176,9 @@ def test_tree_bound_star_cases(star):
 
 def test_tree_bound_refuses_infeasible_duals(star):
     inst, sol = star
-    duals = lam.DualAssignment(dict(sol.duals.y), set(sol.duals.saturated))
-    duals.y[0] += 5
+    duals = lam.DualAssignment(sol.duals.y[:], sol.duals.scale,
+                               set(sol.duals.saturated))
+    duals.y[0] += 5 * duals.scale
     for checker in CHECKERS:
         with pytest.raises(ValueError, match="infeasible"):
             checker.tree_bound(sol.fam, duals, inst, Tree(frozenset({0}), ()))
@@ -371,8 +379,9 @@ def test_audit_all_pass_on_solver_output(pruned):
 
 def test_audit_flags_corrupted_dual(pruned):
     inst, sol = pruned
-    duals = lam.DualAssignment(dict(sol.duals.y), set(sol.duals.saturated))
-    duals.y[0] += 1
+    duals = lam.DualAssignment(sol.duals.y[:], sol.duals.scale,
+                               set(sol.duals.saturated))
+    duals.y[0] += duals.scale
     bad = failing_names(audits(inst, sol.fam, duals, sol.tree(),
                                reported_of(sol)))
     assert "dual-feasibility" in bad
@@ -529,11 +538,11 @@ def test_checkers_agree_on_perturbed_solutions(seed, n, data):
     sol = solve(inst, check_invariants=False)
     fam = sol.fam
     set_ids = st.sampled_from(list(fam.ids))
-    y = dict(sol.duals.y)
+    y = [naive.dual(sol.duals, sid) for sid in fam.ids]
     for sid in data.draw(st.lists(set_ids, max_size=3)):
         y[sid] += data.draw(st.fractions(-2, 2, max_denominator=6))
     flipped = set(data.draw(st.lists(set_ids, max_size=3)))
-    duals = lam.DualAssignment(y, set(sol.duals.saturated) ^ flipped)
+    duals = naive.duals_from(y, set(sol.duals.saturated) ^ flipped)
     edges = list(sol.tree_edges)
     if edges and data.draw(st.booleans()):
         edges.pop(data.draw(st.integers(0, len(edges) - 1)))
