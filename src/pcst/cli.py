@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -28,10 +29,10 @@ from . import laminar as lam
 from . import oracle as oracle_mod
 from . import solver as solver_mod
 from . import verify as verify_mod
-from .instance import (FORMATS, Instance, ParseError, approx_decimal,
-                       emit_instance, format_rational, gen_random,
-                       gen_tight_path, gen_tight_star, parse_instance,
-                       parse_rational)
+from .instance import (FORMATS, MAX_TOTAL_BITS, Instance, ParseError,
+                       approx_decimal, emit_instance, format_rational,
+                       gen_random, gen_tight_path, gen_tight_star,
+                       parse_instance, parse_rational)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -296,6 +297,11 @@ def _load_solution(path: str):
             raise ValueError("tree vertices and edge ends must be integers")
         records = lam.records_from_json(doc["laminar"])
         reported = {key: parse_rational(doc[key]) for key in _REPORTED_KEYS}
+        for key, value in reported.items():
+            if max(value.numerator.bit_length(),
+                   value.denominator.bit_length()) > MAX_TOTAL_BITS:
+                raise ValueError(f"{key} needs more than {MAX_TOTAL_BITS} "
+                                 "bits")
         if type(doc["minimizing_vertex"]) is not int:
             raise ValueError("minimizing_vertex must be an integer")
         reported["minimizing_vertex"] = doc["minimizing_vertex"]
@@ -315,11 +321,24 @@ def cmd_verify(args) -> int:
         return EXIT_PARSE
     try:
         fam, duals = lam.from_records(records, inst.n)
+    except ParseError as exc:  # past the budget
+        print(f"error: {args.solution}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except ValueError as exc:
         # shape mismatch between solution and instance: a verification
         # failure, not a parse error; both files are individually fine
         print(f"solution does not fit instance: {exc}", file=sys.stderr)
         return EXIT_VERIFY
+    # the audit's ints are over the lcm of the two scales; a solve's
+    # duals add up to at most the prize total, within the instance's
+    # budget, and a larger total could make an audit value unprintable
+    unit = math.lcm(duals.scale, inst.scale) // duals.scale
+    bits = (sum(duals.y) * unit).bit_length()
+    if bits > MAX_TOTAL_BITS:
+        print(f"error: {args.solution}: the dual total, at the audit's "
+              f"scale, needs {bits} bits, more than {MAX_TOTAL_BITS}",
+              file=sys.stderr)
+        return EXIT_PARSE
     results = verify_mod.audit_solution(inst, fam, duals, tree, reported)
     ok = all(res.passed for res in results)
     if args.json:

@@ -69,7 +69,10 @@ MAX_VERTICES = 10**6
 # included, has a numerator and a denominator of at most S or the
 # scaled total S * (cost total + 2 * prize total).  Both bounds keep
 # these ints below Python's 4300-digit (about 14,284-bit) int-to-str
-# limit, so every report and document prints.
+# limit, so every report and document prints.  pcst verify holds a
+# solution document to the same bounds: its duals' scale
+# (laminar.from_records), their total at the audit's scale and each
+# value it reports.
 MAX_SCALE_BITS = 4096
 MAX_TOTAL_BITS = 14_000
 _EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)")

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .instance import budgeted_scale, format_rational, parse_rational
+from .instance import (ParseError, budgeted_scale, format_rational,
+                       parse_rational)
 
 SetId = int
 
@@ -143,7 +144,9 @@ def from_records(records: Iterable[SetRecord],
     Accepts exactly the families this package produces: singleton ids
     0..n-1, every later id the union of exactly two children, parents
     created after their children.  The duals come back as ints over the
-    lcm of their denominators.
+    lcm of their denominators, and a ParseError refuses that scale past
+    MAX_SCALE_BITS.  Duals a solve writes for an instance within the
+    budget pass: their denominators divide the instance's scale.
     """
     recs = sorted(records, key=lambda r: r.sid)
     if [r.sid for r in recs] != list(range(len(recs))):
@@ -167,6 +170,10 @@ def from_records(records: Iterable[SetRecord],
             raise ValueError(f"set {r.sid} parent link inconsistent")
         if r.y.numerator < 0:
             raise ValueError(f"set {r.sid} has negative dual {r.y}")
-    scale = budgeted_scale({r.y.denominator for r in recs}, 1, "the duals' scale")
+    try:
+        scale = budgeted_scale({r.y.denominator for r in recs}, 1,
+                               "the duals' scale")
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
     y = [r.y.numerator * (scale // r.y.denominator) for r in recs]
     return fam, DualAssignment(y, scale, {r.sid for r in recs if r.saturated})

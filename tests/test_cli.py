@@ -1,11 +1,16 @@
 """Command line front end: subcommands, exit codes, output formats."""
+import copy
+import io
 import json
 import random
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcst import solver as sv
 from pcst.cli import main
@@ -169,13 +174,17 @@ def test_solve_refuses_instances_past_the_budget(tmp_path, capsys, name):
         assert captured.err.startswith("error: ") and message in captured.err
 
 
+# costs plus twice the prizes, at scale 2, just inside MAX_TOTAL_BITS
+BIG = 2 ** (MAX_TOTAL_BITS - 5)
+BIG_INSTANCE = {"n": 3, "prizes": [BIG, BIG, 1],
+                "edges": [[0, 1, BIG], [1, 2, BIG]]}
+
+
 def test_solve_prints_an_instance_at_the_budget(tmp_path, capsys):
-    # costs plus twice the prizes, at scale 2, just inside MAX_TOTAL_BITS;
-    # the tree buys an edge of cost big, and every total prints
-    big = 2 ** (MAX_TOTAL_BITS - 5)
+    # the tree buys an edge of cost BIG, and every total prints
+    big = BIG
     path = tmp_path / "big.json"
-    path.write_text(json.dumps({"n": 3, "prizes": [big, big, 1],
-                                "edges": [[0, 1, big], [1, 2, big]]}))
+    path.write_text(json.dumps(BIG_INSTANCE))
     for flags in ((), ("--json",)):
         assert run_cli("solve", str(path), *flags) == 0
         assert f"{big}/1" in capsys.readouterr().out
@@ -437,6 +446,197 @@ def test_verify_instance_mismatch(solved, tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("verify", str(sol_path), str(other)) == 3
     assert "does not fit" in capsys.readouterr().err
+
+
+def path_files(tmp_path, capsys):
+    """The n=200 path, prizes 1 and costs 2, and its solution document."""
+    n = 200
+    inst = tmp_path / "path.json"
+    inst.write_text(json.dumps({"n": n, "prizes": [1] * n, "edges": [
+        [v, v + 1, 2] for v in range(n - 1)]}))
+    assert run_cli("solve", str(inst), "--json") == 0
+    return inst, json.loads(capsys.readouterr().out)
+
+
+def reciprocals(count):
+    """count duals 1/d, for distinct random 100-digit d."""
+    rng = random.Random(count)
+    return [f"1/{rng.randrange(10 ** 99, 10 ** 100)}" for _ in range(count)]
+
+
+def set_duals(tokens):
+    def mutate(doc):
+        for rec, token in zip(doc["laminar"], tokens):
+            rec["y"] = token
+    return mutate
+
+
+HOSTILE_DOCUMENTS = {
+    # name: (edit of the path's document, the message naming the bound)
+    # the lcm of the dual denominators runs past MAX_SCALE_BITS
+    "sixty-reciprocals": (set_duals(reciprocals(60)),
+                          f"the duals' scale needs more than "
+                          f"{MAX_SCALE_BITS} bits"),
+    "all-reciprocals": (set_duals(reciprocals(399)),
+                        f"the duals' scale needs more than "
+                        f"{MAX_SCALE_BITS} bits"),
+    # a scale within the budget, but a total whose lhs and rhs would
+    # pass the 4300-digit int-to-str limit
+    "dual-total": (set_duals(["9" * 4200 + "/7", f"1/{10 ** 999 + 7}"]),
+                   f"bits, more than {MAX_TOTAL_BITS}"),
+    # a total at the limit at the duals' odd scale d, and one bit past
+    # it at the audit's scale 2d
+    "odd-scale": (set_duals([f"{2 ** MAX_TOTAL_BITS - 1}/{10 ** 1000 + 3}"]
+                            + ["0"] * 398),
+                  f"needs {MAX_TOTAL_BITS + 1} bits, more than "
+                  f"{MAX_TOTAL_BITS}"),
+    # a reported value that would pass it too
+    "reported-value": (lambda doc: doc.update(
+        lagrangean_objective="9" * 4290 + "e1000"),
+        f"lagrangean_objective needs more than {MAX_TOTAL_BITS} bits"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_DOCUMENTS))
+def test_verify_refuses_documents_past_the_budget(tmp_path, capsys, name):
+    """A document past MAX_SCALE_BITS or MAX_TOTAL_BITS is a parse
+    error, found fast and reported without a traceback."""
+    inst, doc = path_files(tmp_path, capsys)
+    mutate, message = HOSTILE_DOCUMENTS[name]
+    mutate(doc)
+    sol_path = tmp_path / "hostile.json"
+    sol_path.write_text(json.dumps(doc))
+    for flags in ((), ("--json",)):
+        started = time.perf_counter()
+        assert run_cli("verify", str(sol_path), str(inst), *flags) == 2
+        assert time.perf_counter() - started < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+
+
+AT_BUDGET_INSTANCES = {
+    "costs-at-limit": BIG_INSTANCE,
+    # the rows of test_instance.BUDGET_CASES at the limits
+    "scale-at-limit": {"n": 2, "prizes": [1, 1], "edges": [
+        [0, 1, f"1/{2 ** (MAX_SCALE_BITS - 2)}"]]},
+    "total-at-limit": {"n": 2, "prizes": [1, 2 ** (MAX_TOTAL_BITS - 4) - 1],
+                       "edges": [[0, 1, 2 ** (MAX_TOTAL_BITS - 3)]]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(AT_BUDGET_INSTANCES))
+def test_verify_accepts_documents_at_the_budget(tmp_path, capsys, name):
+    """What solve --json writes for an instance at the budget verifies."""
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(AT_BUDGET_INSTANCES[name]))
+    assert run_cli("solve", str(inst), "--json") == 0
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_text(capsys.readouterr().out)
+    for flags in ((), ("--json",)):
+        assert run_cli("verify", str(sol_path), str(inst), *flags) == 0
+    assert "verification: pass" in capsys.readouterr().out
+
+
+# Tokens for the fuzz below: numbers as a document may carry them, with
+# numerators and denominators of up to 4300 digits (the most Python
+# parses) and exponents, and values of every json type.  The repunits
+# 11...1 of different lengths make denominators with a large lcm.  Half
+# the tokens are long numbers.
+DIGITS = st.integers(1, 4300).map(lambda k: "1" * k)
+LONG_DIGITS = st.integers(3000, 4300).map(lambda k: "1" * k)
+LONG_NUMBERS = st.one_of(
+    st.builds("{}/{}".format, DIGITS, LONG_DIGITS),
+    st.builds("{}e{}".format, LONG_DIGITS, st.integers(0, 1100)))
+TOKENS = st.one_of(
+    LONG_NUMBERS,
+    st.one_of(
+        st.integers(-5, 20), DIGITS, st.builds("-{}/{}".format, DIGITS,
+                                               DIGITS),
+        st.builds("{}e{}".format, DIGITS, st.integers(-1100, 1100)),
+        st.integers(4301, 4400).map(lambda k: "9" * k),
+        st.sampled_from(["", "x", "1/0", "nan", "inf", "-0", "1_0", " 3 "]),
+        st.none(), st.booleans(), st.floats(),
+        st.lists(st.integers(), max_size=2)))
+IDS = st.one_of(st.integers(-2, 20), DIGITS.map(int), st.none(),
+                st.booleans(), st.sampled_from(["0", 0.0, 1.5, [], {}]))
+TREE_VERTICES = st.one_of(st.integers(-2, 12), DIGITS.map(int), st.none(),
+                          st.booleans(), st.sampled_from(["1", 0.5, []]))
+REPORTED_KEYS = ("cost", "penalty", "objective", "lagrangean_objective",
+                 "lower_bound")
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """An n=8 random instance and its solution document."""
+    base = tmp_path_factory.mktemp("fuzz")
+    inst = base / "inst.json"
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["gen", "random", "--n", "8", "--seed", "3",
+                     "--out", str(inst)]) == 0
+        assert main(["solve", str(inst), "--json"]) == 0
+    return inst, base / "doc.json", json.loads(out.getvalue())
+
+
+def mutate_document(doc, data):
+    """One to four edits of a solution document, each drawn from:
+    a laminar entry's dual, id, parent or saturation flag, or the entry
+    itself; long numbers as the duals of the first entries; the tree's
+    vertices or edges; a reported value or the minimizing vertex.  Duals
+    and reported values are drawn most."""
+    sets = doc["laminar"]
+    for _ in range(data.draw(st.integers(1, 4))):
+        kind = data.draw(st.sampled_from(
+            ["y", "duals", "duals", "id", "parent", "saturated", "entry",
+             "vertices", "edges", "reported", "reported",
+             "minimizing_vertex"]))
+        rec = sets[data.draw(st.integers(0, len(sets) - 1))] if sets \
+            else {}
+        if kind == "y":
+            rec["y"] = data.draw(TOKENS)
+        elif kind == "duals":
+            for rec, token in zip(sets, data.draw(st.lists(LONG_NUMBERS))):
+                if isinstance(rec, dict):
+                    rec["y"] = token
+        elif kind in ("id", "parent", "minimizing_vertex"):
+            target = doc if kind == "minimizing_vertex" else rec
+            target[kind] = data.draw(IDS)
+        elif kind == "saturated":
+            rec["saturated"] = data.draw(st.one_of(
+                st.booleans(), st.none(), st.integers(0, 1)))
+        elif kind == "entry":
+            if sets and data.draw(st.booleans()):
+                sets.remove(rec)
+            else:
+                sets.append(copy.deepcopy(rec) or data.draw(TOKENS))
+        elif kind == "vertices":
+            doc["tree"]["vertices"] = data.draw(st.lists(TREE_VERTICES,
+                                                         max_size=10))
+        elif kind == "edges":
+            doc["tree"]["edges"] = data.draw(st.lists(
+                st.lists(TREE_VERTICES, max_size=3), max_size=10))
+        else:
+            doc[data.draw(st.sampled_from(REPORTED_KEYS))] = \
+                data.draw(TOKENS)
+
+
+@given(data=st.data())
+@settings(max_examples=150)
+def test_verify_fuzzed_documents_fail_cleanly(fuzz_files, data):
+    """Every mutated solution document verifies (0), fails to parse (2)
+    or fails verification (3), within 1 s: no exception escapes the
+    command, which would print a traceback and exit 1."""
+    inst, sol_path, base = fuzz_files
+    doc = copy.deepcopy(base)
+    mutate_document(doc, data)
+    sol_path.write_text(json.dumps(doc))
+    flags = data.draw(st.sampled_from([(), ("--json",)]))
+    started = time.perf_counter()
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(["verify", str(sol_path), str(inst), *flags])
+    assert code in (0, 2, 3)
+    assert time.perf_counter() - started < 1
 
 
 # -- usage errors and entry point -------------------------------------------------
