@@ -289,8 +289,11 @@ class SolverState:
 
     def dual_assignment(self) -> lam.DualAssignment:
         """The duals at the current clock, read off the growth clocks."""
-        return lam.DualAssignment([self._dual_of(sid) for sid in self.fam.ids],
-                                  self._scale, set(self.saturated))
+        clock = self.clock
+        return lam.DualAssignment(
+            [(clock if death is None else death) - birth
+             for birth, death in zip(self._birth, self._death)],
+            self._scale, set(self.saturated))
 
     # -- event application --------------------------------------------
 
@@ -805,7 +808,9 @@ def check_growth_invariants(state: SolverState):
         raise InvariantError(
             f"forest does not connect family set {index.split}")
     scale = index.scale
-    y = [q * index.unit for q in state.dual_assignment().y]
+    y = state.dual_assignment().y
+    if index.unit != 1:
+        y = [q * index.unit for q in y]
     chain = y[:]  # the dual mass on a set and its ancestors
     for sid, up in reversed(index.links):
         chain[sid] += chain[up]
