@@ -62,8 +62,8 @@ def test_loads_on_hand_family():
     assert naive.inside_load(fam, duals, frozenset()) == 0
     assert naive.tree_chain_load(fam, duals, frozenset({0, 1})) == 2
     # the same numbers off the parent-link index, over the lcm of the
-    # duals' scale 6 and the instance's scale: 2, which 6 is a multiple
-    # of, or 8, which it does not divide
+    # duals' scale 6 and the instance's scale: 2, a divisor of 6, or 8,
+    # where neither scale divides the other
     assert duals.scale == 6
     for cost, scale in ((1, 6), ("1/4", 24)):
         inst = Instance(3, ((0, 2, 5), (0, 1, cost)), (1, 1, 1))
