@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import sys
 import time
 from fractions import Fraction
@@ -329,10 +328,10 @@ def cmd_verify(args) -> int:
         # failure, not a parse error; both files are individually fine
         print(f"solution does not fit instance: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    # the audit's ints are over the lcm of the two scales; a solve's
-    # duals add up to at most the prize total, within the instance's
-    # budget, and a larger total could make an audit value unprintable
-    unit = math.lcm(duals.scale, inst.scale) // duals.scale
+    # the audit's ints are over its scale; a solve's duals add up to at
+    # most the prize total, within the instance's budget, and a larger
+    # total could make an audit value unprintable
+    unit = verify_mod.audit_scale(duals, inst) // duals.scale
     bits = (sum(duals.y) * unit).bit_length()
     if bits > MAX_TOTAL_BITS:
         print(f"error: {args.solution}: the dual total, at the audit's "

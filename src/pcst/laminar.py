@@ -5,9 +5,10 @@ is append-only, each later set being the disjoint union of two sets that
 were maximal when the union was formed.  Containment is therefore a
 forest over set ids, stored with parent links; ids are assigned in
 creation order (singleton {v} has id v) and never reused, so the family
-can hold at most 2n - 1 sets.  No set's member vertices are ever
-listed: the parent links determine them, and the verifier reads
-everything it needs off those.
+can hold at most 2n - 1 sets, and each union records the two sets it
+was made of.  No set's member vertices are ever listed: the parent
+links determine them, and the verifier reads everything it needs off
+those and the recorded unions.
 
 Duals live in a separate DualAssignment: one non-negative int per set
 over a common scale, plus the ids frozen as saturated.  The solver
@@ -37,6 +38,7 @@ class LaminarFamily:
         self.n = n
         self._parent: list[Optional[SetId]] = [None] * n
         self._size: list[int] = [1] * n
+        self._children: list[tuple[SetId, SetId]] = []  # of set n + k
 
     def __len__(self) -> int:
         return len(self._parent)
@@ -47,6 +49,12 @@ class LaminarFamily:
 
     def parent_of(self, sid: SetId) -> Optional[SetId]:
         return self._parent[sid]
+
+    def children(self, sid: SetId) -> tuple[SetId, SetId]:
+        """The two sets that set sid, a union, was made of."""
+        if not self.n <= sid < len(self._parent):
+            raise ValueError(f"set {sid} is no union")
+        return self._children[sid - self.n]
 
     def size(self, sid: SetId) -> int:
         return self._size[sid]
@@ -73,6 +81,7 @@ class LaminarFamily:
         self._size.append(self._size[a] + self._size[b])
         self._parent[a] = nid
         self._parent[b] = nid
+        self._children.append((a, b))
         return nid
 
 

@@ -71,34 +71,36 @@ Neither phase, nor checked mode, lists the members of a set.
   cross only sets inside P, which leave with it and are never read
   again.  The final tree is read off in one descending pass: the sets
   of the final maximal set that neither are nor lie in a pruned set.
-* Checked mode keeps what the family makes permanent.  After every
-  step it re-proves the invariants behind the factor-2 bound: feasible
-  duals, a tight forest connected inside every set, exhausted saturated
-  sets, and no active set that is a union of saturated ones.  A
-  checker-side index, built from the parent links, the instance and
-  the forest and never from the union-find above, computes each fact
-  that cannot change once, when its set or forest edge appears:
+* Checked mode runs the verifier on the state, keeping what the family
+  makes permanent.  After every step it re-proves the invariants
+  behind the factor-2 bound: feasible duals, a tight forest connected
+  inside every set, exhausted saturated sets, and no active set that
+  is a union of saturated ones.  The verifier's family index of the
+  instance's edges, built from the family's links and the instance and
+  never from the union-find above, is cached on the state and extended
+  by the sets each step appends, so each fact that cannot change is
+  computed once, when its set appears:
   - a set's parent link: a set gets its parent when it is merged away,
     and the family only appends;
   - a set's prize sum: its members are fixed;
   - an edge's lowest common set: the first set to hold both ends, and
     every later set lies above it;
-  - the forest pieces inside a set: a later forest edge joins two
-    maximal sets, so it lies inside none of the sets before it;
-  - the costs and prizes at one scale shared with the clocks: the
-    instance is fixed.
-  What can move is recomputed at every step, in full: the duals from
-  the clocks, one descending pass for chain loads and one ascending
-  pass for inside loads, the slack of every edge and every set, and
-  the tightness, exhaustion and cover checks.  The index is rebuilt
-  when the instance object, the family or the forest prefix it was
-  built from differs.
+  - the costs and prizes at the instance's scale, which the clocks
+    share: the instance is fixed.
+  Next to it the checks keep the forest pieces inside every set: a
+  later forest edge joins two maximal sets, so it lies inside none of
+  the sets before it.  What can move is recomputed at every step, in
+  full, by the verifier's DualIndex: the duals from the clocks, one
+  descending pass for chain loads and one ascending pass for inside
+  loads, and the slack of every edge and every set; the tightness,
+  exhaustion and cover checks read it.  A prune step checks the tree
+  with the verifier's TreeIndex over the cached index.  The cache is
+  rebuilt when the instance object, the family or the forest prefix it
+  was built from differs.
 """
 from __future__ import annotations
 
 import heapq
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -178,13 +180,6 @@ class Solution:
         return verify.Tree(self.tree_vertices, self.tree_edges)
 
 
-def _scale(inst: Instance) -> int:
-    """Twice the lcm of every cost and prize denominator, fixed by the
-    instance: in units of its inverse, costs and prizes are integers and
-    costs are even."""
-    return inst.scale
-
-
 class SolverState:
     """Mutable run state: instance, family, growth clocks, forest, trace.
 
@@ -199,7 +194,7 @@ class SolverState:
         self._check = check_invariants
         self._emit = emit_trace
         n = inst.n
-        self._scale = scale = _scale(inst)
+        self._scale = scale = inst.scale
         self._cost = cost = [c.numerator * (scale // c.denominator)
                              for _, _, c in inst.edges]
         odd = next((idx for idx, c in enumerate(cost) if c & 1), None)
@@ -646,54 +641,25 @@ def solve(inst: Instance, *, check_invariants: Optional[bool] = None,
 # ---------------------------------------------------------------------------
 # runtime invariant checking (growth and prune loops)
 #
-# Everything here is read off the family's parent links, the instance,
-# the forest and the growth clocks; none of it trusts the solver's
+# Everything here is read off the family's links, the instance, the
+# forest and the growth clocks; none of it trusts the solver's
 # union-find, its loads or its budgets.
-
-
-def _root_of(link: list[int], v: int) -> int:
-    """Root of v on a union-find, halving the path on the way."""
-    while link[v] != v:
-        link[v] = link[link[v]]
-        v = link[v]
-    return v
 
 
 class _CheckIndex:
     """What checked mode keeps from one check to the next (see the
-    module docstring).  It holds the scaled costs and prizes, at one
-    scale shared with the clocks.  Per set it holds the parent link, the
-    prize sum and the number of forest pieces inside the set, and per
-    edge the lowest common set.
+    module docstring): the family index of the instance's edges, and
+    the number of forest pieces inside every set.
 
-    sync extends the index by the sets and forest edges that appeared
-    since the last check.  The index belongs to the instance, family and
+    sync extends both by the sets and forest edges that appeared since
+    the last check.  The index belongs to the instance, family and
     forest prefix it was built from; sync reports False when the state
     no longer extends them, and the caller builds a fresh index."""
 
     def __init__(self, state: SolverState):
-        inst, n = state.inst, state.fam.n
-        self.inst, self.fam = inst, state.fam
-        self.scale = scale = math.lcm(state._scale, inst.scale)
-        self.unit = scale // state._scale  # index units per clock tick
-        # per edge (u, v, lowest common set or -1, scaled cost)
-        self.rows = [(u, v, -1, c.numerator * (scale // c.denominator))
-                     for u, v, c in inst.edges]
-        self.prize = [p.numerator * (scale // p.denominator)
-                      for p in inst.prizes]
-        self.sets = n
-        # (set, parent) pairs in the order the parents appeared: every
-        # set's pairs as a parent come before its own pair as a child
-        self.links: list[tuple[int, int]] = []
-        self.tops = list(range(n))  # the maximal sets, ascending
-        # per maximal set: its root on a union-find over the vertices,
-        # and the edges with an end in it and no common set yet
-        self.link = list(range(n))
-        self.root = list(range(n))
-        self.pending: list[Optional[list[int]]] = [[] for _ in range(n)]
-        for idx, (u, v, _, _) in enumerate(self.rows):
-            self.pending[u].append(idx)
-            self.pending[v].append(idx)
+        n = state.fam.n
+        self.inst = state.inst
+        self.family = verify.FamilyIndex(state.fam, state.inst)
         # forest pieces per set, joined on a union-find of their own in
         # ascending order of each forest edge's lowest common set
         self.pieces = [1] * n
@@ -703,69 +669,33 @@ class _CheckIndex:
         self.unplaced: list[int] = []  # forest edges in no common set yet
 
     def sync(self, state: SolverState) -> bool:
-        fam, forest, known = state.fam, state.forest, self.sets
-        if state.inst is not self.inst or fam is not self.fam \
-                or len(fam) < known \
+        family, forest, known = self.family, state.forest, len(self.pieces)
+        if state.inst is not self.inst or state.fam is not family.fam \
                 or forest[:len(self.forest)] != self.forest:
             return False
-        kids: dict[int, list[int]] = {}
-        tops = []
-        for sid in itertools.chain(self.tops, range(known, len(fam))):
-            up = fam.parent_of(sid)
-            if up is None:
-                tops.append(sid)
-            else:
-                kids.setdefault(up, []).append(sid)
-        self.tops, self.sets = tops, len(fam)
-        for sid in range(known, len(fam)):
-            self._add_set(sid, *kids[sid])
-        rows = self.rows
+        family.extend()
+        tops = family.tops
         fresh = self.unplaced + forest[len(self.forest):]
-        placed = sorted((rows[idx][2], idx) for idx in fresh
-                        if rows[idx][2] >= 0)
+        placed = sorted((tops[idx], idx) for idx in fresh if tops[idx] >= 0)
         if placed and placed[0][0] < known:
             return False  # a new forest edge inside an older set
-        self.unplaced = [idx for idx in fresh if rows[idx][2] < 0]
+        self.unplaced = [idx for idx in fresh if tops[idx] < 0]
         joins: dict[int, int] = {}
         piece = self.piece
         for top, idx in placed:
-            u, v, _, _ = rows[idx]
-            ru, rv = _root_of(piece, u), _root_of(piece, v)
+            u, v = family.ends[idx]
+            ru, rv = verify.root_of(piece, u), verify.root_of(piece, v)
             if ru != rv:
                 piece[ru] = rv
                 joins[top] = joins.get(top, 0) + 1
         pieces = self.pieces
-        for sid in range(known, len(fam)):
-            a, b = kids[sid]
+        for sid in range(known, len(family.parent)):
+            a, b = state.fam.children(sid)
             pieces.append(pieces[a] + pieces[b] - joins.get(sid, 0))
             if pieces[sid] > 1 and self.split is None:
                 self.split = sid
         self.forest = forest[:]
         return True
-
-    def _add_set(self, sid: int, a: int, b: int):
-        """Record set sid, the union of maximal sets a and b: its links,
-        its prize, and that it is the lowest common set of every edge
-        between a and b.  Those edges sit on both children's pending
-        lists, so the shorter list finds them all; the rest of it joins
-        the longer one."""
-        self.links += ((a, sid), (b, sid))
-        self.prize.append(self.prize[a] + self.prize[b])
-        pending, link, rows = self.pending, self.link, self.rows
-        short, long, far = pending[a], pending[b], self.root[b]
-        if len(short) > len(long):
-            short, long, far = long, short, self.root[a]
-        pending[a] = pending[b] = None
-        for idx in short:
-            u, v, top, c = rows[idx]
-            if top < 0:
-                if _root_of(link, u) == far or _root_of(link, v) == far:
-                    rows[idx] = (u, v, sid, c)
-                else:
-                    long.append(idx)
-        pending.append(long)
-        link[self.root[a]] = self.root[b]
-        self.root.append(self.root[b])
 
 
 def _check_index(state: SolverState) -> _CheckIndex:
@@ -776,23 +706,23 @@ def _check_index(state: SolverState) -> _CheckIndex:
     return index
 
 
-def _cover_gaps(index: _CheckIndex, n: int, saturated: set[int],
+def _cover_gaps(family: verify.FamilyIndex, saturated: set[int],
                 members: list[int]) -> list[int]:
     """Per set s: how many vertices of s off the tree lie in no
     saturated set that is inside s and misses the tree, given how many
     tree vertices each set holds.  Zero means s minus the tree is a
-    union of saturated sets.  One pass over the links: a set has the sum
-    of its children's gaps, or none if it is saturated and misses the
-    tree."""
+    union of saturated sets.  One ascending pass over the links: a set
+    has the sum of its children's gaps, or none if it is saturated and
+    misses the tree.  The pass settles a set when it passes the set up
+    to its parent, so a maximal set's own saturation is not counted:
+    the checks read the gaps of active maximal sets only."""
+    n = family.n
     gap = [1 - count for count in members[:n]]
-    gap += [0] * (index.sets - n)
-    for sid, up in index.links:
+    gap += [0] * (len(family.parent) - n)
+    for sid, up in family.links:
         if sid in saturated and not members[sid]:
             gap[sid] = 0
         gap[up] += gap[sid]
-    for sid in index.tops:
-        if sid in saturated and not members[sid]:
-            gap[sid] = 0
     return gap
 
 
@@ -802,108 +732,57 @@ def check_growth_invariants(state: SolverState):
     are tight, saturated sets are exhausted, and no active maximal set
     is a union of saturated sets.  The forest's pieces come from the
     cached index; the rest is recomputed from the growth clocks, over
-    every edge and every set."""
-    index = _check_index(state)
-    if index.split is not None:
+    every edge and every set, by the verifier's DualIndex."""
+    checker = _check_index(state)
+    if checker.split is not None:
         raise InvariantError(
-            f"forest does not connect family set {index.split}")
-    scale = index.scale
-    y = state.dual_assignment().y
-    if index.unit != 1:
-        y = [q * index.unit for q in y]
-    chain = y[:]  # the dual mass on a set and its ancestors
-    for sid, up in reversed(index.links):
-        chain[sid] += chain[up]
-    chain.append(0)  # at -1: the edges in no common set
-    inside = y[:]  # the dual mass on a set and the sets below it
-    for sid, up in index.links:
-        inside[up] += inside[sid]
-    edge_slack = [c - chain[u] - chain[v] + 2 * chain[top]
-                  for u, v, top, c in index.rows]
-    set_slack = [p - mass for p, mass in zip(index.prize, inside)]
-    for kind, slacks in (("negative-dual", y), ("edge", edge_slack),
-                         ("set", set_slack)):
-        if slacks and min(slacks) < 0:
-            subject = next(k for k, q in enumerate(slacks) if q < 0)
-            raise InvariantError(
-                f"duals infeasible during growth: {kind} {subject}: "
-                f"slack {Fraction(slacks[subject], scale)}")
+            f"forest does not connect family set {checker.split}")
+    family = checker.family
+    index = verify.DualIndex(state.fam, state.dual_assignment(), state.inst,
+                             family)
+    if index.violations:
+        raise InvariantError(
+            f"duals infeasible during growth: {index.violations[0]}")
+    slack = index.edge_slack
     for idx in state.forest:
-        if edge_slack[idx]:
-            cost = state.inst.edges[idx][2]
-            load = Fraction(index.rows[idx][3] - edge_slack[idx], scale)
-            raise InvariantError(
-                f"forest edge {idx} not tight: load {load} vs cost {cost}")
+        if slack[idx]:
+            load = index.value(index.costs[idx] - slack[idx])
+            raise InvariantError(f"forest edge {idx} not tight: load {load} "
+                                 f"vs cost {state.inst.edges[idx][2]}")
     sat = state.saturated
+    prizes, inside = index.prizes, index.inside
     for sid in sorted(sat):
-        if set_slack[sid]:
+        if prizes[sid] != inside[sid]:
             raise InvariantError(f"saturated set {sid} not exhausted")
-    gaps = _cover_gaps(index, state.fam.n, sat, [0] * len(y))
-    for sid in index.tops:
+    gaps = _cover_gaps(family, sat, [0] * len(family.parent))
+    for sid in state.fam.maximal_ids():
         if sid not in sat and gaps[sid] == 0:
             raise InvariantError(
                 f"active maximal set {sid} is a union of saturated sets")
-
-
-def _tree_error(n: int, vertices: frozenset, ends: list) -> Optional[str]:
-    """The first way the edges fail to make a tree on the vertices, in
-    the verifier's order and words, or None."""
-    if not vertices:
-        return "a tree needs at least one vertex"
-    for x in vertices:
-        if x not in range(n):
-            return f"tree vertex {x} out of range"
-    seen: set[tuple[int, int]] = set()
-    link = list(range(n))
-    unions = 0
-    for u, v in ends:
-        if (u, v) in seen:
-            return f"tree edge ({u}, {v}) repeated"
-        if u not in vertices or v not in vertices:
-            return f"tree edge ({u}, {v}) leaves the vertex set"
-        seen.add((u, v))
-        ru, rv = _root_of(link, u), _root_of(link, v)
-        if ru != rv:
-            link[ru] = rv
-            unions += 1
-    if unions != len(vertices) - 1:
-        return "tree is not connected"
-    if len(ends) != len(vertices) - 1:
-        return "subgraph has a cycle, not a tree"
-    return None
 
 
 def check_prune_invariants(state: SolverState, tree_vs: set[int],
                            tree_edge_indices) -> None:
     """Invariants of the prune loop: the tree stays a tree connected
     within every family set, and the region pruned off the final maximal
-    set is a disjoint union of saturated sets.  The tree edges' lowest
-    common sets come from the cached index."""
-    index = _check_index(state)
-    n, rows = state.fam.n, index.rows
-    error = _tree_error(n, frozenset(tree_vs),
-                        [rows[idx][:2] for idx in tree_edge_indices])
-    if error:
-        raise InvariantError(f"pruned subgraph: {error}")
-    # a set meets a tree in as many pieces as it holds tree vertices
-    # minus tree edges
-    members = [0] * index.sets
-    inner = [0] * index.sets
-    for v in tree_vs:
-        members[v] = 1
-    for idx in tree_edge_indices:
-        top = rows[idx][2]
-        if top >= 0:
-            inner[top] += 1
-    for sid, up in index.links:
-        members[up] += members[sid]
-        inner[up] += inner[sid]
-    for sid, (count, joined) in enumerate(zip(members, inner)):
-        if count - joined > 1:
-            raise InvariantError(
-                f"tree is disconnected within family set {sid}")
-    gap = _cover_gaps(index, n, state.saturated,
-                      members)[state.final_maximal]
+    set is a disjoint union of saturated sets.  The verifier's TreeIndex
+    checks the tree, reading the lowest common sets of its edges from
+    the cached family index."""
+    family = _check_index(state).family
+    edges = state.inst.edges
+    tree = verify.Tree(frozenset(tree_vs),
+                       tuple(edges[idx][:2] for idx in tree_edge_indices))
+    index = verify.TreeIndex(state.fam, tree, state.inst, family,
+                             tree_edge_indices)
+    try:
+        index.check(require_tree=True)
+    except ValueError as exc:
+        raise InvariantError(f"pruned subgraph: {exc}") from None
+    sid = index.disconnected_set()
+    if sid is not None:
+        raise InvariantError(f"tree is disconnected within family set {sid}")
+    gap = _cover_gaps(family, state.saturated,
+                      index.members)[state.final_maximal]
     if gap:
         raise InvariantError(
             f"pruned region is not a union of saturated sets "

@@ -1,13 +1,15 @@
 """Independent checks on dual snapshots and trees.
 
 Everything here recomputes from first principles over (family, duals,
-instance), reading only the family's parent links; none of it shares
-the solver's incremental bookkeeping (its union-find loads, its prune
-counts), so a bug in the solver's cached sums cannot hide a violation
-here.
+instance), reading only the family's containment links; none of it
+shares the solver's incremental bookkeeping (its union-find loads, its
+prune counts), so a bug in the solver's cached sums cannot hide a
+violation here.  The solver's checked mode runs these same checks.
 
-Set ids grow from children to parents, so every check is a few linear
-passes over the parent links:
+What the family fixes is kept in one place, FamilyIndex: the parent
+links, the costs and the sets' prizes as ints, and the lowest common
+set of every vertex pair asked for.  Set ids grow from children to
+parents, so a snapshot's checks are a few linear passes over its links:
 
 * descending ids, parents first: the chain load of a set, the dual mass
   on it and its ancestors; a vertex's chain load is its singleton's;
@@ -15,20 +17,23 @@ passes over the parent links:
   the sets inside a set, its prize, or how many tree vertices it holds;
 * the dual mass on the sets an edge uv crosses is
   chain(u) + chain(v) - 2 * chain(lca), where lca, the lowest set holding
-  both ends, comes from Tarjan's offline algorithm (_lowest_common);
-  the tree edges crossing each set come from +1 at both ends and -2 at
-  the lca, summed over subtrees.
+  both ends, is the family index's: each union of two sets is the lca
+  of the pending pairs it joins, found by reading the shorter of its
+  children's pending lists; the tree edges crossing each set come from
+  +1 at both ends and -2 at the lca, summed over subtrees.
 
-A tree is checked in one place, TreeIndex, on one union-find: its edges
-are replayed in ascending order of their lca, which counts the pieces
-the tree leaves inside every set, and the edges with no common set are
+The dual sums of a snapshot are DualIndex, and an audit answers the
+instance's edges and the tree's edges with one family index.  A tree is
+checked in one place, TreeIndex, on one union-find: its edges are
+replayed in ascending order of their lca, which counts the pieces the
+tree leaves inside every set, and the edges with no common set are
 replayed last, which tells whether the whole tree is connected.  Given
 the instance, the same index validates the tree (vertex range, instance
 edges, no repeats, connected) and holds its cost and penalty, so an
 audit validates the tree once and every check reads the same index.
 
-Dual sums are integers over DualIndex.scale, the duals' scale or its
-lcm with the instance's scale; results are exact Fractions.
+Dual sums are integers over DualIndex.scale, the duals' scale or, with
+an instance, the audit_scale of the two; results are exact Fractions.
 
 The two bounds at the heart of the certificate, for duals that respect
 every edge cost and prize budget:
@@ -50,6 +55,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
@@ -77,149 +83,202 @@ class Violation:
         return f"{self.kind} {self.subject}: slack {self.slack}"
 
 
-# -- parent-link indexes -------------------------------------------------------
+# -- family indexes ------------------------------------------------------------
 
 
-def _lowest_common(parent: list[Optional[int]], n: int,
-                   pairs: list) -> list[Optional[int]]:
-    """Per pair (u, v) of vertices, the lowest set holding both; None if
-    no set does or an end is None.
-
-    Tarjan's offline algorithm: a depth-first pass over the family in
-    which every set, once finished, links to its parent.  When vertex u
-    finishes, the link root of an already finished vertex v is v's
-    lowest unfinished ancestor, which holds u too, unless it is the
-    finished maximal set of an earlier tree."""
-    out: list[Optional[int]] = [None] * len(pairs)
-    asked: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for k, (u, v) in enumerate(pairs):
-        if u is None or v is None:
-            continue
-        if u == v:
-            out[k] = u
-        else:
-            asked[u].append((v, k))
-            asked[v].append((u, k))
-    kids: list[list[int]] = [[] for _ in parent]
-    stack: list[int] = []  # the maximal sets, then ~sid for a finish
-    for sid, up in enumerate(parent):
-        (stack if up is None else kids[up]).append(sid)
-    link = list(range(len(parent)))
-    done = [False] * len(parent)
-    while stack:
-        sid = stack.pop()
-        if sid >= 0:
-            stack.append(~sid)
-            stack.extend(kids[sid])
-            continue
-        sid = ~sid
-        if sid < n:
-            for other, k in asked[sid]:
-                if done[other]:
-                    top = other
-                    while link[top] != top:
-                        top = link[top]
-                    while link[other] != top:
-                        link[other], other = top, link[other]
-                    out[k] = None if done[top] else top
-        done[sid] = True
-        if parent[sid] is not None:
-            link[sid] = parent[sid]
-    return out
+def root_of(link: list[int], v: int) -> int:
+    """Root of v on a union-find, halving the path on the way."""
+    while link[v] != v:
+        link[v] = link[link[v]]
+        v = link[v]
+    return v
 
 
-def _vertex(x, n: int) -> Optional[int]:
-    """x as a vertex of an n-vertex family, or None if it names none.
+def _vertex(x, n: int) -> int:
+    """x as a vertex of an n-vertex family, or -1 if it names none.
     Like set membership, a value equal to an int in 0..n-1 names it."""
     if type(x) is not int:
         try:
             k = int(x)
         except (TypeError, ValueError, OverflowError):
-            return None
+            return -1
         if k != x:
-            return None
+            return -1
         x = k
-    return x if 0 <= x < n else None
+    return x if 0 <= x < n else -1
+
+
+class FamilyIndex:
+    """What a family's sets fix once they exist, read off the links
+    each union records to the two sets it was made of.
+
+    parent[s] is the parent of set s, None for a maximal set, and links
+    holds the (set, parent) pairs in the order the parents appeared:
+    an ascending pass over it sums subtrees, a descending one chains.
+    ends holds pairs of vertices, the instance's edges and then the
+    pairs given, an end -1 where it names no vertex of the family.
+    tops[k] is the lowest set holding both ends of pair k, -1 if no set
+    does or an end is -1.  With an instance, costs[i] is the cost of
+    edge i and prizes[s] the prize of set s, as ints over scale, the
+    instance's scale, and edge_ids maps each edge's (u, v) to its index.
+
+    A union is the lowest common set of exactly the pairs with one end
+    in each of its two children and no common set before, so the index
+    keeps, per maximal set, the pairs with an end in it and no common
+    set yet.  A union reads the shorter of its children's lists, asking
+    a union-find over the vertices which pairs end in the other child,
+    and hands the rest to the longer one; a pair moves to a list at
+    least twice as long, so it is read O(log n) times.  The family only
+    appends, so every fact here is fixed once its set exists, and
+    extend takes the sets appended since the last call."""
+
+    def __init__(self, fam: LaminarFamily, inst: Optional[Instance] = None,
+                 pairs: Iterable = ()):
+        n = self.n = fam.n
+        self.fam = fam
+        self.parent: list[Optional[int]] = [None] * n
+        self.links: list[tuple[int, int]] = []
+        self.m = 0 if inst is None else inst.m
+        ends = [] if inst is None else [
+            (u if u < n else -1, v if v < n else -1)
+            for u, v, _ in inst.edges]
+        ends += [(_vertex(a, n), _vertex(b, n)) for a, b in pairs]
+        self.ends = ends
+        self.tops = [u if u == v else -1 for u, v in ends]
+        self.pending: Optional[list] = None
+        if ends:
+            self.pending = pending = [[] for _ in range(n)]
+            for k, (u, v) in enumerate(ends):
+                if u != v and u >= 0 and v >= 0:
+                    pending[u].append(k)
+                    pending[v].append(k)
+            self.link = list(range(n))
+            self.root = list(range(n))  # per maximal set, on link
+        self.prizes: Optional[list[int]] = None
+        if inst is not None:
+            self.scale = scale = inst.scale
+            self.costs = [c.numerator * (scale // c.denominator)
+                          for _, _, c in inst.edges]
+            self.edge_ids = {(u, v): idx
+                             for idx, (u, v, _) in enumerate(inst.edges)}
+            self.prizes = [p.numerator * (scale // p.denominator)
+                           for p in inst.prizes[:n]]
+            self.prizes += [0] * (n - inst.n)  # an instance too small
+        self.extend()
+
+    def extend(self) -> None:
+        """Take the sets appended to the family since the last call."""
+        parent, prizes = self.parent, self.prizes
+        start = len(parent)
+        unions = [self.fam.children(sid)
+                  for sid in range(start, len(self.fam))]
+        parent += [None] * len(unions)
+        for sid, (a, b) in enumerate(unions, start):
+            parent[a] = parent[b] = sid
+        self.links += [(k, sid) for sid, ab in enumerate(unions, start)
+                       for k in ab]
+        if prizes is not None:
+            for a, b in unions:
+                prizes.append(prizes[a] + prizes[b])
+        if self.pending is not None:
+            for sid, (a, b) in enumerate(unions, start):
+                self._meet(sid, a, b)
+
+    def _meet(self, sid: int, a: int, b: int) -> None:
+        pending, link, root = self.pending, self.link, self.root
+        ends, tops = self.ends, self.tops
+        short, long, far = pending[a], pending[b], root[b]
+        if len(short) > len(long):
+            short, long, far = long, short, root[a]
+        pending[a] = pending[b] = None
+        for k in short:
+            if tops[k] < 0:  # else found from its other end
+                u, v = ends[k]
+                if root_of(link, u) == far or root_of(link, v) == far:
+                    tops[k] = sid
+                else:
+                    long.append(k)
+        pending.append(long)
+        link[root[a]] = root[b]
+        root.append(root[b])
+
+
+def audit_scale(duals: DualAssignment, inst: Instance) -> int:
+    """The scale of an audit of duals against an instance: the lcm of
+    the two scales, so that every dual, cost and prize is an int."""
+    return math.lcm(duals.scale, inst.scale)
 
 
 class DualIndex:
-    """Dual sums of one (family, duals) snapshot, read off the parent
+    """Dual sums of one (family, duals) snapshot, read off the family's
     links, as integers over ``scale``: the duals' scale and, when an
-    instance is given, the lcm of it and the instance's scale.
+    instance is given, the audit_scale of the two.
 
     chain[s] is the dual mass on s and its ancestors, inside[s] the mass
     on s and the sets below it.  With an instance there are also
-    edge_loads[i], the mass on the sets instance edge i crosses,
-    prizes[s], the prize of s, and violations, the check_feasibility
-    list.  An instance with fewer vertices than the family is refused
-    with a ValueError."""
+    costs[i], the cost of instance edge i, edge_slack[i], its cost minus
+    the mass on the sets it crosses, prizes[s], the prize of s, and
+    violations, the check_feasibility list.  An instance with fewer vertices than the
+    family is refused with a ValueError.  A caller holding a
+    FamilyIndex of the family and the instance passes it."""
 
     def __init__(self, fam: LaminarFamily, duals: DualAssignment,
-                 inst: Optional[Instance] = None):
+                 inst: Optional[Instance] = None,
+                 family: Optional[FamilyIndex] = None):
         n = fam.n
         if inst is not None and inst.n < n:
             raise ValueError(f"snapshot covers {n} vertices, "
                              f"instance has {inst.n}")
-        parent = [fam.parent_of(sid) for sid in fam.ids]
-        self.scale = math.lcm(duals.scale, inst.scale) if inst else duals.scale
+        family = family or FamilyIndex(fam, inst)
+        self.scale = audit_scale(duals, inst) if inst else duals.scale
         unit = self.scale // duals.scale
-        y = [q * unit for q in duals.y]
+        y = duals.y if unit == 1 else [q * unit for q in duals.y]
         chain = y[:]
-        for sid in reversed(fam.ids):
-            if parent[sid] is not None:
-                chain[sid] += chain[parent[sid]]
+        for sid, up in reversed(family.links):
+            chain[sid] += chain[up]
         inside = y[:]
-        for sid, up in enumerate(parent):
-            if up is not None:
-                inside[up] += inside[sid]
+        for sid, up in family.links:
+            inside[up] += inside[sid]
         self.y, self.chain, self.inside = y, chain, inside
         self.total = sum(y)
         if inst is None:
             return
-        # instance vertices past the family's lie in no set
-        ends = [(u if u < n else None, v if v < n else None)
-                for u, v, _ in inst.edges]
-        self.edge_loads = _crossing_loads(
-            chain, ends, _lowest_common(parent, n, ends))
-        prizes = [self.scaled(inst.prizes[v]) for v in range(n)]
-        prizes += [0] * (len(parent) - n)
-        for sid, up in enumerate(parent):
-            if up is not None:
-                prizes[up] += prizes[sid]
-        self.prizes = prizes
-        out = [Violation("negative-dual", sid, self.value(q))
-               for sid, q in enumerate(y) if q < 0]
-        for idx, ((_, _, c), load) in enumerate(zip(inst.edges,
-                                                    self.edge_loads)):
-            slack = self.scaled(c) - load
-            if slack < 0:
-                out.append(Violation("edge", idx, self.value(slack)))
-        for sid in fam.ids:
-            slack = prizes[sid] - inside[sid]
-            if slack < 0:
-                out.append(Violation("set", sid, self.value(slack)))
-        self.violations = out
-
-    def scaled(self, value: Fraction) -> int:
-        return value.numerator * (self.scale // value.denominator)
+        unit = self.scale // family.scale
+        costs, prizes = family.costs, family.prizes
+        if unit != 1:
+            costs = [c * unit for c in costs]
+            prizes = [p * unit for p in prizes]
+        self.costs, self.prizes = costs, prizes
+        # zip stops at the instance's edges; held[-1], 0, is the mass
+        # on an end in no set, or on no common set
+        held = chain + [0]
+        self.edge_slack = [c - held[u] - held[v] + 2 * held[top]
+                           for c, (u, v), top in zip(costs, family.ends,
+                                                     family.tops)]
+        self.violations = []
+        for kind, slacks in (("negative-dual", y),
+                             ("edge", self.edge_slack),
+                             ("set", list(map(operator.sub, prizes, inside)))):
+            if slacks and min(slacks) < 0:
+                self.violations += [Violation(kind, k, self.value(q))
+                                    for k, q in enumerate(slacks) if q < 0]
 
     def value(self, scaled: int) -> Fraction:
         return Fraction(scaled, self.scale)
 
 
 def _crossing_loads(chain: list[int], ends: list,
-                    tops: list[Optional[int]]) -> list[int]:
+                    tops: list[int]) -> list[int]:
     """Per (u, v) pair with lowest common set top: the dual mass on the
-    sets holding exactly one end.  An end that is None lies in no set."""
-    out = []
-    for (u, v), top in zip(ends, tops):
-        load = (0 if u is None else chain[u]) + (0 if v is None else chain[v])
-        out.append(load if top is None else load - 2 * chain[top])
-    return out
+    sets holding exactly one end.  An end or a top of -1 names no set,
+    and reads the 0 appended to the chain loads."""
+    chain = chain + [0]
+    return [chain[u] + chain[v] - 2 * chain[top]
+            for (u, v), top in zip(ends, tops)]
 
 
 class TreeIndex:
-    """How a tree meets every family set, read off the parent links.
+    """How a tree meets every family set, read off a family index.
 
     members[s] counts the tree's vertices in s, crossing[s] the tree
     edges with exactly one end in s, and joined[s] the edges inside s
@@ -233,95 +292,109 @@ class TreeIndex:
 
     With an instance, the index also holds the tree's cost and penalty
     and error, the first way the tree fails to be a connected subgraph
-    of the instance (None if it does not); check raises it."""
+    of the instance (None if it does not); check raises it.
+
+    The lowest common sets of the tree's edges come from family, a
+    FamilyIndex of the family and the instance, or else from one built
+    for the tree's edges.  pairs names the family index's pair of each
+    tree edge, by default the pairs after the instance's edges."""
 
     def __init__(self, fam: LaminarFamily, tree: Tree,
-                 inst: Optional[Instance] = None):
+                 inst: Optional[Instance] = None,
+                 family: Optional[FamilyIndex] = None,
+                 pairs: Optional[Iterable[int]] = None):
         n = fam.n
-        self.parent = parent = [fam.parent_of(sid) for sid in fam.ids]
+        family = family or FamilyIndex(fam, inst, tree.edges)
+        if pairs is None:
+            pairs = range(family.m, len(family.ends))
+        self.ends = ends = [family.ends[k] for k in pairs]
+        self.tops = tops = [family.tops[k] for k in pairs]
+        self.parent = parent = family.parent
         members = [0] * len(parent)
         # union-find slots: the family's vertices, then tree vertices
         # outside the family, which lie in no set
         slot: dict = {}
         for x in tree.vertices:
             v = _vertex(x, n)
-            if v is None:
+            if v < 0:
                 slot[x] = n + len(slot)
             else:
                 members[v] = 1
         self.whole = not slot
-        self.ends = ends = [(_vertex(a, n), _vertex(b, n))
-                            for a, b in tree.edges]
-        self.tops = tops = _lowest_common(parent, n, ends)
-        crossing = [0] * len(parent)
         joined = [0] * len(parent)
         piece = list(range(n + len(slot)))
-
-        def find(v: int) -> int:
-            while piece[v] != v:
-                piece[v] = piece[piece[v]]
-                v = piece[v]
-            return v
-
-        def union(u: int, v: int) -> bool:
-            ru, rv = find(u), find(v)
-            piece[ru] = rv
-            return ru != rv
-
-        for top, u, v in sorted((top, u, v) for (u, v), top in zip(ends, tops)
-                                if top is not None
-                                and members[u] and members[v]):
-            joined[top] += union(u, v)
+        for top, u, v in sorted([(top, u, v) for (u, v), top in zip(ends, tops)
+                                 if top >= 0 and members[u] and members[v]]):
+            ru, rv = root_of(piece, u), root_of(piece, v)
+            if ru != rv:
+                piece[ru] = rv
+                joined[top] += 1
         unions = sum(joined)
         for (a, b), (u, v), top in zip(tree.edges, ends, tops):
-            if top is None:
-                u = slot.get(a) if u is None else (u if members[u] else None)
-                v = slot.get(b) if v is None else (v if members[v] else None)
+            if top < 0:
+                u = slot.get(a) if u < 0 else (u if members[u] else None)
+                v = slot.get(b) if v < 0 else (v if members[v] else None)
                 if u is not None and v is not None:
-                    unions += union(u, v)
+                    ru, rv = root_of(piece, u), root_of(piece, v)
+                    if ru != rv:
+                        piece[ru] = rv
+                        unions += 1
         self.size = len(tree.vertices)
         self.connected = self.size > 0 and unions == self.size - 1
-        for (u, v), top in zip(ends, tops):
-            if u is not None:
-                crossing[u] += 1
-            if v is not None:
-                crossing[v] += 1
-            if top is not None:
-                crossing[top] -= 2
-        for sid, up in enumerate(parent):
-            if up is not None:
-                members[up] += members[sid]
-                crossing[up] += crossing[sid]
-                joined[up] += joined[sid]
-        self.members, self.crossing, self.joined = members, crossing, joined
+        self._links = family.links
+        for sid, up in self._links:
+            members[up] += members[sid]
+            joined[up] += joined[sid]
+        self.members, self.joined = members, joined
         if inst is not None:
-            self.penalty = sum((inst.prizes[v] for v in range(inst.n)
-                                if v not in tree.vertices), Fraction(0))
-            self.cost, self.error = self._validate(inst, tree)
+            self._inst, self._vertices = inst, tree.vertices
+            self.cost, self.error = self._validate(inst, tree, family)
 
-    def _validate(self, inst: Instance, tree: Tree
+    def _validate(self, inst: Instance, tree: Tree, family: FamilyIndex
                   ) -> tuple[Optional[Fraction], Optional[str]]:
         if not tree.vertices:
             return None, "a tree needs at least one vertex"
         for x in tree.vertices:
-            if _vertex(x, inst.n) is None:
+            if _vertex(x, inst.n) < 0:
                 return None, f"tree vertex {x} out of range"
-        costs = {(u, v): c for u, v, c in inst.edges}
-        total = Fraction(0)
+        edge_ids, total = family.edge_ids, 0
         seen: set[tuple[int, int]] = set()
         for u, v in tree.edges:
             key = (u, v) if u < v else (v, u)
-            if key not in costs:
+            if key not in edge_ids:
                 return None, f"tree edge ({u}, {v}) is not an instance edge"
             if key in seen:
                 return None, f"tree edge ({u}, {v}) repeated"
             if u not in tree.vertices or v not in tree.vertices:
                 return None, f"tree edge ({u}, {v}) leaves the vertex set"
             seen.add(key)
-            total += costs[key]
+            total += family.costs[edge_ids[key]]
         if not self.connected:
             return None, "tree is not connected"
-        return total, None
+        return Fraction(total, family.scale), None
+
+    @functools.cached_property
+    def crossing(self) -> list[int]:
+        """Per set, the tree edges with exactly one end in it, summed on
+        first read: checked mode checks trees without reading it."""
+        crossing = [0] * len(self.parent)
+        for (u, v), top in zip(self.ends, self.tops):
+            if u >= 0:
+                crossing[u] += 1
+            if v >= 0:
+                crossing[v] += 1
+            if top >= 0:
+                crossing[top] -= 2
+        for sid, up in self._links:
+            crossing[up] += crossing[sid]
+        return crossing
+
+    @functools.cached_property
+    def penalty(self) -> Fraction:
+        """The prizes the tree forfeits, summed on first read: checked
+        mode checks trees without reading it."""
+        return sum((p for v, p in enumerate(self._inst.prizes)
+                    if v not in self._vertices), Fraction(0))
 
     def check(self, require_tree: bool = False) -> None:
         """Raise ValueError if the tree is not a connected subgraph of
@@ -519,13 +592,17 @@ def audit_solution(inst: Instance, fam: LaminarFamily,
     reported carries the solution's own numbers: cost, penalty,
     objective, lagrangean_objective, lower_bound (Fractions) and
     minimizing_vertex (int).  Returns one CheckResult per check; the
-    solution verifies iff every check passed.  The dual and tree indexes
-    are built once, by the first check that needs them, so the tree is
-    validated once.
+    solution verifies iff every check passed.  The indexes are built
+    once, by the first check that needs them: one family index answers
+    the instance's edges and the tree's edges in one pass, and the tree
+    is validated once.
     """
     out: list[CheckResult] = []
-    dual_index = functools.cache(lambda: DualIndex(fam, duals, inst))
-    tree_index = functools.cache(lambda: TreeIndex(fam, tree, inst))
+    family = functools.cache(lambda: FamilyIndex(fam, inst, tree.edges))
+    dual_index = functools.cache(lambda: DualIndex(fam, duals, inst,
+                                                   family()))
+    tree_index = functools.cache(lambda: TreeIndex(fam, tree, inst,
+                                                   family()))
 
     def run(name: str, fn):
         try:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcst import solver as sv
+from pcst import cli
 from pcst.cli import main
 from pcst.instance import MAX_SCALE_BITS, MAX_TOTAL_BITS
 
@@ -194,8 +194,14 @@ def test_solve_invariant_failure_exits_4(tmp_path, capsys, monkeypatch):
     # at half the solver's scale the odd cost 3 cannot be halved exactly
     path = tmp_path / "odd.json"
     path.write_text('{"n": 2, "prizes": [1, 1], "edges": [[0, 1, 3]]}')
-    real_scale = sv._scale
-    monkeypatch.setattr(sv, "_scale", lambda inst: real_scale(inst) // 2)
+    real_parse = cli.parse_instance
+
+    def halved_scale(*args):
+        inst = real_parse(*args)
+        object.__setattr__(inst, "scale", inst.scale // 2)
+        return inst
+
+    monkeypatch.setattr(cli, "parse_instance", halved_scale)
     assert run_cli("solve", str(path), "--json") == 4
     captured = capsys.readouterr()
     assert captured.out == ""

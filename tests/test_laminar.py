@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 
 import naive_checker as naive
+from conftest import chain_of_vertex
 from naive_checker import members
 from pcst import Instance, from_records, records_from_json, to_records
 from pcst import laminar as lam
 from pcst import solver as sv
+from pcst import verify
 
 
 # -- structure -----------------------------------------------------------------
@@ -33,6 +35,9 @@ def test_merge_structure():
     assert fam.parent_of(0) == nid and fam.parent_of(1) == nid
     assert fam.size(nid) == 2
     assert fam.maximal_ids() == [2, 3, 4]
+    assert fam.children(nid) == (0, 1)
+    with pytest.raises(ValueError, match="set 1 is no union"):
+        fam.children(1)
 
 
 def test_merge_rejects_non_maximal_and_self():
@@ -125,6 +130,54 @@ def test_snapshot_round_trip(seed):
         assert naive.dual(duals2, sid) == naive.dual(duals, sid)
     assert duals2.saturated == duals.saturated
     assert fam2.maximal_ids() == fam.maximal_ids()
+
+
+def lowest_common_by_walk(fam, u, v):
+    """The lowest set holding vertices u and v, off their parent chains;
+    -1 if no set does or an end names no vertex."""
+    if not (type(u) is type(v) is int and 0 <= u < fam.n and 0 <= v < fam.n):
+        return -1
+    common = set(chain_of_vertex(fam, u)) & set(chain_of_vertex(fam, v))
+    return min(common, default=-1)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_family_index_matches_chain_walks(seed):
+    """The family index's lowest common sets, against the parent chains,
+    for the edges of an instance with two vertices past the family's
+    and for pairs with equal ends, ends past n, negative and None ends
+    and ends in different maximal sets; its prize sums against
+    membership.  Extending it one set at a time, as checked mode does,
+    gives the index built in one go."""
+    n = 9
+    fam, _ = build_random_family(n, seed)
+    rng = random.Random(seed)
+    edges = {tuple(sorted(rng.sample(range(n + 2), 2))) for _ in range(25)}
+    inst = Instance(n + 2, tuple((u, v, rng.randint(0, 9))
+                                 for u, v in sorted(edges)),
+                    tuple(Fraction(rng.randint(0, 9), rng.randint(1, 4))
+                          for _ in range(n + 2)))
+    values = list(range(n + 2)) + [None, -1]
+    pairs = [(v, v) for v in values]
+    pairs += [(rng.choice(values), rng.choice(values)) for _ in range(40)]
+    sets = members(fam)
+    tops = fam.maximal_ids()
+    pairs += [(min(sets[a]), max(sets[b])) for a, b in zip(tops, tops[1:])]
+    index = verify.FamilyIndex(fam, inst, pairs)
+    asked = [(u, v) for u, v, _ in inst.edges] + pairs
+    assert index.tops == [lowest_common_by_walk(fam, u, v)
+                          for u, v in asked]
+    assert index.parent == [fam.parent_of(sid) for sid in fam.ids]
+    assert index.costs == [c * inst.scale for _, _, c in inst.edges]
+    assert index.prizes == [sum(inst.prizes[v] for v in vs) * inst.scale
+                            for vs in sets]
+    grown = lam.LaminarFamily(n)
+    stepwise = verify.FamilyIndex(grown, inst, pairs)
+    for sid in range(n, len(fam)):
+        grown.merge(*fam.children(sid))
+        stepwise.extend()
+    for name in ("parent", "links", "ends", "tops", "costs", "prizes"):
+        assert getattr(stepwise, name) == getattr(index, name), name
 
 
 def test_from_records_rejects_malformed():

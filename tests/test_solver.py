@@ -4,14 +4,17 @@ fault injection."""
 import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import naive_checker as naive
 from conftest import (naive_epsilon, reference_prune, rescan_step,
                       solve_by_rescan, sweep_instance)
-from pcst import Instance, gen_random, gen_tight_path, gen_tight_star, solve
+from pcst import (Instance, gen_random, gen_tight_path, gen_tight_star,
+                  parse_instance, solve)
 from pcst import cli
+from pcst import laminar as lam
 from pcst import solver as sv
 from pcst import verify
 
@@ -262,8 +265,7 @@ HALVED_SCALE_INSTANCES = {
 
 
 @pytest.mark.parametrize("name", sorted(HALVED_SCALE_INSTANCES))
-def test_halved_scale_refuses_odd_costs_and_keeps_even_runs(monkeypatch,
-                                                            name):
+def test_halved_scale_refuses_odd_costs_and_keeps_even_runs(name):
     """Without the factor 2 of the scale, an odd cost is refused at
     set-up, where its first halving would floor.  Costs that stay even
     are all the parity proof needs: growth runs exact at half the scale
@@ -271,8 +273,8 @@ def test_halved_scale_refuses_odd_costs_and_keeps_even_runs(monkeypatch,
     make, odd = HALVED_SCALE_INSTANCES[name]
     inst = make()
     unforced = outputs(inst, solve(inst))
-    half = sv._scale(inst) // 2
-    monkeypatch.setattr(sv, "_scale", lambda inst: half)
+    half = inst.scale // 2
+    object.__setattr__(inst, "scale", half)
     if odd:
         with pytest.raises(sv.InvariantError,
                            match=rf"edge \d+ has odd cost \d+ at scale {half}$"):
@@ -358,16 +360,50 @@ def test_growth_does_no_fraction_arithmetic(monkeypatch):
 
 def test_checked_growth_runs_no_lca_pass(monkeypatch):
     """The checker keeps every edge's lowest common set from the step
-    its set appeared: checked growth makes no offline LCA pass."""
-    calls = []
-    real = verify._lowest_common
-    monkeypatch.setattr(verify, "_lowest_common",
-                        lambda *args: (calls.append(1), real(*args))[1])
+    its set appeared: checked growth builds the family index once and
+    afterwards only extends it, by each new set once."""
+    built, extended = [], []
+
+    class CountingFamilyIndex(verify.FamilyIndex):
+        def __init__(self, *args):
+            built.append(len(args[0]))
+            super().__init__(*args)
+
+        def extend(self):
+            extended.append(len(self.fam) - len(self.parent))
+            super().extend()
+
+    monkeypatch.setattr(verify, "FamilyIndex", CountingFamilyIndex)
     state = sv.init_state(gen_random(64, "1/16", max_cost=10, max_prize=8,
                                      seed=99), check_invariants=True)
     sv.run_phase1(state)
     assert state._steps > 64
-    assert calls == []
+    assert len(built) == 1
+    assert sum(extended) == len(state.fam) - 64
+
+
+def ladder_instance(n, m, monkeypatch):
+    """The benchmark's seeded instance with n vertices and m edges."""
+    monkeypatch.syspath_prepend(Path(__file__).parents[1] / "perfbench")
+    from workloads import sparse_instance
+
+    return parse_instance(json.dumps(sparse_instance(n, m, "ladder:1")))
+
+
+def test_checked_growth_reads_parent_links_once_per_set(monkeypatch):
+    """Each check extends the cached index by the new sets alone, read
+    off the links a merge records: over a checked growth the family is
+    asked for parent links at most twice per set."""
+    inst = ladder_instance(256, 768, monkeypatch)
+    calls = []
+    real = lam.LaminarFamily.parent_of
+    monkeypatch.setattr(lam.LaminarFamily, "parent_of",
+                        lambda fam, sid: (calls.append(sid),
+                                          real(fam, sid))[1])
+    state = sv.init_state(inst, check_invariants=True)
+    sv.run_phase1(state)
+    assert state._steps >= 256
+    assert len(calls) <= 2 * len(state.fam)
 
 
 # what the solver keeps for itself: its union-find, scaled costs and

@@ -69,7 +69,8 @@ def test_loads_on_hand_family():
         inst = Instance(3, ((0, 2, 5), (0, 1, cost)), (1, 1, 1))
         index = verify.DualIndex(fam, duals, inst)
         assert index.scale == scale
-        assert [index.value(x) for x in index.edge_loads] == \
+        assert [index.value(c - slack) for c, slack in
+                zip(index.costs, index.edge_slack)] == \
             [Fraction(5, 2), Fraction(5, 6)]
         assert [index.value(x) for x in index.chain] == \
             [Fraction(5, 2), Fraction(7, 3), 0, 2]
@@ -464,19 +465,28 @@ def test_audit_results_serialize(pruned):
 
 @pytest.mark.parametrize("broken", [False, True])
 def test_audit_validates_the_tree_once(pruned, monkeypatch, broken):
+    """One tree index validates the tree, and one family index answers
+    the instance's edges and the tree's edges for every check."""
     inst, sol = pruned
     tree = Tree(frozenset({0, 1}), ()) if broken else sol.tree()
-    built = []
+    built, families = [], []
 
     class CountingTreeIndex(verify.TreeIndex):
         def __init__(self, *args):
-            built.append(args)
+            built.append(args[:3])
+            super().__init__(*args)
+
+    class CountingFamilyIndex(verify.FamilyIndex):
+        def __init__(self, *args):
+            families.append(args[0])
             super().__init__(*args)
 
     monkeypatch.setattr(verify, "TreeIndex", CountingTreeIndex)
+    monkeypatch.setattr(verify, "FamilyIndex", CountingFamilyIndex)
     results = audit_solution(inst, sol.fam, sol.duals, tree,
                              reported_of(sol))
     assert built == [(sol.fam, tree, inst)]
+    assert families == [sol.fam]
     assert ({"tree-structure", "objective-arithmetic", "tree-lower-bound",
              "cluster-counting"} <= failing_names(results)) == broken
 
