@@ -5,9 +5,11 @@ and a non-negative prize on every vertex.  The objective value of a tree T
 is cost(T) plus the prizes of the vertices T leaves out; a single vertex
 with no edges is a legal tree.  The graph does not have to be connected.
 
-Every number in this package is a ``fractions.Fraction``.  Numeric tokens
-in either file format may be integers ("7"), decimals ("2.5"), or ratios
-("5/2") and are converted exactly; nothing is ever rounded.
+Costs and prizes are exact: numeric tokens in either file format may be
+integers ("7"), decimals ("2.5"), or ratios ("5/2") and become
+``fractions.Fraction``s; nothing is ever rounded.  An ``Instance`` also
+holds them as ints at one scale, and the solver and the verifier
+compute on those ints only.
 
 Supported formats:
 
@@ -167,8 +169,11 @@ class Instance:
     edge in this tuple is its edge index, which the solver uses for
     deterministic tie-breaking.  ``names`` is cosmetic and ignored by
     equality (the stp format cannot carry labels).  ``scale`` is twice
-    the lcm of every cost and prize denominator, fixed at construction:
-    an instance past MAX_SCALE_BITS or MAX_TOTAL_BITS is refused.
+    the lcm of every cost and prize denominator, fixed at construction,
+    and ``scaled_costs[k]`` and ``scaled_prizes[v]`` are edge k's cost
+    and vertex v's prize times the scale, as ints.  They are made here
+    only, in the one walk that validates the input; an instance past
+    MAX_SCALE_BITS or MAX_TOTAL_BITS is refused.
     """
 
     n: int
@@ -176,6 +181,10 @@ class Instance:
     prizes: tuple[Fraction, ...]
     names: Optional[tuple[str, ...]] = field(default=None, compare=False)
     scale: int = field(init=False, compare=False, repr=False)
+    scaled_costs: tuple[int, ...] = field(init=False, compare=False,
+                                          repr=False)
+    scaled_prizes: tuple[int, ...] = field(init=False, compare=False,
+                                           repr=False)
 
     def __post_init__(self):
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
@@ -184,18 +193,20 @@ class Instance:
                        for p in self.prizes)
         if len(prizes) != self.n:
             raise ValueError(f"expected {self.n} prizes, got {len(prizes)}")
+        # numerators and denominators of the prizes, then of the costs
+        nums, dens = [], []
         for v, p in enumerate(prizes):
-            if p.numerator < 0:
+            a, q = p.as_integer_ratio()
+            if a < 0:
                 raise ValueError(f"negative prize {p} at vertex {v}")
-        denominators = {p.denominator for p in prizes}
-        numerators = 0  # of the costs
+            nums.append(a)
+            dens.append(q)
         seen: set[tuple[int, int]] = set()
         edges = []
         for k, e in enumerate(self.edges):
-            try:
-                u, v, c = e
-            except (TypeError, ValueError):
-                raise ValueError(f"edge {k} is not a (u, v, cost) triple: {e!r}")
+            if not isinstance(e, (list, tuple)) or len(e) != 3:
+                raise ValueError(f"edge {k} must be a [u, v, cost] triple")
+            u, v, c = e
             if not isinstance(u, int) or not isinstance(v, int) \
                     or isinstance(u, bool) or isinstance(v, bool):
                 raise ValueError(f"edge {k} has non-integer endpoint: {e!r}")
@@ -210,11 +221,11 @@ class Instance:
             seen.add((u, v))
             if type(c) is not Fraction:
                 c = parse_rational(c)
-            numerator = c.numerator
-            if numerator < 0:
+            a, q = c.as_integer_ratio()
+            if a < 0:
                 raise ValueError(f"negative cost {c} on edge {k}")
-            numerators += numerator
-            denominators.add(c.denominator)
+            nums.append(a)
+            dens.append(q)
             edges.append((u, v, c))
         if self.names is not None:
             names = tuple(str(s) for s in self.names)
@@ -223,30 +234,25 @@ class Instance:
             object.__setattr__(self, "names", names)
         object.__setattr__(self, "prizes", prizes)
         object.__setattr__(self, "edges", tuple(edges))
-        scale = budgeted_scale(denominators, 2, "the scale, twice the lcm "
+        scale = budgeted_scale(set(dens), 2, "the scale, twice the lcm "
                                "of the denominators,")
-        # with every value an integer, the cost numerators summed while
-        # validating are the cost total
-        if scale == 2:
-            costs = scale * numerators
-        else:
-            costs = sum(c.numerator * (scale // c.denominator)
-                        for _, _, c in self.edges)
-        total = costs + 2 * sum(p.numerator * (scale // p.denominator)
-                                for p in self.prizes)
+        scaled = [a * (scale // q) for a, q in zip(nums, dens)]
+        total = sum(scaled) + sum(scaled[:self.n])  # prizes count twice
         if total.bit_length() > MAX_TOTAL_BITS:
             raise ValueError("the cost total plus twice the prize total, at "
                              f"the instance's scale, needs "
                              f"{total.bit_length()} bits, more than "
                              f"{MAX_TOTAL_BITS}")
         object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "scaled_costs", tuple(scaled[self.n:]))
+        object.__setattr__(self, "scaled_prizes", tuple(scaled[:self.n]))
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
     def prize_total(self) -> Fraction:
-        return sum(self.prizes, Fraction(0))
+        return Fraction(sum(self.scaled_prizes), self.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -301,20 +307,11 @@ def _parse_json(text: str) -> Instance:
         raise ParseError('"prizes" must be a list')
     if not isinstance(doc["edges"], list):
         raise ParseError('"edges" must be a list')
+    names = doc.get("names")
+    if names is not None and not isinstance(names, list):
+        raise ParseError('"names" must be a list of strings')
     try:
-        prizes = tuple(parse_rational(p) for p in doc["prizes"])
-        edges = []
-        for k, item in enumerate(doc["edges"]):
-            if not isinstance(item, list) or len(item) != 3:
-                raise ValueError(f"edge {k} must be a [u, v, cost] triple")
-            u, v, c = item
-            edges.append((u, v, parse_rational(c)))
-        names = doc.get("names")
-        if names is not None:
-            if not isinstance(names, list):
-                raise ValueError('"names" must be a list of strings')
-            names = tuple(names)
-        return Instance(n, tuple(edges), prizes, names)
+        return Instance(n, doc["edges"], doc["prizes"], names)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 

@@ -9,9 +9,10 @@ Growth stops when a single active maximal set M remains.  Phase two
 takes the forest restricted to M and repeatedly deletes any saturated
 set that hangs off the tree by exactly one edge.
 
-Growth and prune run on Python ints.  When the state is built it fixes
-a scale S, twice the lcm of every cost and prize denominator, and every
-clock, dual, budget, load and slack is an integer count of 1/S.  Sums
+Growth and prune run on Python ints.  The instance fixes a scale S,
+twice the lcm of every cost and prize denominator, and holds its costs
+and prizes as ints at S; every clock, dual, budget, load and slack is
+an integer count of 1/S.  Sums
 and differences of such counts stay integers, and so does a saturation
 time, a birth clock plus a budget.  A merge time is a slack divided by
 the number of live sets the edge joins, one or two, and every halving
@@ -86,7 +87,7 @@ Neither phase, nor checked mode, lists the members of a set.
   - an edge's lowest common set: the first set to hold both ends, and
     every later set lies above it;
   - the costs and prizes at the instance's scale, which the clocks
-    share: the instance is fixed.
+    share: the instance's own scaled ints, fixed with it.
   Next to it the checks keep the forest pieces inside every set: a
   later forest edge joins two maximal sets, so it lies inside none of
   the sets before it.  What can move is recomputed at every step, in
@@ -195,8 +196,7 @@ class SolverState:
         self._emit = emit_trace
         n = inst.n
         self._scale = scale = inst.scale
-        self._cost = cost = [c.numerator * (scale // c.denominator)
-                             for _, _, c in inst.edges]
+        self._cost = cost = inst.scaled_costs
         odd = next((idx for idx, c in enumerate(cost) if c & 1), None)
         if odd is not None:
             # c >> 1 below would floor it
@@ -213,8 +213,7 @@ class SolverState:
         self._birth: list[int] = [0] * n
         self._death: list[Optional[int]] = [None] * n
         # prize a set still had to fill at its birth
-        self._budget: list[int] = [p.numerator * (scale // p.denominator)
-                                   for p in inst.prizes]
+        self._budget: list[int] = list(inst.scaled_prizes)
         # union-find over vertices: parent links and load offsets per
         # vertex, the maximal set of each root, the root of each set
         self._dsu: list[int] = list(range(n))

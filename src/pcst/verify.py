@@ -119,8 +119,9 @@ class FamilyIndex:
     pairs given, an end -1 where it names no vertex of the family.
     tops[k] is the lowest set holding both ends of pair k, -1 if no set
     does or an end is -1.  With an instance, costs[i] is the cost of
-    edge i and prizes[s] the prize of set s, as ints over scale, the
-    instance's scale, and edge_ids maps each edge's (u, v) to its index.
+    edge i and prizes[s] the prize of set s, as ints over scale, read
+    from the instance's scaled_costs and scaled_prizes, and edge_ids
+    maps each edge's (u, v) to its index.
 
     A union is the lowest common set of exactly the pairs with one end
     in each of its two children and no common set before, so the index
@@ -156,13 +157,10 @@ class FamilyIndex:
             self.root = list(range(n))  # per maximal set, on link
         self.prizes: Optional[list[int]] = None
         if inst is not None:
-            self.scale = scale = inst.scale
-            self.costs = [c.numerator * (scale // c.denominator)
-                          for _, _, c in inst.edges]
+            self.scale, self.costs = inst.scale, inst.scaled_costs
             self.edge_ids = {(u, v): idx
                              for idx, (u, v, _) in enumerate(inst.edges)}
-            self.prizes = [p.numerator * (scale // p.denominator)
-                           for p in inst.prizes[:n]]
+            self.prizes = list(inst.scaled_prizes[:n])
             self.prizes += [0] * (n - inst.n)  # an instance too small
         self.extend()
 
@@ -214,11 +212,13 @@ class DualIndex:
     links, as integers over ``scale``: the duals' scale and, when an
     instance is given, the audit_scale of the two.
 
-    chain[s] is the dual mass on s and its ancestors, inside[s] the mass
-    on s and the sets below it.  With an instance there are also
+    chain[s] is the dual mass on s and its ancestors.  With an instance
+    there are also inside[s], the mass on s and the sets below it,
     costs[i], the cost of instance edge i, edge_slack[i], its cost minus
     the mass on the sets it crosses, prizes[s], the prize of s, and
-    violations, the check_feasibility list.  An instance with fewer vertices than the
+    violations, the check_feasibility list; without one, as for
+    certificate, which reads only chain loads and the total, the pass
+    for inside is skipped.  An instance with fewer vertices than the
     family is refused with a ValueError.  A caller holding a
     FamilyIndex of the family and the instance passes it."""
 
@@ -236,13 +236,13 @@ class DualIndex:
         chain = y[:]
         for sid, up in reversed(family.links):
             chain[sid] += chain[up]
-        inside = y[:]
-        for sid, up in family.links:
-            inside[up] += inside[sid]
-        self.y, self.chain, self.inside = y, chain, inside
+        self.y, self.chain = y, chain
         self.total = sum(y)
         if inst is None:
             return
+        self.inside = inside = y[:]
+        for sid, up in family.links:
+            inside[up] += inside[sid]
         unit = self.scale // family.scale
         costs, prizes = family.costs, family.prizes
         if unit != 1:
@@ -393,8 +393,9 @@ class TreeIndex:
     def penalty(self) -> Fraction:
         """The prizes the tree forfeits, summed on first read: checked
         mode checks trees without reading it."""
-        return sum((p for v, p in enumerate(self._inst.prizes)
-                    if v not in self._vertices), Fraction(0))
+        inst = self._inst
+        return Fraction(sum(p for v, p in enumerate(inst.scaled_prizes)
+                            if v not in self._vertices), inst.scale)
 
     def check(self, require_tree: bool = False) -> None:
         """Raise ValueError if the tree is not a connected subgraph of

@@ -204,6 +204,17 @@ def random_connected_subtree(inst: Instance, rng: random.Random) -> Tree:
     return Tree(frozenset(vertices), tuple(edges))
 
 
+def halve_scale(inst: Instance) -> Instance:
+    """Halve inst's scale in place, taking out the factor 2 that keeps
+    every scaled cost even, and halve its scaled costs and prizes with
+    it; returns inst."""
+    object.__setattr__(inst, "scale", inst.scale // 2)
+    for name in ("scaled_costs", "scaled_prizes"):
+        object.__setattr__(inst, name,
+                           tuple(x // 2 for x in getattr(inst, name)))
+    return inst
+
+
 # -- the shared 1000-instance sweep -------------------------------------------
 
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import halve_scale
 from pcst import cli
 from pcst.cli import main
 from pcst.instance import MAX_SCALE_BITS, MAX_TOTAL_BITS
@@ -197,9 +198,7 @@ def test_solve_invariant_failure_exits_4(tmp_path, capsys, monkeypatch):
     real_parse = cli.parse_instance
 
     def halved_scale(*args):
-        inst = real_parse(*args)
-        object.__setattr__(inst, "scale", inst.scale // 2)
-        return inst
+        return halve_scale(real_parse(*args))
 
     monkeypatch.setattr(cli, "parse_instance", halved_scale)
     assert run_cli("solve", str(path), "--json") == 4

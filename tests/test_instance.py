@@ -134,6 +134,12 @@ JSON_REJECTS = {  # document: what the error says
     '{"n": "2", "prizes": [0, 0], "edges": []}': '"n" must be an integer',
     '{"n": 2, "prizes": [0, 0], "edges": [[0, 1]]}':
         "edge 0 must be a [u, v, cost] triple",
+    '{"n": 2, "prizes": [0, 0], "edges": [{"u": 0, "v": 1, "cost": 1}]}':
+        "edge 0 must be a [u, v, cost] triple",
+    '{"n": 2, "prizes": [0, 0], "edges": ["011"]}':
+        "edge 0 must be a [u, v, cost] triple",
+    '{"n": 2, "prizes": [0, 0], "edges": [[0, 1, 1, 1]]}':
+        "edge 0 must be a [u, v, cost] triple",
     '{"n": 2, "prizes": [0, 0], "edges": [[0, 1, 1], [0, 1, 2]]}':
         "parallel edge 1",
     '{"n": 1, "prizes": [Infinity], "edges": []}': "non-finite number",
@@ -410,6 +416,24 @@ def test_instances_past_the_budget_are_refused(name):
     for fmt in FORMATS:
         with pytest.raises(ParseError, match=refusal):
             parse_instance(texts[fmt], fmt)
+
+
+@given(rationals, st.lists(st.tuples(rationals, rationals), max_size=6))
+def test_scaled_ints_are_the_numbers_at_the_scale(root_prize, hung):
+    """Vertex k + 1 has prize hung[k][0] and hangs off vertex k by an
+    edge of cost hung[k][1].  The instance's scaled ints are its costs
+    and prizes times its scale, and both formats carry them unchanged."""
+    inst = Instance(len(hung) + 1,
+                    tuple((k, k + 1, c) for k, (_, c) in enumerate(hung)),
+                    (root_prize,) + tuple(p for p, _ in hung))
+    scaled = (inst.scaled_costs, inst.scaled_prizes)
+    assert all(type(x) is int for xs in scaled for x in xs)
+    assert scaled == (tuple(c * inst.scale for _, _, c in inst.edges),
+                      tuple(p * inst.scale for p in inst.prizes))
+    for fmt in FORMATS:
+        back = parse_instance(emit_instance(inst, fmt), fmt)
+        assert (back.scale, back.scaled_costs, back.scaled_prizes) == \
+            (inst.scale, *scaled), fmt
 
 
 def test_deeply_nested_json_is_a_parse_error():

@@ -168,7 +168,7 @@ def test_family_index_matches_chain_walks(seed):
     assert index.tops == [lowest_common_by_walk(fam, u, v)
                           for u, v in asked]
     assert index.parent == [fam.parent_of(sid) for sid in fam.ids]
-    assert index.costs == [c * inst.scale for _, _, c in inst.edges]
+    assert list(index.costs) == [c * inst.scale for _, _, c in inst.edges]
     assert index.prizes == [sum(inst.prizes[v] for v in vs) * inst.scale
                             for vs in sets]
     grown = lam.LaminarFamily(n)

@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 import naive_checker as naive
-from conftest import (naive_epsilon, reference_prune, rescan_step,
-                      solve_by_rescan, sweep_instance)
+from conftest import (halve_scale, naive_epsilon, reference_prune,
+                      rescan_step, solve_by_rescan, sweep_instance)
 from pcst import (Instance, gen_random, gen_tight_path, gen_tight_star,
                   parse_instance, solve)
 from pcst import cli
@@ -273,8 +273,7 @@ def test_halved_scale_refuses_odd_costs_and_keeps_even_runs(name):
     make, odd = HALVED_SCALE_INSTANCES[name]
     inst = make()
     unforced = outputs(inst, solve(inst))
-    half = inst.scale // 2
-    object.__setattr__(inst, "scale", half)
+    half = halve_scale(inst).scale
     if odd:
         with pytest.raises(sv.InvariantError,
                            match=rf"edge \d+ has odd cost \d+ at scale {half}$"):
@@ -302,6 +301,7 @@ def test_odd_live_slack_mid_growth_is_an_invariant_failure(monkeypatch,
             if a != b and state._alive(a) and state._alive(b):
                 live_pairs.append(idx)
                 if len(live_pairs) == bump_at:
+                    state._cost = list(state._cost)  # never the instance's
                     state._cost[idx] += 1
                     bumped.append(idx)
                     break
@@ -356,6 +356,30 @@ def test_growth_does_no_fraction_arithmetic(monkeypatch):
             assert len(state.fam) > n
             built.append(len(calls))
     assert built[0] == built[1] <= 10, built
+
+
+def test_set_up_reads_no_fraction(monkeypatch):
+    """Solver set-up and the verifier's family index take the costs and
+    prizes from the instance's scaled ints: at n=1000 neither reads the
+    numerator or the denominator of a Fraction."""
+    inst = gen_random(1000, Fraction(1, 250), max_cost=10, max_prize=8,
+                      seed=99)
+    grown = sv.init_state(inst, emit_trace=False)
+    sv.run_phase1(grown)
+
+    def reads(call):
+        names = []
+        with monkeypatch.context() as patch:
+            for name in ("numerator", "denominator"):
+                real = getattr(Fraction, name).fget
+                patch.setattr(Fraction, name, property(
+                    lambda q, real=real, name=name:
+                    names.append(name) or real(q)))
+            call()
+        return names
+
+    assert reads(lambda: sv.init_state(inst)) == []
+    assert reads(lambda: verify.FamilyIndex(grown.fam, inst)) == []
 
 
 def test_checked_growth_runs_no_lca_pass(monkeypatch):
