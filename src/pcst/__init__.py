@@ -15,8 +15,8 @@ from .instance import (FORMATS, Instance, ParseError, approx_decimal,
                        emit_instance, format_rational, gen_random,
                        gen_tight_path, gen_tight_star, parse_instance,
                        parse_rational, rational_token)
-from .laminar import (DualAssignment, LaminarFamily, SetRecord,
-                      from_records, records_from_json, to_records)
+from .laminar import (DualAssignment, LaminarFamily, from_records,
+                      records_from_json, to_records)
 from .oracle import ExactResult, exact_solve
 from .solver import (Event, InvariantError, Solution, SolverState,
                      init_state, run_phase1, run_phase2, solve,
@@ -33,7 +33,7 @@ __all__ = [
     "emit_instance", "format_rational", "gen_random", "gen_tight_path",
     "gen_tight_star", "parse_instance", "parse_rational",
     "rational_token",
-    "DualAssignment", "LaminarFamily", "SetRecord", "from_records",
+    "DualAssignment", "LaminarFamily", "from_records",
     "records_from_json", "to_records",
     "ExactResult", "exact_solve",
     "Event", "InvariantError", "Solution", "SolverState", "init_state",

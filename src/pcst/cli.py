@@ -115,8 +115,7 @@ def _solution_json_obj(inst: Instance, sol: solver_mod.Solution,
         "lower_bound": format_rational(sol.lower_bound),
         "ratio_vs_lower_bound": ratio,
         "minimizing_vertex": sol.minimizing_vertex,
-        "laminar": [rec.to_json_obj()
-                    for rec in lam.to_records(sol.fam, sol.duals)],
+        "laminar": lam.to_records(sol.fam, sol.duals),
         "trace_file": trace_path,
     }
 

@@ -228,7 +228,9 @@ class Instance:
             dens.append(q)
             edges.append((u, v, c))
         if self.names is not None:
-            names = tuple(str(s) for s in self.names)
+            names = tuple(self.names)
+            if not all(isinstance(s, str) for s in names):
+                raise ValueError('"names" must be a list of strings')
             if len(names) != self.n:
                 raise ValueError(f"expected {self.n} names, got {len(names)}")
             object.__setattr__(self, "names", names)

@@ -15,20 +15,25 @@ over a common scale, plus the ids frozen as saturated.  The solver
 reads it off its growth clocks at its own scale.  This module only
 stores and queries; growth scheduling lives in the solver.
 
-A snapshot record carries a set's id, dual, saturation flag and parent
-link; the member vertices are not stored, because the parent links
-determine them.  A dual is a Fraction only in a record.
+A snapshot is the solution document's laminar list: per set its id,
+its dual as a "p/q" token, its saturation flag and its parent link.
+The member vertices are not stored, because the parent links determine
+them.  Writing one takes a gcd per dual and builds no Fraction; reading
+one parses each token with parse_rational and keeps its numerator and
+denominator.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Optional
 
-from .instance import (ParseError, budgeted_scale, format_rational,
-                       parse_rational)
+from .instance import ParseError, budgeted_scale, parse_rational
 
 SetId = int
+# a snapshot entry read back: id, dual p / q, saturated, parent
+Record = tuple[SetId, int, int, bool, Optional[SetId]]
 
 
 class LaminarFamily:
@@ -98,31 +103,20 @@ class DualAssignment:
 # snapshots (the serialized form audited by the verifier and the CLI)
 
 
-@dataclass(frozen=True)
-class SetRecord:
-    sid: SetId
-    y: Fraction
-    saturated: bool
-    parent: Optional[SetId]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "id": self.sid,
-            "y": format_rational(self.y),
-            "saturated": self.saturated,
-            "parent": self.parent,
-        }
+def to_records(fam: LaminarFamily, duals: DualAssignment) -> list[dict]:
+    """The document's laminar entries, one per set, each dual in lowest
+    terms as "p/q"."""
+    scale, saturated = duals.scale, duals.saturated
+    records = []
+    for sid, y in zip(fam.ids, duals.y):
+        g = gcd(y, scale)
+        records.append({"id": sid, "y": f"{y // g}/{scale // g}",
+                        "saturated": sid in saturated,
+                        "parent": fam.parent_of(sid)})
+    return records
 
 
-def to_records(fam: LaminarFamily,
-               duals: DualAssignment) -> tuple[SetRecord, ...]:
-    return tuple(
-        SetRecord(sid, Fraction(y, duals.scale), sid in duals.saturated,
-                  fam.parent_of(sid))
-        for sid, y in zip(fam.ids, duals.y))
-
-
-def records_from_json(items: list) -> tuple[SetRecord, ...]:
+def records_from_json(items: list) -> list[Record]:
     """Records from the json entries of a snapshot.  Keys beyond the
     four a record needs are ignored, so the per-set "vertices" lists of
     pcst-solution/1 documents are accepted and skipped.  An id must be
@@ -141,12 +135,12 @@ def records_from_json(items: list) -> tuple[SetRecord, ...]:
             raise ValueError("snapshot ids and parents must be integers")
         if type(item["saturated"]) is not bool:
             raise ValueError("snapshot saturation flags must be booleans")
-        records.append(SetRecord(sid, parse_rational(item["y"]),
-                                 item["saturated"], parent))
-    return tuple(records)
+        p, q = parse_rational(item["y"]).as_integer_ratio()
+        records.append((sid, p, q, item["saturated"], parent))
+    return records
 
 
-def from_records(records: Iterable[SetRecord],
+def from_records(records: Iterable[Record],
                  n: int) -> tuple[LaminarFamily, DualAssignment]:
     """Rebuild a family + duals from snapshot records, validating shape.
 
@@ -157,32 +151,33 @@ def from_records(records: Iterable[SetRecord],
     MAX_SCALE_BITS.  Duals a solve writes for an instance within the
     budget pass: their denominators divide the instance's scale.
     """
-    recs = sorted(records, key=lambda r: r.sid)
-    if [r.sid for r in recs] != list(range(len(recs))):
+    recs = sorted(records, key=lambda r: r[0])
+    if [r[0] for r in recs] != list(range(len(recs))):
         raise ValueError("snapshot set ids must be dense from 0")
     if len(recs) < n or len(recs) > 2 * n - 1:
         raise ValueError(f"snapshot has {len(recs)} sets for {n} vertices")
     fam = LaminarFamily(n)
     children: dict[int, list[int]] = {}
-    for r in recs:
-        if r.parent is not None:
-            if not (r.sid < r.parent < len(recs)):
-                raise ValueError(f"set {r.sid} has bad parent {r.parent}")
-            children.setdefault(r.parent, []).append(r.sid)
-    for r in recs[n:]:
-        kids = children.get(r.sid, [])
+    for sid, _, _, _, parent in recs:
+        if parent is not None:
+            if not (sid < parent < len(recs)):
+                raise ValueError(f"set {sid} has bad parent {parent}")
+            children.setdefault(parent, []).append(sid)
+    for sid in range(n, len(recs)):
+        kids = children.get(sid, [])
         if len(kids) != 2:
-            raise ValueError(f"set {r.sid} must have exactly two children")
+            raise ValueError(f"set {sid} must have exactly two children")
         fam.merge(kids[0], kids[1])
-    for r in recs:
-        if r.parent != fam.parent_of(r.sid):
-            raise ValueError(f"set {r.sid} parent link inconsistent")
-        if r.y.numerator < 0:
-            raise ValueError(f"set {r.sid} has negative dual {r.y}")
+    for sid, p, q, _, parent in recs:
+        if parent != fam.parent_of(sid):
+            raise ValueError(f"set {sid} parent link inconsistent")
+        if p < 0:
+            raise ValueError(f"set {sid} has negative dual {Fraction(p, q)}")
     try:
-        scale = budgeted_scale({r.y.denominator for r in recs}, 1,
+        scale = budgeted_scale({q for _, _, q, _, _ in recs}, 1,
                                "the duals' scale")
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    y = [r.y.numerator * (scale // r.y.denominator) for r in recs]
-    return fam, DualAssignment(y, scale, {r.sid for r in recs if r.saturated})
+    y = [p * (scale // q) for _, p, q, _, _ in recs]
+    return fam, DualAssignment(y, scale,
+                               {sid for sid, _, _, sat, _ in recs if sat})

@@ -150,6 +150,12 @@ JSON_REJECTS = {  # document: what the error says
     '{"n": 1, "prizes": [0], "edges": {}}': '"edges" must be a list',
     '{"n": 1, "prizes": [0], "edges": [], "names": "a"}':
         '"names" must be a list of strings',
+    '{"n": 2, "prizes": [0, 0], "edges": [], "names": [1, {"a": [2]}]}':
+        '"names" must be a list of strings',
+    '{"n": 2, "prizes": [0, 0], "edges": [], "names": [null, true]}':
+        '"names" must be a list of strings',
+    '{"n": 2, "prizes": [0, 0], "edges": [], "names": ["a", 2]}':
+        '"names" must be a list of strings',
 }
 
 

@@ -8,10 +8,12 @@ import pytest
 import naive_checker as naive
 from conftest import chain_of_vertex
 from naive_checker import members
-from pcst import Instance, from_records, records_from_json, to_records
+from pcst import (Instance, ParseError, format_rational, from_records,
+                  gen_random, records_from_json, solve, to_records)
 from pcst import laminar as lam
 from pcst import solver as sv
 from pcst import verify
+from pcst.instance import MAX_SCALE_BITS
 
 
 # -- structure -----------------------------------------------------------------
@@ -120,8 +122,12 @@ def build_random_family(n, seed):
 def test_snapshot_round_trip(seed):
     fam, duals = build_random_family(7, seed)
     records = to_records(fam, duals)
-    parsed = records_from_json([r.to_json_obj() for r in records])
-    assert parsed == records
+    assert [r["y"] for r in records] == \
+        [format_rational(naive.dual(duals, sid)) for sid in fam.ids]
+    parsed = records_from_json(records)
+    assert parsed == [(sid, *naive.dual(duals, sid).as_integer_ratio(),
+                       sid in duals.saturated, fam.parent_of(sid))
+                      for sid in fam.ids]
     fam2, duals2 = from_records(parsed, 7)
     assert len(fam2) == len(fam)
     for sid in fam.ids:
@@ -182,18 +188,22 @@ def test_family_index_matches_chain_walks(seed):
 
 def test_from_records_rejects_malformed():
     fam, duals = build_random_family(5, 1)
-    records = list(to_records(fam, duals))
+    records = to_records(fam, duals)
 
-    def corrupt(mutate, match=None):
-        objs = [r.to_json_obj() for r in records]
+    def corrupt(mutate, match=None, error=ValueError):
+        objs = [dict(r) for r in records]
         mutate(objs)
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(error, match=match):
             from_records(records_from_json(objs), 5)
 
     # parents: 0 -> 5, 1 -> 6, 2 -> 5, 5 -> 6; 3, 4 and 6 are roots
-    assert [r.parent for r in records] == [5, 6, 5, None, None, 6, None]
+    assert [r["parent"] for r in records] == [5, 6, 5, None, None, 6, None]
     corrupt(lambda objs: objs.pop(), "bad parent")  # drop the root set
     corrupt(lambda objs: objs[0].update(id=9), "dense from 0")
+    # two entries for set 0 that differ only in their parents, 5 and None
+    corrupt(lambda objs: objs[3].update(id=0, y=objs[0]["y"],
+                                        saturated=objs[0]["saturated"]),
+            "dense from 0")
     corrupt(lambda objs: objs[0].update(y="-1/2"), "negative dual")
     corrupt(lambda objs: objs[-1].update(parent=0), "bad parent")
     corrupt(lambda objs: objs[3].update(parent=4),  # singleton as parent
@@ -202,9 +212,45 @@ def test_from_records_rejects_malformed():
             "exactly two children")
     corrupt(lambda objs: objs[3].update(parent=5),  # 5 gains a third
             "exactly two children")
+    corrupt(lambda objs: objs[0].update(y=f"1/{2 ** MAX_SCALE_BITS}"),
+            f"the duals' scale needs more than {MAX_SCALE_BITS} bits",
+            ParseError)
     with pytest.raises(ValueError):
-        from_records(records_from_json([r.to_json_obj()
-                                        for r in records]), 50)
+        from_records(records_from_json(records), 50)
+
+
+@pytest.mark.parametrize("token, canonical", [
+    ("2/4", "1/2"), ("0.5", "1/2"), ("5e-1", "1/2"), (" 1/2 ", "1/2"),
+    (1, "1/1")])
+def test_from_records_reads_every_token_form(token, canonical):
+    """A dual token in any form parse_rational reads gives the same duals
+    as the canonical "p/q" token."""
+    fam, duals = build_random_family(5, 1)
+
+    def reload(y):
+        records = to_records(fam, duals)
+        records[0]["y"] = y
+        return from_records(records_from_json(records), 5)[1]
+
+    assert reload(token) == reload(canonical)
+
+
+def test_to_records_builds_no_fraction(monkeypatch):
+    """The document's duals are written from the ints: no Fraction is
+    built for any of the sets of an n = 1000 solve."""
+    sol = solve(gen_random(1000, "1/250", max_cost=10, max_prize=8,
+                           seed=99), check_invariants=False)
+    built = []
+
+    def counted(*args, real=Fraction.__new__, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    records = to_records(sol.fam, sol.duals)
+    monkeypatch.undo()
+    assert len(records) == len(sol.fam) > 1000
+    assert built == []
 
 
 def test_records_from_json_rejects_bad_shape():
