@@ -6,10 +6,11 @@ is cost(T) plus the prizes of the vertices T leaves out; a single vertex
 with no edges is a legal tree.  The graph does not have to be connected.
 
 Costs and prizes are exact: numeric tokens in either file format may be
-integers ("7"), decimals ("2.5"), or ratios ("5/2") and become
-``fractions.Fraction``s; nothing is ever rounded.  An ``Instance`` also
-holds them as ints at one scale, and the solver and the verifier
-compute on those ints only.
+integers ("7"), decimals ("2.5"), or ratios ("5/2"); nothing is ever
+rounded.  An ``Instance`` holds them once, as ints at one scale, and
+the solver and the verifier compute on those ints only.  Its
+``fractions.Fraction`` views are built on first read, for the emitters,
+the brute-force oracle and callers.
 
 Supported formats:
 
@@ -49,6 +50,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
@@ -103,8 +105,6 @@ def parse_rational(token: RationalLike) -> Fraction:
     tokens longer than MAX_TOKEN_CHARS or with an exponent beyond
     MAX_EXPONENT in magnitude are refused.
     """
-    if type(token) is int:  # the common JSON case, before any isinstance
-        return Fraction(token)
     if isinstance(token, Fraction):
         return token
     if isinstance(token, bool):
@@ -161,97 +161,105 @@ def budgeted_scale(denominators: Iterable[int], factor: int, name: str) -> int:
     return factor * lcm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Instance:
     """Immutable problem instance.
 
-    edges hold (u, v, cost) with u < v, in input order; the position of an
-    edge in this tuple is its edge index, which the solver uses for
-    deterministic tie-breaking.  ``names`` is cosmetic and ignored by
-    equality (the stp format cannot carry labels).  ``scale`` is twice
-    the lcm of every cost and prize denominator, fixed at construction,
-    and ``scaled_costs[k]`` and ``scaled_prizes[v]`` are edge k's cost
-    and vertex v's prize times the scale, as ints.  They are made here
-    only, in the one walk that validates the input; an instance past
-    MAX_SCALE_BITS or MAX_TOTAL_BITS is refused.
+    ``ends[k]`` is edge k's (u, v) with u < v, in input order; the
+    position of an edge is its edge index, which the solver uses for
+    deterministic tie-breaking.  ``scale`` is twice the lcm of every
+    cost and prize denominator, and ``scaled_costs[k]`` and
+    ``scaled_prizes[v]`` are edge k's cost and vertex v's prize times
+    the scale, as ints: they are the only numbers an instance stores.
+    They are made here only, in the one walk that validates the input;
+    an int token takes no ``Fraction``, and an instance past
+    MAX_SCALE_BITS or MAX_TOTAL_BITS is refused.  ``edges``, the
+    (u, v, cost) triples, and ``prizes`` are ``Fraction`` views built
+    on first read.  ``names`` is cosmetic and ignored by equality (the
+    stp format cannot carry labels).
     """
 
     n: int
-    edges: tuple[tuple[int, int, Fraction], ...]
-    prizes: tuple[Fraction, ...]
+    ends: tuple[tuple[int, int], ...]
+    scale: int
+    scaled_costs: tuple[int, ...]
+    scaled_prizes: tuple[int, ...]
     names: Optional[tuple[str, ...]] = field(default=None, compare=False)
-    scale: int = field(init=False, compare=False, repr=False)
-    scaled_costs: tuple[int, ...] = field(init=False, compare=False,
-                                          repr=False)
-    scaled_prizes: tuple[int, ...] = field(init=False, compare=False,
-                                           repr=False)
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise ValueError(f"vertex count must be a positive int, got {self.n!r}")
-        prizes = tuple(p if type(p) is Fraction else parse_rational(p)
-                       for p in self.prizes)
-        if len(prizes) != self.n:
-            raise ValueError(f"expected {self.n} prizes, got {len(prizes)}")
+    def __init__(self, n: int, edges: Sequence, prizes: Sequence,
+                 names: Optional[Sequence[str]] = None):
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ValueError(f"vertex count must be a positive int, got {n!r}")
         # numerators and denominators of the prizes, then of the costs
         nums, dens = [], []
-        for v, p in enumerate(prizes):
-            a, q = p.as_integer_ratio()
-            if a < 0:
-                raise ValueError(f"negative prize {p} at vertex {v}")
+        for p in prizes:
+            a, q = (p, 1) if type(p) is int \
+                else parse_rational(p).as_integer_ratio()
             nums.append(a)
             dens.append(q)
-        seen: set[tuple[int, int]] = set()
-        edges = []
-        for k, e in enumerate(self.edges):
+        if len(nums) != n:
+            raise ValueError(f"expected {n} prizes, got {len(nums)}")
+        for v, a in enumerate(nums):
+            if a < 0:
+                raise ValueError(f"negative prize {Fraction(a, dens[v])} "
+                                 f"at vertex {v}")
+        ends: dict[tuple[int, int], None] = {}  # ordered, and the seen-set
+        for k, e in enumerate(edges):
             if not isinstance(e, (list, tuple)) or len(e) != 3:
                 raise ValueError(f"edge {k} must be a [u, v, cost] triple")
             u, v, c = e
             if not isinstance(u, int) or not isinstance(v, int) \
                     or isinstance(u, bool) or isinstance(v, bool):
                 raise ValueError(f"edge {k} has non-integer endpoint: {e!r}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
+            if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge {k} endpoint out of range: ({u}, {v})")
             if u == v:
                 raise ValueError(f"edge {k} is a self-loop at vertex {u}")
             if u > v:
                 u, v = v, u
-            if (u, v) in seen:
+            if (u, v) in ends:
                 raise ValueError(f"parallel edge {k} between {u} and {v}")
-            seen.add((u, v))
-            if type(c) is not Fraction:
-                c = parse_rational(c)
-            a, q = c.as_integer_ratio()
+            ends[u, v] = None
+            a, q = (c, 1) if type(c) is int \
+                else parse_rational(c).as_integer_ratio()
             if a < 0:
-                raise ValueError(f"negative cost {c} on edge {k}")
+                raise ValueError(f"negative cost {Fraction(a, q)} on edge {k}")
             nums.append(a)
             dens.append(q)
-            edges.append((u, v, c))
-        if self.names is not None:
-            names = tuple(self.names)
+        if names is not None:
+            names = tuple(names)
             if not all(isinstance(s, str) for s in names):
                 raise ValueError('"names" must be a list of strings')
-            if len(names) != self.n:
-                raise ValueError(f"expected {self.n} names, got {len(names)}")
-            object.__setattr__(self, "names", names)
-        object.__setattr__(self, "prizes", prizes)
-        object.__setattr__(self, "edges", tuple(edges))
+            if len(names) != n:
+                raise ValueError(f"expected {n} names, got {len(names)}")
         scale = budgeted_scale(set(dens), 2, "the scale, twice the lcm "
                                "of the denominators,")
         scaled = [a * (scale // q) for a, q in zip(nums, dens)]
-        total = sum(scaled) + sum(scaled[:self.n])  # prizes count twice
+        total = sum(scaled) + sum(scaled[:n])  # prizes count twice
         if total.bit_length() > MAX_TOTAL_BITS:
             raise ValueError("the cost total plus twice the prize total, at "
                              f"the instance's scale, needs "
                              f"{total.bit_length()} bits, more than "
                              f"{MAX_TOTAL_BITS}")
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "scaled_costs", tuple(scaled[self.n:]))
-        object.__setattr__(self, "scaled_prizes", tuple(scaled[:self.n]))
+        # frozen: the fields are set past the dataclass's __setattr__
+        vars(self).update(n=n, ends=tuple(ends), scale=scale,
+                          scaled_costs=tuple(scaled[n:]),
+                          scaled_prizes=tuple(scaled[:n]), names=names)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int, Fraction], ...]:
+        """(u, v, cost) per edge, in edge index order."""
+        return tuple((u, v, Fraction(c, self.scale))
+                     for (u, v), c in zip(self.ends, self.scaled_costs))
+
+    @cached_property
+    def prizes(self) -> tuple[Fraction, ...]:
+        """Prize per vertex."""
+        return tuple(Fraction(p, self.scale) for p in self.scaled_prizes)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.ends)
 
     def prize_total(self) -> Fraction:
         return Fraction(sum(self.scaled_prizes), self.scale)
@@ -430,7 +438,7 @@ def _parse_stp(text: str) -> Instance:
     if declared_m is not None and declared_m != len(edges):
         raise ParseError(f"Edges line declares {declared_m} edges "
                          f"but {len(edges)} E lines found")
-    prizes = tuple(prize_lines.get(v, Fraction(0)) for v in range(n))
+    prizes = tuple(prize_lines.get(v, 0) for v in range(n))
     try:
         return Instance(n, tuple(edges), prizes)
     except ValueError as exc:
@@ -472,8 +480,8 @@ def gen_tight_star(rho: RationalLike) -> Instance:
     leaf = 1 + rho / 2
     return Instance(
         3,
-        ((0, 1, Fraction(2)), (0, 2, Fraction(2))),
-        (Fraction(10), leaf, leaf),
+        ((0, 1, 2), (0, 2, 2)),
+        (10, leaf, leaf),
     )
 
 
@@ -490,8 +498,8 @@ def gen_tight_path(k: int, rho: RationalLike) -> Instance:
     if not 0 < rho < 2:
         raise ValueError(f"rho must satisfy 0 < rho < 2, got {rho}")
     tail = 1 + rho / k
-    prizes = (Fraction(10 * k),) + (tail,) * k
-    edges = tuple((i, i + 1, Fraction(2)) for i in range(k))
+    prizes = (10 * k,) + (tail,) * k
+    edges = tuple((i, i + 1, 2) for i in range(k))
     return Instance(k + 1, edges, prizes)
 
 
@@ -517,6 +525,6 @@ def gen_random(n: int, edge_probability: RationalLike, max_cost: int,
     for u in range(n - 1):
         for v in range(u + 1, n):
             if rng.randrange(p.denominator) < p.numerator:
-                edges.append((u, v, Fraction(rng.randint(0, max_cost))))
-    prizes = tuple(Fraction(rng.randint(0, max_prize)) for _ in range(n))
+                edges.append((u, v, rng.randint(0, max_cost)))
+    prizes = tuple(rng.randint(0, max_prize) for _ in range(n))
     return Instance(n, tuple(edges), prizes)

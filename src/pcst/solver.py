@@ -223,7 +223,7 @@ class SolverState:
         self._active = n
         self._eversion = [0] * inst.m
         self._incident: dict[int, list[int]] = {v: [] for v in range(n)}
-        for idx, (u, v, _) in enumerate(inst.edges):
+        for idx, (u, v) in enumerate(inst.ends):
             self._incident[u].append(idx)
             self._incident[v].append(idx)
         self._heap: list[tuple] = [(budget, _KIND_SAT, v)
@@ -310,10 +310,10 @@ class SolverState:
         revives a frozen side.  Edges whose extremes merely merged with
         other live sets keep their old queue entries.
         """
-        edges, cost = self.inst.edges, self._cost
+        ends, cost = self.inst.ends, self._cost
         kept: list[int] = []
         for idx in edge_list:
-            u, v, _ = edges[idx]
+            u, v = ends[idx]
             tu = self._maximal_of(u)
             tv = self._maximal_of(v)
             self._eversion[idx] += 1
@@ -380,7 +380,7 @@ class SolverState:
 
     def _apply_merge(self, idx: int, eps: int):
         self.clock += eps
-        u, v, _ = self.inst.edges[idx]
+        u, v = self.inst.ends[idx]
         a = self._maximal_of(u)
         b = self._maximal_of(v)
         if a == b:
@@ -424,7 +424,7 @@ class SolverState:
                 idx, version = entry[2], entry[3]
                 if version != self._eversion[idx]:
                     continue
-                u, v, _ = self.inst.edges[idx]
+                u, v = self.inst.ends[idx]
                 if self._maximal_of(u) == self._maximal_of(v):
                     # swallowed by a merge of two live sets, which does
                     # not bump edge versions
@@ -514,7 +514,7 @@ def run_phase2(state: SolverState) -> Solution:
     count = [0] * len(fam)
     merge_xor = [0] * len(fam)
     for k, idx in enumerate(forest):
-        u, v, _ = inst.edges[idx]
+        u, v = inst.ends[idx]
         if in_final[u]:
             count[u] += 1
             count[v] += 1
@@ -538,7 +538,7 @@ def run_phase2(state: SolverState) -> Solution:
         # the bridge's other crossing sets outside sid: the saturated
         # ancestors of sid and of the outer endpoint below its merge set
         merge_set = merge_xor[sid]
-        u, v, _ = inst.edges[forest[merge_set - n]]
+        u, v = inst.ends[forest[merge_set - n]]
         if inside(u, sid) == inside(v, sid):
             raise InvariantError(
                 f"bridge of set {sid} has both ends on one side")
@@ -574,7 +574,7 @@ def run_phase2(state: SolverState) -> Solution:
     state._record(0, kind="phase", phase=PHASE_DONE)
     sol = Solution(
         tree_vertices=frozenset(tree_vs),
-        tree_edges=tuple(inst.edges[idx][:2] for idx in kept),
+        tree_edges=tuple(inst.ends[idx] for idx in kept),
         tree_edge_indices=tuple(kept),
         cost=cost,
         penalty=penalty,
@@ -613,10 +613,10 @@ def _pruned_tree(state: SolverState, pruned) -> tuple[set[int], list[int]]:
     """Vertices and forest edge indices (forest order) left in the tree
     once the given sets are pruned."""
     kept = _kept_sets(state, pruned)
-    edges = state.inst.edges
+    ends = state.inst.ends
     return ({v for v in range(state.inst.n) if kept[v]},
             [idx for idx in state.forest
-             if kept[edges[idx][0]] and kept[edges[idx][1]]])
+             if kept[ends[idx][0]] and kept[ends[idx][1]]])
 
 
 def solve(inst: Instance, *, check_invariants: Optional[bool] = None,
@@ -747,7 +747,7 @@ def check_growth_invariants(state: SolverState):
         if slack[idx]:
             load = index.value(index.costs[idx] - slack[idx])
             raise InvariantError(f"forest edge {idx} not tight: load {load} "
-                                 f"vs cost {state.inst.edges[idx][2]}")
+                                 f"vs cost {index.value(index.costs[idx])}")
     sat = state.saturated
     prizes, inside = index.prizes, index.inside
     for sid in sorted(sat):
@@ -768,9 +768,9 @@ def check_prune_invariants(state: SolverState, tree_vs: set[int],
     checks the tree, reading the lowest common sets of its edges from
     the cached family index."""
     family = _check_index(state).family
-    edges = state.inst.edges
+    ends = state.inst.ends
     tree = verify.Tree(frozenset(tree_vs),
-                       tuple(edges[idx][:2] for idx in tree_edge_indices))
+                       tuple(ends[idx] for idx in tree_edge_indices))
     index = verify.TreeIndex(state.fam, tree, state.inst, family,
                              tree_edge_indices)
     try:

@@ -141,8 +141,7 @@ class FamilyIndex:
         self.links: list[tuple[int, int]] = []
         self.m = 0 if inst is None else inst.m
         ends = [] if inst is None else [
-            (u if u < n else -1, v if v < n else -1)
-            for u, v, _ in inst.edges]
+            (u if u < n else -1, v if v < n else -1) for u, v in inst.ends]
         ends += [(_vertex(a, n), _vertex(b, n)) for a, b in pairs]
         self.ends = ends
         self.tops = [u if u == v else -1 for u, v in ends]
@@ -158,8 +157,7 @@ class FamilyIndex:
         self.prizes: Optional[list[int]] = None
         if inst is not None:
             self.scale, self.costs = inst.scale, inst.scaled_costs
-            self.edge_ids = {(u, v): idx
-                             for idx, (u, v, _) in enumerate(inst.edges)}
+            self.edge_ids = {e: idx for idx, e in enumerate(inst.ends)}
             self.prizes = list(inst.scaled_prizes[:n])
             self.prizes += [0] * (n - inst.n)  # an instance too small
         self.extend()

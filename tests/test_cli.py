@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from conftest import halve_scale
 from pcst import cli
 from pcst.cli import main
-from pcst.instance import MAX_SCALE_BITS, MAX_TOTAL_BITS
+from pcst.instance import (MAX_SCALE_BITS, MAX_TOTAL_BITS, Instance,
+                          emit_instance, gen_random)
 
 
 def run_cli(*argv):
@@ -274,6 +275,26 @@ def test_gen_missing_parameter(capsys):
 def test_gen_invalid_parameter(capsys):
     assert run_cli("gen", "tight-star", "--rho", "7/2") == 1
     capsys.readouterr()
+
+
+def test_solve_and_verify_build_no_fraction_view(tmp_path, monkeypatch,
+                                                capsys):
+    """pcst solve and pcst verify compute on the instance's ints: neither
+    reads the Fraction views edges and prizes."""
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(emit_instance(gen_random(
+        200, "1/20", max_cost=10, max_prize=8, seed=5)), encoding="utf-8")
+
+    def refuse(inst):
+        raise AssertionError("a Fraction view was built")
+
+    for view in ("edges", "prizes"):
+        monkeypatch.setattr(Instance, view, property(refuse))
+    assert run_cli("solve", str(inst_path), "--json") == 0
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert run_cli("verify", str(sol_path), str(inst_path)) == 0
+    assert "verification: pass" in capsys.readouterr().out
 
 
 # -- verify --------------------------------------------------------------------

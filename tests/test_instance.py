@@ -104,6 +104,39 @@ def test_names_do_not_affect_equality():
     a = Instance(2, (), (1, 2), names=("x", "y"))
     b = Instance(2, (), (1, 2))
     assert a == b
+    # equality and hash read the numbers, whatever token wrote them
+    one = ("1", "2/2", "1.0", Fraction(1))
+    half = ("1/2", "2/4", "0.5", Fraction(1, 2))
+    base = Instance(3, ((0, 1, 1), (1, 2, Fraction(1, 2))), (1, "1/2", 0))
+    for c, h in zip(one, half):
+        same = Instance(3, ((1, 0, c), (2, 1, h)), (c, h, 0))
+        assert same == base and hash(same) == hash(base), (c, h)
+    for edges, prizes in [(((0, 1, 2), (1, 2, "1/2")), (1, "1/2", 0)),
+                          (((0, 1, 1), (1, 2, "1/3")), (1, "1/2", 0)),
+                          (((0, 1, 1), (1, 2, "1/2")), (1, "1/2", 1)),
+                          (((0, 1, 1), (0, 2, "1/2")), (1, "1/2", 0))]:
+        assert Instance(3, edges, prizes) != base, (edges, prizes)
+
+
+def test_int_tokens_build_no_fraction(monkeypatch):
+    """An int-only instance is parsed and generated without a single
+    Fraction: its ints are its numbers at scale 2."""
+    p = Fraction(1, 250)
+    text = emit_instance(gen_random(1000, p, max_cost=10, max_prize=8,
+                                    seed=99))
+    built = []
+
+    def counted(*args, real=Fraction.__new__, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    parsed = parse_instance(text)
+    assert built == []
+    generated = gen_random(1000, p, max_cost=10, max_prize=8, seed=99)
+    assert built == []
+    monkeypatch.undo()
+    assert parsed == generated and parsed.m > 1000 and parsed.scale == 2
 
 
 def test_prize_total():
