@@ -140,6 +140,18 @@ def _print_solution_report(inst: Instance, sol: solver_mod.Solution,
         print(f"trace: {trace_path}")
 
 
+def _write_or_fail(path: str, text: str) -> int:
+    """Write text to path: EXIT_OK, or EXIT_USAGE with the reason on
+    standard error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_OK
+
+
 def cmd_solve(args) -> int:
     inst, code = _load_instance_or_fail(args.instance, args.format)
     if inst is None:
@@ -151,9 +163,9 @@ def cmd_solve(args) -> int:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     _note_time("solve", started)
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write(solver_mod.trace_json_lines(sol.trace))
+    if args.trace and _write_or_fail(
+            args.trace, solver_mod.trace_json_lines(sol.trace)):
+        return EXIT_USAGE
     if args.json:
         print(json.dumps(_solution_json_obj(inst, sol, args.trace),
                          indent=2))
@@ -248,10 +260,8 @@ def cmd_gen(args) -> int:
         return EXIT_USAGE
     text = emit_instance(inst, args.format or "json")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return _write_or_fail(args.out, text)
+    sys.stdout.write(text)
     return EXIT_OK
 
 

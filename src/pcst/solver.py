@@ -88,16 +88,18 @@ Neither phase, nor checked mode, lists the members of a set.
     every later set lies above it;
   - the costs and prizes at the instance's scale, which the clocks
     share: the instance's own scaled ints, fixed with it.
-  Next to it the checks keep the forest pieces inside every set: a
-  later forest edge joins two maximal sets, so it lies inside none of
-  the sets before it.  What can move is recomputed at every step, in
-  full, by the verifier's DualIndex: the duals from the clocks, one
-  descending pass for chain loads and one ascending pass for inside
-  loads, and the slack of every edge and every set; the tightness,
-  exhaustion and cover checks read it.  A prune step checks the tree
-  with the verifier's TreeIndex over the cached index.  The cache is
-  rebuilt when the instance object, the family or the forest prefix it
-  was built from differs.
+  The forest check needs nothing more: a union is connected by the
+  forest exactly when both of its children are and some forest edge
+  joins them, that is, has the union as its lowest common set.  So
+  the smallest union that is no forest edge's lowest common set is the
+  smallest set the forest leaves in pieces.  What can move is
+  recomputed at every step, in full, by the verifier's DualIndex: the
+  duals from the clocks, one descending pass for chain loads and one
+  ascending pass for inside loads, and the slack of every edge and
+  every set; the tightness, exhaustion and cover checks read it.  A
+  prune step checks the tree with the verifier's TreeIndex over the
+  cached index.  The cache is rebuilt when the instance object or the
+  family it was built from differs.
 """
 from __future__ import annotations
 
@@ -231,7 +233,7 @@ class SolverState:
         self._heap += [(c >> 1, _KIND_MERGE, idx, 0)
                        for idx, c in enumerate(cost)]
         heapq.heapify(self._heap)
-        self._check_cache: Optional[_CheckIndex] = None
+        self._check_cache: Optional[tuple] = None  # (inst, FamilyIndex)
 
     # -- clock-derived quantities ------------------------------------
 
@@ -645,64 +647,18 @@ def solve(inst: Instance, *, check_invariants: Optional[bool] = None,
 # union-find, its loads or its budgets.
 
 
-class _CheckIndex:
-    """What checked mode keeps from one check to the next (see the
-    module docstring): the family index of the instance's edges, and
-    the number of forest pieces inside every set.
-
-    sync extends both by the sets and forest edges that appeared since
-    the last check.  The index belongs to the instance, family and
-    forest prefix it was built from; sync reports False when the state
-    no longer extends them, and the caller builds a fresh index."""
-
-    def __init__(self, state: SolverState):
-        n = state.fam.n
-        self.inst = state.inst
-        self.family = verify.FamilyIndex(state.fam, state.inst)
-        # forest pieces per set, joined on a union-find of their own in
-        # ascending order of each forest edge's lowest common set
-        self.pieces = [1] * n
-        self.split: Optional[int] = None  # the smallest set with several
-        self.piece = list(range(n))
-        self.forest: list[int] = []
-        self.unplaced: list[int] = []  # forest edges in no common set yet
-
-    def sync(self, state: SolverState) -> bool:
-        family, forest, known = self.family, state.forest, len(self.pieces)
-        if state.inst is not self.inst or state.fam is not family.fam \
-                or forest[:len(self.forest)] != self.forest:
-            return False
+def _family_index(state: SolverState) -> verify.FamilyIndex:
+    """The verifier's family index of the state's family and instance,
+    cached on the state with the instance it was built from: extended
+    by the sets appended since the last check, and built afresh when
+    the instance or the family is another object."""
+    inst, family = state._check_cache or (None, None)
+    if inst is state.inst and family.fam is state.fam:
         family.extend()
-        tops = family.tops
-        fresh = self.unplaced + forest[len(self.forest):]
-        placed = sorted((tops[idx], idx) for idx in fresh if tops[idx] >= 0)
-        if placed and placed[0][0] < known:
-            return False  # a new forest edge inside an older set
-        self.unplaced = [idx for idx in fresh if tops[idx] < 0]
-        joins: dict[int, int] = {}
-        piece = self.piece
-        for top, idx in placed:
-            u, v = family.ends[idx]
-            ru, rv = verify.root_of(piece, u), verify.root_of(piece, v)
-            if ru != rv:
-                piece[ru] = rv
-                joins[top] = joins.get(top, 0) + 1
-        pieces = self.pieces
-        for sid in range(known, len(family.parent)):
-            a, b = state.fam.children(sid)
-            pieces.append(pieces[a] + pieces[b] - joins.get(sid, 0))
-            if pieces[sid] > 1 and self.split is None:
-                self.split = sid
-        self.forest = forest[:]
-        return True
-
-
-def _check_index(state: SolverState) -> _CheckIndex:
-    index = state._check_cache
-    if index is None or not index.sync(state):
-        index = state._check_cache = _CheckIndex(state)
-        index.sync(state)
-    return index
+    else:
+        family = verify.FamilyIndex(state.fam, state.inst)
+        state._check_cache = (state.inst, family)
+    return family
 
 
 def _cover_gaps(family: verify.FamilyIndex, saturated: set[int],
@@ -729,14 +685,16 @@ def check_growth_invariants(state: SolverState):
     """Invariants maintained throughout the growth phase: the forest
     spans every family set connectedly, duals are feasible, forest edges
     are tight, saturated sets are exhausted, and no active maximal set
-    is a union of saturated sets.  The forest's pieces come from the
-    cached index; the rest is recomputed from the growth clocks, over
-    every edge and every set, by the verifier's DualIndex."""
-    checker = _check_index(state)
-    if checker.split is not None:
+    is a union of saturated sets.  The forest check reads the lowest
+    common sets of the forest's edges from the cached family index (see
+    the module docstring); the rest is recomputed from the growth
+    clocks, over every edge and every set, by the verifier's DualIndex."""
+    family = _family_index(state)
+    joined = {family.tops[idx] for idx in state.forest} - {-1}
+    if len(joined) < len(family.parent) - family.n:
+        unions = set(range(family.n, len(family.parent)))
         raise InvariantError(
-            f"forest does not connect family set {checker.split}")
-    family = checker.family
+            f"forest does not connect family set {min(unions - joined)}")
     index = verify.DualIndex(state.fam, state.dual_assignment(), state.inst,
                              family)
     if index.violations:
@@ -767,7 +725,7 @@ def check_prune_invariants(state: SolverState, tree_vs: set[int],
     set is a disjoint union of saturated sets.  The verifier's TreeIndex
     checks the tree, reading the lowest common sets of its edges from
     the cached family index."""
-    family = _check_index(state).family
+    family = _family_index(state)
     ends = state.inst.ends
     tree = verify.Tree(frozenset(tree_vs),
                        tuple(ends[idx] for idx in tree_edge_indices))

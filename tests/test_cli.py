@@ -82,6 +82,20 @@ def test_solve_trace_file(tmp_path, star_file, capsys):
                           "time": "1/1", "phase": "done"}
 
 
+def test_unwritable_output_path_is_a_usage_error(tmp_path, star_file,
+                                                 capsys):
+    missing = tmp_path / "missing"
+    for argv in (("solve", str(star_file), "--trace",
+                  str(missing / "t.jsonl")),
+                 ("gen", "tight-star", "--rho", "1",
+                  "--out", str(missing / "x.json"))):
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert f"error: cannot write {argv[-1]}: " \
+               "No such file or directory" in err
+    assert not missing.exists()
+
+
 def test_solve_check_flags(star_file, capsys):
     assert run_cli("solve", str(star_file), "--check-invariants") == 0
     assert run_cli("solve", str(star_file), "--no-check-invariants") == 0

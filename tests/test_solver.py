@@ -2,6 +2,7 @@
 cases, determinism, the integer core's parity checks, and checker
 fault injection."""
 import json
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -11,8 +12,8 @@ import pytest
 import naive_checker as naive
 from conftest import (halve_scale, naive_epsilon, reference_prune,
                       rescan_step, solve_by_rescan, sweep_instance)
-from pcst import (Instance, gen_random, gen_tight_path, gen_tight_star,
-                  parse_instance, solve)
+from pcst import (Instance, emit_instance, gen_random, gen_tight_path,
+                  gen_tight_star, parse_instance, solve)
 from pcst import cli
 from pcst import laminar as lam
 from pcst import solver as sv
@@ -384,26 +385,97 @@ def test_set_up_reads_no_fraction(monkeypatch):
 
 def test_checked_growth_runs_no_lca_pass(monkeypatch):
     """The checker keeps every edge's lowest common set from the step
-    its set appeared: checked growth builds the family index once and
-    afterwards only extends it, by each new set once."""
+    its set appeared: a checked solve builds one family index of the
+    instance, read by the growth and the prune checks alike, and
+    afterwards only extends it, by each new set once.  The certificate
+    builds its own index, without an instance, which is not counted.
+    Another instance object costs exactly one more index."""
     built, extended = [], []
 
     class CountingFamilyIndex(verify.FamilyIndex):
-        def __init__(self, *args):
-            built.append(len(args[0]))
-            super().__init__(*args)
+        def __init__(self, fam, inst=None, *args):
+            self.counted = inst is not None
+            if self.counted:
+                built.append(len(fam))
+            super().__init__(fam, inst, *args)
 
         def extend(self):
-            extended.append(len(self.fam) - len(self.parent))
+            if self.counted:
+                extended.append(len(self.fam) - len(self.parent))
             super().extend()
 
     monkeypatch.setattr(verify, "FamilyIndex", CountingFamilyIndex)
-    state = sv.init_state(gen_random(64, "1/16", max_cost=10, max_prize=8,
-                                     seed=99), check_invariants=True)
+    inst = gen_random(64, "1/16", max_cost=10, max_prize=8, seed=99)
+    sol = solve(inst, check_invariants=True)
+    assert len(sol.trace) > 64 and sol.tree_edges
+    assert built == [64]
+    assert sum(extended) == len(sol.fam) - 64
+
+    built.clear()
+    state = sv.init_state(inst, check_invariants=True)
     sv.run_phase1(state)
-    assert state._steps > 64
-    assert len(built) == 1
-    assert sum(extended) == len(state.fam) - 64
+    state.inst = parse_instance(emit_instance(inst, "json"))
+    assert state.inst is not inst
+    for _ in range(2):
+        sv.check_growth_invariants(state)
+    sv.run_phase2(state)
+    assert built == [64, len(state.fam)]
+
+
+def check_outcome(check, state):
+    """The message a check raises, or None if it passes."""
+    try:
+        check(state)
+    except sv.InvariantError as exc:
+        return str(exc)
+    return None
+
+
+def test_forest_check_agrees_with_naive_on_corrupted_forests():
+    """Seeded sweep: on states grown a random number of steps and then
+    given a corrupted forest (an edge dropped, duplicated, replaced by
+    another instance edge, possibly one inside an older set, or
+    appended, or the forest shuffled), the solver's growth check and
+    the naive checker both pass or both raise the same message.  A
+    check on the healthy state first makes the cached index live."""
+    rng = random.Random(18)
+    raised = cases = 0
+    for seed in range(300):
+        n = rng.randint(2, 10)
+        inst = gen_random(n, "1/2", max_cost=6, max_prize=6, seed=seed)
+        if not inst.m:
+            continue
+        state = sv.init_state(inst)
+        for _ in range(rng.randint(0, 2 * n)):
+            if sum(sid not in state.saturated
+                   for sid in state.fam.maximal_ids()) < 2:
+                break
+            rescan_step(state)
+        healthy = state.forest
+        assert check_outcome(sv.check_growth_invariants, state) is None
+        for _ in range(6):
+            forest = healthy[:]
+            kind = rng.choice(("drop", "duplicate", "replace", "append",
+                               "shuffle") if forest else ("append",))
+            at = rng.randrange(len(forest) or 1)
+            if kind == "drop":
+                del forest[at]
+            elif kind == "duplicate":
+                forest.insert(rng.randrange(len(forest) + 1), forest[at])
+            elif kind == "replace":
+                forest[at] = rng.randrange(inst.m)
+            elif kind == "append":
+                forest.append(rng.randrange(inst.m))
+            else:
+                rng.shuffle(forest)
+            state.forest = forest
+            outcomes = [check_outcome(check, state)
+                        for check in GROWTH_CHECKS]
+            assert outcomes[0] == outcomes[1], (seed, kind, forest)
+            raised += outcomes[0] is not None
+            cases += 1
+        state.forest = healthy
+    assert cases > 1500 and 300 < raised < cases - 300, (cases, raised)
 
 
 def ladder_instance(n, m, monkeypatch):
