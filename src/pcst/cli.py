@@ -95,29 +95,46 @@ def _load_instance_or_fail(path: str, fmt: Optional[str]):
 # -- solve -------------------------------------------------------------------
 
 
-def _solution_json_obj(inst: Instance, sol: solver_mod.Solution,
-                       trace_path: Optional[str]) -> dict:
+_REPORTED_KEYS = ("cost", "penalty", "objective", "lagrangean_objective",
+                  "lower_bound")
+
+
+def _json_list(items: list[str], depth: int) -> str:
+    """A list of items, each already json text, laid out as
+    json.dumps(..., indent=2) lays out a list depth levels deep."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
+
+
+def _solution_document(inst: Instance, sol: solver_mod.Solution,
+                       trace_path: Optional[str]) -> str:
+    """The solution document as json text, in json.dumps(..., indent=2)'s
+    layout, written from the solution's ints; every string goes
+    through json.dumps."""
     ratio = None
     if sol.lower_bound > 0:
         ratio = format_rational(sol.objective / sol.lower_bound)
-    return {
-        "schema": SOLUTION_SCHEMA,
-        "instance": {"n": inst.n, "m": inst.m},
-        "tree": {
-            "vertices": sorted(sol.tree_vertices),
-            "edges": [list(e) for e in sol.tree_edges],
-            "edge_indices": list(sol.tree_edge_indices),
-        },
-        "cost": format_rational(sol.cost),
-        "penalty": format_rational(sol.penalty),
-        "objective": format_rational(sol.objective),
-        "lagrangean_objective": format_rational(sol.lagrangean_objective),
-        "lower_bound": format_rational(sol.lower_bound),
-        "ratio_vs_lower_bound": ratio,
-        "minimizing_vertex": sol.minimizing_vertex,
-        "laminar": lam.to_records(sol.fam, sol.duals),
-        "trace_file": trace_path,
-    }
+    edges = [f"[\n        {u},\n        {v}\n      ]"
+             for u, v in sol.tree_edges]
+    totals = "".join(
+        f'  "{key}": {json.dumps(format_rational(getattr(sol, key)))},\n'
+        for key in _REPORTED_KEYS)
+    return (
+        f'{{\n  "schema": {json.dumps(SOLUTION_SCHEMA)},\n'
+        f'  "instance": {{\n    "n": {inst.n},\n    "m": {inst.m}\n  }},\n'
+        '  "tree": {\n'
+        f'    "vertices": '
+        f'{_json_list(list(map(str, sorted(sol.tree_vertices))), 2)},\n'
+        f'    "edges": {_json_list(edges, 2)},\n'
+        f'    "edge_indices": '
+        f'{_json_list(list(map(str, sol.tree_edge_indices)), 2)}\n'
+        f'  }},\n{totals}'
+        f'  "ratio_vs_lower_bound": {json.dumps(ratio)},\n'
+        f'  "minimizing_vertex": {sol.minimizing_vertex},\n'
+        f'  "laminar": {lam.to_records(sol.fam, sol.duals)},\n'
+        f'  "trace_file": {json.dumps(trace_path)}\n}}')
 
 
 def _print_solution_report(inst: Instance, sol: solver_mod.Solution,
@@ -167,8 +184,7 @@ def cmd_solve(args) -> int:
             args.trace, solver_mod.trace_json_lines(sol.trace)):
         return EXIT_USAGE
     if args.json:
-        print(json.dumps(_solution_json_obj(inst, sol, args.trace),
-                         indent=2))
+        print(_solution_document(inst, sol, args.trace))
     else:
         _print_solution_report(inst, sol, args.trace)
     return EXIT_OK
@@ -266,10 +282,6 @@ def cmd_gen(args) -> int:
 
 
 # -- verify ------------------------------------------------------------------
-
-
-_REPORTED_KEYS = ("cost", "penalty", "objective", "lagrangean_objective",
-                  "lower_bound")
 
 
 def _load_solution(path: str):

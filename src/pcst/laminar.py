@@ -18,12 +18,14 @@ stores and queries; growth scheduling lives in the solver.
 A snapshot is the solution document's laminar list: per set its id,
 its dual as a "p/q" token, its saturation flag and its parent link.
 The member vertices are not stored, because the parent links determine
-them.  Writing one takes a gcd per dual and builds no Fraction; reading
-one parses each token with parse_rational and keeps its numerator and
-denominator.
+them.  It is written as json text, one gcd and one f-string per set,
+and builds neither a Fraction nor a dict.  Reading one splits each
+canonical "p/q" token into two ints; any other token goes through
+parse_rational, its bounds and its messages.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -34,6 +36,10 @@ from .instance import ParseError, budgeted_scale, parse_rational
 SetId = int
 # a snapshot entry read back: id, dual p / q, saturated, parent
 Record = tuple[SetId, int, int, bool, Optional[SetId]]
+# longest dual token split without parse_rational: its digit runs stay
+# below sys.int_max_str_digits (4300 by default), so int() cannot refuse
+# them with a message of its own
+_SPLIT_MAX_CHARS = 4000
 
 
 class LaminarFamily:
@@ -103,17 +109,20 @@ class DualAssignment:
 # snapshots (the serialized form audited by the verifier and the CLI)
 
 
-def to_records(fam: LaminarFamily, duals: DualAssignment) -> list[dict]:
-    """The document's laminar entries, one per set, each dual in lowest
-    terms as "p/q"."""
+def to_records(fam: LaminarFamily, duals: DualAssignment) -> str:
+    """The document's laminar list as json text, one entry per set, each
+    dual in lowest terms as "p/q".  The text is laid out as
+    json.dumps(..., indent=2) lays out a list one level deep."""
     scale, saturated = duals.scale, duals.saturated
-    records = []
-    for sid, y in zip(fam.ids, duals.y):
+    entries = []
+    for sid, y, parent in zip(fam.ids, duals.y, fam._parent):
         g = gcd(y, scale)
-        records.append({"id": sid, "y": f"{y // g}/{scale // g}",
-                        "saturated": sid in saturated,
-                        "parent": fam.parent_of(sid)})
-    return records
+        entries.append(
+            f'    {{\n      "id": {sid},\n'
+            f'      "y": "{y // g}/{scale // g}",\n'
+            f'      "saturated": {"true" if sid in saturated else "false"},\n'
+            f'      "parent": {"null" if parent is None else parent}\n    }}')
+    return "[\n" + ",\n".join(entries) + "\n  ]"
 
 
 def records_from_json(items: list) -> list[Record]:
@@ -121,7 +130,13 @@ def records_from_json(items: list) -> list[Record]:
     four a record needs are ignored, so the per-set "vertices" lists of
     pcst-solution/1 documents are accepted and skipped.  An id must be
     an int, a parent an int or None and a saturation flag a bool; bool
-    is an int subtype, so it is refused as an id or parent."""
+    is an int subtype, so it is refused as an id or parent.  A dual
+    token of two ASCII digit runs around a slash, in lowest terms with a
+    positive denominator and at most _SPLIT_MAX_CHARS long, is split into
+    its two ints; parse_rational reads every other token to the same
+    value, or refuses it."""
+    cap = min(_SPLIT_MAX_CHARS,
+              sys.get_int_max_str_digits() or _SPLIT_MAX_CHARS)
     records = []
     for item in items:
         if not isinstance(item, dict):
@@ -135,7 +150,14 @@ def records_from_json(items: list) -> list[Record]:
             raise ValueError("snapshot ids and parents must be integers")
         if type(item["saturated"]) is not bool:
             raise ValueError("snapshot saturation flags must be booleans")
-        p, q = parse_rational(item["y"]).as_integer_ratio()
+        y = item["y"]
+        p = q = 0
+        if isinstance(y, str) and len(y) <= cap and y.isascii():
+            num, _, den = y.partition("/")
+            if num.isdigit() and den.isdigit():
+                p, q = int(num), int(den)
+        if q < 1 or gcd(p, q) != 1:
+            p, q = parse_rational(y).as_integer_ratio()
         records.append((sid, p, q, item["saturated"], parent))
     return records
 

@@ -27,9 +27,11 @@ parity, is then even.  An odd cost at set-up or an odd slack between
 two live sets is an InvariantError.
 
 The saturation-versus-merge case analysis is exact and never depends on
-a tolerance, and the outputs do not depend on the scale: events and the
-solution are Fractions converted once from scaled ints, and the duals
-carry their scale.  Ties are broken deterministically: saturations
+a tolerance, and the outputs do not depend on the scale: the solution's
+totals are Fractions converted once from scaled ints, the duals carry
+their scale, and each step is recorded as a plain tuple, its epsilon
+and clock as ints, that becomes an Event, with its Fractions, only when
+the trace is read.  Ties are broken deterministically: saturations
 before merges, then smallest set id, then smallest edge index; two runs
 on the same instance produce byte-identical traces.
 
@@ -105,6 +107,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -158,6 +161,12 @@ class Event:
         return obj
 
 
+# the Event fields a recorded row carries after its epsilon, clock and kind
+_ROW_FIELDS = {"saturation": ("set_id",), "prune": ("set_id",),
+               "merge": ("edge_index", "edge", "new_set_id"),
+               "phase": ("phase",)}
+
+
 def trace_json_lines(events) -> str:
     import json
 
@@ -166,6 +175,11 @@ def trace_json_lines(events) -> str:
 
 @dataclass(frozen=True)
 class Solution:
+    """The certified solution.  trace_rows are the steps as the solver
+    recorded them: epsilon and clock at the duals' scale, the event's
+    kind and its fields (see _ROW_FIELDS); trace builds the Events from
+    them on first read."""
+
     tree_vertices: frozenset[int]
     tree_edges: tuple[tuple[int, int], ...]
     tree_edge_indices: tuple[int, ...]
@@ -177,7 +191,15 @@ class Solution:
     minimizing_vertex: int
     fam: lam.LaminarFamily
     duals: lam.DualAssignment
-    trace: tuple[Event, ...]
+    trace_rows: tuple[tuple, ...]
+
+    @cached_property
+    def trace(self) -> tuple[Event, ...]:
+        scale = self.duals.scale
+        return tuple(Event(kind, Fraction(eps, scale), Fraction(clock, scale),
+                           ordinal, **dict(zip(_ROW_FIELDS[kind], fields)))
+                     for ordinal, (eps, clock, kind, *fields)
+                     in enumerate(self.trace_rows))
 
     def tree(self) -> "verify.Tree":
         return verify.Tree(self.tree_vertices, self.tree_edges)
@@ -208,7 +230,7 @@ class SolverState:
         self.saturated: set[int] = set()
         self.forest: list[int] = []  # edge indices, in insertion order
         self.phase = PHASE_GROWTH
-        self.trace: list[Event] = []
+        self.trace: list[tuple] = []  # rows, see Solution
         self.clock = 0
         self.final_maximal: Optional[int] = None
         self._steps = 0
@@ -293,12 +315,10 @@ class SolverState:
 
     # -- event application --------------------------------------------
 
-    def _record(self, eps: int, **kw):
+    def _record(self, eps: int, kind: str, *fields):
+        """Record a step as a row of plain values (see Solution)."""
         if self._emit:
-            scale = self._scale
-            self.trace.append(Event(
-                ordinal=len(self.trace), epsilon=Fraction(eps, scale),
-                time=Fraction(self.clock, scale), **kw))
+            self.trace.append((eps, self.clock, kind, *fields))
 
     def _retouch_edges(self, edge_list: list[int]) -> list[int]:
         """Re-evaluate the merge candidacy of the listed edges after the
@@ -378,7 +398,7 @@ class SolverState:
         self.saturated.add(sid)
         self._active -= 1
         self._incident[sid] = self._retouch_edges(self._incident[sid])
-        self._record(eps, kind="saturation", set_id=sid)
+        self._record(eps, "saturation", sid)
 
     def _apply_merge(self, idx: int, eps: int):
         self.clock += eps
@@ -410,8 +430,7 @@ class SolverState:
         self._incident[nid] = big
         heapq.heappush(self._heap,
                        (self._saturation_clock(nid), _KIND_SAT, nid))
-        self._record(eps, kind="merge", edge_index=idx, edge=(u, v),
-                     new_set_id=nid)
+        self._record(eps, "merge", idx, (u, v), nid)
 
     def _pop_next(self) -> tuple[int, int, int]:
         """Next valid (epsilon, kind, payload) from the event queue."""
@@ -474,7 +493,7 @@ def run_phase1(state: SolverState):
                              "maximal sets")
     state.final_maximal = survivors[0]
     state.phase = PHASE_PRUNE
-    state._record(0, kind="phase", phase=PHASE_PRUNE)
+    state._record(0, "phase", PHASE_PRUNE)
 
 
 def run_phase2(state: SolverState) -> Solution:
@@ -557,7 +576,7 @@ def run_phase2(state: SolverState) -> Solution:
         prunes += 1
         if prunes > len(sat):
             raise InvariantError("prune phase exceeded its step budget")
-        state._record(0, kind="prune", set_id=sid)
+        state._record(0, "prune", sid)
         if state._check:
             check_prune_invariants(state, *_pruned_tree(state, pruned))
     if any(count[sid] == 1 for sid in sat):
@@ -573,7 +592,7 @@ def run_phase2(state: SolverState) -> Solution:
     duals = state.dual_assignment()
     cert = verify.certificate(fam, duals)
     state.phase = PHASE_DONE
-    state._record(0, kind="phase", phase=PHASE_DONE)
+    state._record(0, "phase", PHASE_DONE)
     sol = Solution(
         tree_vertices=frozenset(tree_vs),
         tree_edges=tuple(inst.ends[idx] for idx in kept),
@@ -586,7 +605,7 @@ def run_phase2(state: SolverState) -> Solution:
         minimizing_vertex=cert.minimizing_vertex,
         fam=fam,
         duals=duals,
-        trace=tuple(state.trace),
+        trace_rows=tuple(state.trace),
     )
     if sol.lagrangean_objective > 2 * cert.lower_bound:
         raise InvariantError(

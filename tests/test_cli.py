@@ -7,16 +7,18 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import halve_scale
-from pcst import cli
+from pcst import cli, solve
 from pcst.cli import main
 from pcst.instance import (MAX_SCALE_BITS, MAX_TOTAL_BITS, Instance,
-                          emit_instance, gen_random)
+                          emit_instance, format_rational, gen_random,
+                          gen_tight_path, gen_tight_star)
 
 
 def run_cli(*argv):
@@ -67,6 +69,77 @@ def test_solve_json_document(solved):
     assert len(doc["laminar"]) == 5
     assert set(doc["laminar"][4]) == {"id", "y", "saturated", "parent"}
     assert doc["trace_file"] is None
+
+
+def reference_document(inst, sol, trace_path):
+    """The solution document as a dict, for json.dumps(..., indent=2):
+    the layout the CLI's writer reproduces as text."""
+    ratio = None
+    if sol.lower_bound > 0:
+        ratio = format_rational(sol.objective / sol.lower_bound)
+    scale, saturated = sol.duals.scale, sol.duals.saturated
+    return {
+        "schema": "pcst-solution/2",
+        "instance": {"n": inst.n, "m": inst.m},
+        "tree": {
+            "vertices": sorted(sol.tree_vertices),
+            "edges": [list(e) for e in sol.tree_edges],
+            "edge_indices": list(sol.tree_edge_indices),
+        },
+        "cost": format_rational(sol.cost),
+        "penalty": format_rational(sol.penalty),
+        "objective": format_rational(sol.objective),
+        "lagrangean_objective": format_rational(sol.lagrangean_objective),
+        "lower_bound": format_rational(sol.lower_bound),
+        "ratio_vs_lower_bound": ratio,
+        "minimizing_vertex": sol.minimizing_vertex,
+        "laminar": [{"id": sid, "y": format_rational(Fraction(y, scale)),
+                     "saturated": sid in saturated,
+                     "parent": sol.fam.parent_of(sid)}
+                    for sid, y in enumerate(sol.duals.y)],
+        "trace_file": trace_path,
+    }
+
+
+DOCUMENT_CASES = {
+    # name: (instance, --trace file name or None)
+    "star-trace-quote": (lambda: gen_tight_star(1), 'a"b.jsonl'),
+    "star-trace-backslash": (lambda: gen_tight_star(1), "a\\b.jsonl"),
+    "star-trace-accent": (lambda: gen_tight_star(1), "\u00e9t\u00e9.jsonl"),
+    "no-tree-edge": (lambda: Instance(2, ((0, 1, 100),), (1, 1)), None),
+    "single-vertex": (lambda: Instance(1, (), (5,)), None),
+    "zero-prizes": (lambda: Instance(3, ((0, 1, 2), (1, 2, 2)), (0, 0, 0)),
+                    None),
+    "tight-path": (lambda: gen_tight_path(6, "1/10"), None),
+    "random-40": (lambda: gen_random(40, "1/8", max_cost=10, max_prize=8,
+                                     seed=3), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENT_CASES))
+def test_solve_json_matches_the_dict_layout(name, tmp_path, capsys):
+    """The written document is, byte for byte, json.dumps of the
+    reference dict with indent=2, also where no golden pin looks: trace
+    paths that json must escape, trees without edges, one vertex, and a
+    lower bound of 0 (ratio null)."""
+    make, trace_name = DOCUMENT_CASES[name]
+    inst = make()
+    path = tmp_path / "inst.json"
+    path.write_text(emit_instance(inst), encoding="utf-8")
+    flags = ["--json"]
+    trace = None
+    if trace_name:
+        trace = str(tmp_path / trace_name)
+        flags += ["--trace", trace]
+    assert run_cli("solve", str(path), *flags) == 0
+    out = capsys.readouterr().out
+    sol = solve(inst)
+    assert out == json.dumps(reference_document(inst, sol, trace),
+                             indent=2) + "\n"
+    if name == "no-tree-edge":
+        assert sol.tree_vertices and not sol.tree_edges
+    if name == "zero-prizes":
+        assert json.loads(out)["ratio_vs_lower_bound"] is None
 
 
 def test_solve_trace_file(tmp_path, star_file, capsys):

@@ -1,6 +1,8 @@
 """Laminar family structure, the solver's union-find over its maximal
 sets, and snapshot round trips."""
+import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -121,7 +123,7 @@ def build_random_family(n, seed):
 @pytest.mark.parametrize("seed", range(8))
 def test_snapshot_round_trip(seed):
     fam, duals = build_random_family(7, seed)
-    records = to_records(fam, duals)
+    records = json.loads(to_records(fam, duals))
     assert [r["y"] for r in records] == \
         [format_rational(naive.dual(duals, sid)) for sid in fam.ids]
     parsed = records_from_json(records)
@@ -188,7 +190,7 @@ def test_family_index_matches_chain_walks(seed):
 
 def test_from_records_rejects_malformed():
     fam, duals = build_random_family(5, 1)
-    records = to_records(fam, duals)
+    records = json.loads(to_records(fam, duals))
 
     def corrupt(mutate, match=None, error=ValueError):
         objs = [dict(r) for r in records]
@@ -228,11 +230,65 @@ def test_from_records_reads_every_token_form(token, canonical):
     fam, duals = build_random_family(5, 1)
 
     def reload(y):
-        records = to_records(fam, duals)
+        records = json.loads(to_records(fam, duals))
         records[0]["y"] = y
         return from_records(records_from_json(records), 5)[1]
 
     assert reload(token) == reload(canonical)
+
+
+SPLIT_TOKENS = ["1/2", "0/1", "7/1", "01/2", "12345678901234567890/7",
+                "9" * 3998 + "/1"]
+PARSED_TOKENS = ["2/4", "0/5", "1/0", " 1/2", "1/2 ", "+1/2", "-1/2", "1e3",
+                 "0.5", "1_0/3", "1//2", "/2", "1/", "5", "", 3, 0, True,
+                 None, 1.5, "\u0663/1", "\u00b2/1", "1/\u0663",
+                 "9" * 3999 + "/1", "9" * 4400 + "/1"]
+
+
+def test_records_from_json_splits_only_canonical_tokens(monkeypatch):
+    """A dual token of two ASCII digit runs, in lowest terms with q >= 1
+    and at most 4000 characters, is split into its ints without
+    parse_rational.  Every other token goes through parse_rational and
+    gives its value or its message, Arabic-Indic digits and superscripts
+    that str.isdigit accepts among them.  The split stays below
+    sys.int_max_str_digits when that is set lower, so int() never
+    refuses a token with a message of its own."""
+    calls = []
+    real = lam.parse_rational
+
+    def counted(token):
+        calls.append(token)
+        return real(token)
+
+    def read(token):
+        calls.clear()
+        entry = {"id": 0, "y": token, "saturated": False, "parent": None}
+        try:
+            return records_from_json([entry])[0][1:3]
+        except ValueError as exc:
+            return str(exc)
+
+    def expected(token):
+        try:
+            return real(token).as_integer_ratio()
+        except ValueError as exc:
+            return str(exc)
+
+    monkeypatch.setattr(lam, "parse_rational", counted)
+    for token in SPLIT_TOKENS:
+        assert read(token) == expected(token), token
+        assert calls == [], token
+    for token in PARSED_TOKENS:
+        assert read(token) == expected(token), token
+        assert calls == [token], token
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for token in ("9" * 637 + "/1", "9" * 700 + "/1"):
+            assert read(token) == expected(token)
+            assert calls == ([] if len(token) <= 640 else [token])
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_to_records_builds_no_fraction(monkeypatch):
@@ -249,7 +305,7 @@ def test_to_records_builds_no_fraction(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", counted)
     records = to_records(sol.fam, sol.duals)
     monkeypatch.undo()
-    assert len(records) == len(sol.fam) > 1000
+    assert len(json.loads(records)) == len(sol.fam) > 1000
     assert built == []
 
 

@@ -240,7 +240,7 @@ def test_prune_matches_the_chain_reference(seed):
 def outputs(inst, sol):
     """The trace lines and the solution document of a solve."""
     return (sv.trace_json_lines(sol.trace),
-            json.dumps(cli._solution_json_obj(inst, sol, None), indent=2))
+            cli._solution_document(inst, sol, None))
 
 
 def doubled_costs(inst):
@@ -562,6 +562,57 @@ def test_trace_can_be_suppressed():
     assert quiet.trace == ()
     assert quiet.objective == loud.objective
     assert quiet.tree_vertices == loud.tree_vertices
+
+
+def test_trace_is_built_on_first_read(monkeypatch):
+    """A traced solve records rows of ints: unchecked at n=1000 it
+    builds no Event and no more Fractions than an untraced solve, which
+    builds them for the solution's totals only.  The first read of the
+    trace builds the Events that are built when each step is recorded,
+    and later reads return them again."""
+    inst = gen_random(1000, "1/250", max_cost=10, max_prize=8, seed=99)
+
+    def counted_solve(emit_trace):
+        built = []
+
+        def event(*args, **kwargs):
+            built.append("Event")
+            return real_event(*args, **kwargs)
+
+        def fraction(*args, real=Fraction.__new__, **kwargs):
+            built.append("Fraction")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sv, "Event", event)
+        monkeypatch.setattr(Fraction, "__new__", fraction)
+        sol = solve(inst, check_invariants=False, emit_trace=emit_trace)
+        monkeypatch.undo()
+        return sol, built
+
+    real_event = sv.Event
+    traced, built = counted_solve(True)
+    quiet, quiet_built = counted_solve(False)
+    assert built == quiet_built and len(built) <= 7, built
+    assert len(traced.trace_rows) > inst.n and quiet.trace_rows == ()
+
+    eager = []
+    real_record = sv.SolverState._record
+
+    def record(state, eps, kind, *fields):
+        named = {"saturation": ("set_id",), "prune": ("set_id",),
+                 "merge": ("edge_index", "edge", "new_set_id"),
+                 "phase": ("phase",)}[kind]
+        eager.append(sv.Event(kind, Fraction(eps, state._scale),
+                              Fraction(state.clock, state._scale),
+                              len(eager), **dict(zip(named, fields))))
+        real_record(state, eps, kind, *fields)
+
+    monkeypatch.setattr(sv.SolverState, "_record", record)
+    solve(inst, check_invariants=False)
+    monkeypatch.undo()
+    assert sv.trace_json_lines(traced.trace).splitlines() == \
+        sv.trace_json_lines(eager).splitlines()
+    assert traced.trace is traced.trace
 
 
 def test_check_switch_defaults_by_size_and_explicit_wins(monkeypatch):

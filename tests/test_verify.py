@@ -3,6 +3,7 @@ solution audit, including injected-fault detection.  Fault-injection
 tests run against both the package checker and the naive reference
 checker in naive_checker.py, and agreement tests compare the two."""
 import ast
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -587,7 +588,7 @@ def test_audit_passes_at_n_1000():
     from its document records as ``pcst verify`` does."""
     inst = gen_random(1000, "1/250", max_cost=10, max_prize=8, seed=99)
     sol = solve(inst, check_invariants=False)
-    document = lam.to_records(sol.fam, sol.duals)
+    document = json.loads(lam.to_records(sol.fam, sol.duals))
     fam, duals = lam.from_records(lam.records_from_json(document), inst.n)
     assert duals == sol.duals
     results = audit_solution(inst, fam, duals, sol.tree(), reported_of(sol))
