@@ -161,10 +161,11 @@ class Event:
         return obj
 
 
-# the Event fields a recorded row carries after its epsilon, clock and kind
-_ROW_FIELDS = {"saturation": ("set_id",), "prune": ("set_id",),
-               "merge": ("edge_index", "edge", "new_set_id"),
-               "phase": ("phase",)}
+# per event kind, the Event fields before its own that a recorded row
+# leaves out: a saturation or prune row holds set_id, a merge row
+# edge_index, edge and new_set_id, and a phase row the phase
+_ROW_GAP = {"saturation": (), "prune": (), "merge": (None,),
+            "phase": (None,) * 4}
 
 
 def trace_json_lines(events) -> str:
@@ -177,7 +178,7 @@ def trace_json_lines(events) -> str:
 class Solution:
     """The certified solution.  trace_rows are the steps as the solver
     recorded them: epsilon and clock at the duals' scale, the event's
-    kind and its fields (see _ROW_FIELDS); trace builds the Events from
+    kind and its own fields (see _ROW_GAP); trace builds the Events from
     them on first read."""
 
     tree_vertices: frozenset[int]
@@ -197,7 +198,7 @@ class Solution:
     def trace(self) -> tuple[Event, ...]:
         scale = self.duals.scale
         return tuple(Event(kind, Fraction(eps, scale), Fraction(clock, scale),
-                           ordinal, **dict(zip(_ROW_FIELDS[kind], fields)))
+                           ordinal, *_ROW_GAP[kind], *fields)
                      for ordinal, (eps, clock, kind, *fields)
                      in enumerate(self.trace_rows))
 
