@@ -17,6 +17,8 @@ Conventions shared by all commands:
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import itertools
 import json
 import sys
@@ -108,6 +110,24 @@ def _json_list(items: list[str], depth: int) -> str:
     return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
 
 
+def _json_text(obj, depth: int = 0) -> str:
+    """obj as json.dumps(obj, indent=2) writes it, depth levels deep,
+    for dicts with str keys, lists and scalars.  json.dumps with an
+    indent runs the pure-Python encoder, whose nested functions form a
+    reference cycle per call; the scalars here take the C encoder."""
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        pad = "\n" + "  " * (depth + 1)
+        return "{" + pad + ("," + pad).join(
+            f"{json.dumps(key)}: {_json_text(value, depth + 1)}"
+            for key, value in obj.items()) + "\n" + "  " * depth + "}"
+    if isinstance(obj, list):
+        return _json_list([_json_text(item, depth + 1) for item in obj],
+                          depth)
+    return json.dumps(obj)
+
+
 def _solution_document(inst: Instance, sol: solver_mod.Solution,
                        trace_path: Optional[str]) -> str:
     """The solution document as json text, in json.dumps(..., indent=2)'s
@@ -181,7 +201,7 @@ def cmd_solve(args) -> int:
         return EXIT_INVARIANT
     _note_time("solve", started)
     if args.trace and _write_or_fail(
-            args.trace, solver_mod.trace_json_lines(sol.trace)):
+            args.trace, solver_mod.trace_json_lines(sol)):
         return EXIT_USAGE
     if args.json:
         print(_solution_document(inst, sol, args.trace))
@@ -234,7 +254,7 @@ def cmd_exact(args) -> int:
                 "lower_bound": format_rational(sol.lower_bound),
                 "ratio": None if ratio is None else format_rational(ratio),
             }
-        print(json.dumps(obj, indent=2))
+        print(_json_text(obj))
     else:
         print(f"instance: n={inst.n}, m={inst.m}")
         print(f"optimum: {_fmt_pair(res.optimum)}")
@@ -362,11 +382,11 @@ def cmd_verify(args) -> int:
     results = verify_mod.audit_solution(inst, fam, duals, tree, reported)
     ok = all(res.passed for res in results)
     if args.json:
-        print(json.dumps({
+        print(_json_text({
             "schema": "pcst-verify/1",
             "checks": [res.to_json_obj() for res in results],
             "pass": ok,
-        }, indent=2))
+        }))
     else:
         for res in results:
             verdict = "pass" if res.passed else "FAIL"
@@ -456,9 +476,25 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser build_parser defines, built once per process: each
+    build leaves a few hundred objects in reference cycles."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    """Run one command.  The cyclic collector is paused while it runs,
+    and left as it was found: a solve or verify makes no reference
+    cycle, so a collection would only walk the solve's data."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        args = _parser().parse_args(argv)
+        return args.func(args)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def entry():

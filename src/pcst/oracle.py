@@ -31,22 +31,26 @@ def iter_connected_masks(n: int, adj_masks: list[int]) -> Iterator[int]:
     by one frontier vertex at a time and banning a vertex for the rest
     of a branch once the branch without it has been explored.
     """
-
-    def grow(mask: int, cand: int, banned: int) -> Iterator[int]:
-        yield mask
-        while cand:
-            bit = cand & (-cand)
-            cand ^= bit
-            v = bit.bit_length() - 1
-            child_cand = (cand | (adj_masks[v] & allowed & ~banned)) \
-                & ~(mask | bit)
-            yield from grow(mask | bit, child_cand, banned)
-            banned |= bit
-
     for root in range(n):
         allowed = -1 << (root + 1)  # only vertices above the anchor
-        root_bit = 1 << root
-        yield from grow(root_bit, adj_masks[root] & allowed, 0)
+        yield from _grow(1 << root, adj_masks[root] & allowed, 0, adj_masks,
+                         allowed)
+
+
+def _grow(mask: int, cand: int, banned: int, adj_masks: list[int],
+          allowed: int) -> Iterator[int]:
+    """The subsets grown from mask by the candidates in cand, never
+    taking a banned vertex or one outside allowed.  A module function,
+    not a closure: a closure that calls itself is a reference cycle."""
+    yield mask
+    while cand:
+        bit = cand & (-cand)
+        cand ^= bit
+        v = bit.bit_length() - 1
+        child_cand = (cand | (adj_masks[v] & allowed & ~banned)) \
+            & ~(mask | bit)
+        yield from _grow(mask | bit, child_cand, banned, adj_masks, allowed)
+        banned |= bit
 
 
 def exact_solve(inst: Instance, limit_n: int = 18) -> ExactResult:

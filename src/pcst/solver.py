@@ -31,15 +31,27 @@ a tolerance, and the outputs do not depend on the scale: the solution's
 totals are Fractions converted once from scaled ints, the duals carry
 their scale, and each step is recorded as a plain tuple, its epsilon
 and clock as ints, that becomes an Event, with its Fractions, only when
-the trace is read.  Ties are broken deterministically: saturations
-before merges, then smallest set id, then smallest edge index; two runs
-on the same instance produce byte-identical traces.
+the trace is read; trace_json_lines writes the json lines of --trace
+straight from those rows.  Ties are broken deterministically:
+saturations before merges, then smallest set id, then smallest edge
+index; two runs on the same instance produce byte-identical traces.
 
-The driving loop keeps a lazy priority queue of candidate event times
-(entries are invalidated by a per-edge version counter whenever a merge
-or saturation changes an edge's surroundings).  The tests drive the
-same state with a full rescan of every constraint, recomputed from
-definitions, and check that the two agree step for step.
+The driving loop keeps a lazy priority queue of candidate events, each
+entry one int.  With W = max(m, 2n), a saturation of set s at clock t
+is queued as t*2W + s and a merge along edge k as t*2W + W + k.  A set
+id is below 2n - 1 and an edge index below m, so both payloads stay
+below W: a key's quotient by 2W is its time, and its remainder is the
+set id, or W plus the edge index.  Int order is therefore exactly the
+order of (time, kind, payload) tuples, the tie-break above, however
+many bits the time has.  ``_ekey[k]`` is the key queued for edge k, or
+-1 for none: re-evaluating an edge overwrites it, so an older entry no
+longer matches and is dropped when popped, as is the saturation of a
+set that has died and the merge along an edge that a merge of two live
+sets swallowed.  An int holds no reference, so neither the heap nor
+its stale entries give the cyclic garbage collector anything to walk.
+The tests drive the same state with a full rescan of every constraint,
+recomputed from definitions, and check that the two agree step for
+step.
 
 Dual values are derived from growth intervals: a set grows from its
 creation until it saturates, is merged away, or growth ends, so its
@@ -62,7 +74,9 @@ Neither phase, nor checked mode, lists the members of a set.
   path to the root: a union subtracts the new parent root's offset from
   the child root's, and path compression folds the skipped offsets into
   the node it relinks.  A chain load is then the vertex's frozen load
-  plus the live dual of its maximal set, both read off one find.
+  plus the live dual of its maximal set, both read off one find
+  (``_reach``, once per edge end when an edge is re-evaluated or
+  merged along).
 * Prune counts from merge sets.  Forest edge k created set n + k, the
   lowest set holding both of its endpoints.  One ascending pass over
   the parent links, adding 1 at each endpoint of a tree edge and -2 at
@@ -106,14 +120,16 @@ Neither phase, nor checked mode, lists the members of a set.
 from __future__ import annotations
 
 import heapq
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from . import laminar as lam
 from . import verify
-from .instance import Instance, format_rational
+from .instance import Instance
 
 PHASE_GROWTH = "growth"
 PHASE_PRUNE = "prune"
@@ -143,23 +159,6 @@ class Event:
     new_set_id: Optional[int] = None
     phase: Optional[str] = None
 
-    def to_json_obj(self) -> dict:
-        obj: dict = {
-            "ordinal": self.ordinal,
-            "kind": self.kind,
-            "epsilon": format_rational(self.epsilon),
-            "time": format_rational(self.time),
-        }
-        if self.kind in ("saturation", "prune"):
-            obj["set"] = self.set_id
-        elif self.kind == "merge":
-            obj["edge_index"] = self.edge_index
-            obj["edge"] = list(self.edge)
-            obj["new_set"] = self.new_set_id
-        elif self.kind == "phase":
-            obj["phase"] = self.phase
-        return obj
-
 
 # per event kind, the Event fields before its own that a recorded row
 # leaves out: a saturation or prune row holds set_id, a merge row
@@ -168,10 +167,25 @@ _ROW_GAP = {"saturation": (), "prune": (), "merge": (None,),
             "phase": (None,) * 4}
 
 
-def trace_json_lines(events) -> str:
-    import json
-
-    return "".join(json.dumps(ev.to_json_obj()) + "\n" for ev in events)
+def trace_json_lines(sol: Solution) -> str:
+    """The trace as json lines, one object per step, written from the
+    recorded rows: ordinal, kind, epsilon and time as "p/q" in lowest
+    terms, then the kind's own fields, in json.dumps's layout."""
+    scale = sol.duals.scale
+    lines = []
+    for ordinal, (eps, clock, kind, *fields) in enumerate(sol.trace_rows):
+        g, h = gcd(eps, scale), gcd(clock, scale)
+        if kind == "merge":
+            idx, (u, v), nid = fields
+            own = f'"edge_index": {idx}, "edge": [{u}, {v}], "new_set": {nid}'
+        elif kind == "phase":
+            own = f'"phase": {json.dumps(fields[0])}'
+        else:
+            own = f'"set": {fields[0]}'
+        lines.append(f'{{"ordinal": {ordinal}, "kind": "{kind}", '
+                     f'"epsilon": "{eps // g}/{scale // g}", '
+                     f'"time": "{clock // h}/{scale // h}", {own}}}\n')
+    return "".join(lines)
 
 
 @dataclass(frozen=True)
@@ -246,15 +260,19 @@ class SolverState:
         self._top: list[int] = list(range(n))
         self._root: list[int] = list(range(n))
         self._active = n
-        self._eversion = [0] * inst.m
-        self._incident: dict[int, list[int]] = {v: [] for v in range(n)}
+        # heap keys, see the module docstring: a set id or an edge index
+        # stays below W, and the edge's key is the one queued for it
+        self._width = width = max(inst.m, 2 * n)
+        span = 2 * width
+        self._ekey = [(c >> 1) * span + width + idx
+                      for idx, c in enumerate(cost)]
+        self._incident: list[Optional[list[int]]] = [[] for _ in range(n)]
         for idx, (u, v) in enumerate(inst.ends):
             self._incident[u].append(idx)
             self._incident[v].append(idx)
-        self._heap: list[tuple] = [(budget, _KIND_SAT, v)
-                                   for v, budget in enumerate(self._budget)]
-        self._heap += [(c >> 1, _KIND_MERGE, idx, 0)
-                       for idx, c in enumerate(cost)]
+        self._heap = [budget * span + v
+                      for v, budget in enumerate(self._budget)]
+        self._heap += self._ekey
         heapq.heapify(self._heap)
         self._check_cache: Optional[tuple] = None  # (inst, FamilyIndex)
 
@@ -287,21 +305,22 @@ class SolverState:
             dsu[node] = v
         return v
 
-    def _maximal_of(self, v: int) -> int:
-        return self._top[self._find(v)]
-
-    def _chain_load(self, v: int) -> int:
-        """Dual mass on the sets containing vertex v, at the current clock:
-        the frozen duals of its dead sets, kept as offsets on the
+    def _reach(self, v: int) -> tuple[int, int]:
+        """The maximal set holding vertex v and v's chain load, the dual
+        mass on the sets containing v at the current clock, off one
+        find: the frozen duals of its dead sets, kept as offsets on the
         union-find, plus the growing dual of its maximal set if alive."""
-        root = self._find(v)
+        dsu = self._dsu
+        root = dsu[v]
+        if dsu[root] != root:
+            root = self._find(v)
         load = self._offset[v]
         if root != v:
             load += self._offset[root]
         top = self._top[root]
         if self._death[top] is None:
             load += self.clock - self._birth[top]
-        return load
+        return top, load
 
     def _saturation_clock(self, sid: int) -> int:
         return self._birth[sid] + self._budget[sid]
@@ -333,20 +352,24 @@ class SolverState:
         revives a frozen side.  Edges whose extremes merely merged with
         other live sets keep their old queue entries.
         """
-        ends, cost = self.inst.ends, self._cost
+        ends, cost, ekey = self.inst.ends, self._cost, self._ekey
+        reach, death = self._reach, self._death
+        span = 2 * self._width
+        base = self.clock * span + self._width
         kept: list[int] = []
         for idx in edge_list:
             u, v = ends[idx]
-            tu = self._maximal_of(u)
-            tv = self._maximal_of(v)
-            self._eversion[idx] += 1
+            tu, load_u = reach(u)
+            tv, load_v = reach(v)
             if tu == tv:
+                ekey[idx] = -1
                 continue  # internal now and forever; drop
             kept.append(idx)
-            rate = self._alive(tu) + self._alive(tv)
+            rate = (death[tu] is None) + (death[tv] is None)
             if rate == 0:
+                ekey[idx] = -1
                 continue  # both sides frozen; growth cannot tighten it
-            slack = cost[idx] - self._chain_load(u) - self._chain_load(v)
+            slack = cost[idx] - load_u - load_v
             if slack < 0:
                 raise InvariantError(
                     f"edge {idx} overloaded by "
@@ -357,8 +380,10 @@ class SolverState:
                         f"odd slack {slack} on edge {idx} between two "
                         f"live sets at scale {self._scale}")
                 slack >>= 1
-            heapq.heappush(self._heap, (self.clock + slack, _KIND_MERGE,
-                                        idx, self._eversion[idx]))
+            key = base + slack * span + idx
+            if key != ekey[idx]:  # an equal key is still queued
+                ekey[idx] = key
+                heapq.heappush(self._heap, key)
         return kept
 
     def _kill(self, sid: int):
@@ -404,15 +429,16 @@ class SolverState:
     def _apply_merge(self, idx: int, eps: int):
         self.clock += eps
         u, v = self.inst.ends[idx]
-        a = self._maximal_of(u)
-        b = self._maximal_of(v)
+        a, load_u = self._reach(u)
+        b, load_v = self._reach(v)
         if a == b:
             raise InvariantError(f"merge along internal edge {idx}")
         alive_ends = self._alive(a) + self._alive(b)
         if alive_ends == 0:
             raise InvariantError(f"merge along edge {idx} between frozen sets")
-        if self._chain_load(u) + self._chain_load(v) != self._cost[idx]:
+        if load_u + load_v != self._cost[idx]:
             raise InvariantError(f"merge along edge {idx} before it is tight")
+        self._ekey[idx] = -1
         frozen_children = [sid for sid in (a, b) if not self._alive(sid)]
         nid = self._merge(a, b)
         self._budget.append(self._budget[a] - self._dual_of(a)
@@ -421,40 +447,44 @@ class SolverState:
         self._active += 1 - alive_ends
         # a frozen child's edges speed back up inside the live merged
         # set; a live child's edges keep their valid queue entries
+        incident = self._incident
         for sid in frozen_children:
-            self._incident[sid] = self._retouch_edges(self._incident[sid])
-        big = self._incident.pop(a)
-        small = self._incident.pop(b)
+            incident[sid] = self._retouch_edges(incident[sid])
+        big, small = incident[a], incident[b]
+        incident[a] = incident[b] = None
         if len(big) < len(small):
             big, small = small, big
         big.extend(small)
-        self._incident[nid] = big
+        incident.append(big)
         heapq.heappush(self._heap,
-                       (self._saturation_clock(nid), _KIND_SAT, nid))
+                       self._saturation_clock(nid) * 2 * self._width + nid)
         self._record(eps, "merge", idx, (u, v), nid)
 
     def _pop_next(self) -> tuple[int, int, int]:
         """Next valid (epsilon, kind, payload) from the event queue."""
-        while self._heap:
-            entry = heapq.heappop(self._heap)
-            when, kind = entry[0], entry[1]
-            if kind == _KIND_SAT:
-                sid = entry[2]
-                if not self._alive(sid):
+        heap, width, ekey = self._heap, self._width, self._ekey
+        find, span = self._find, 2 * width
+        while heap:
+            key = heapq.heappop(heap)
+            when, payload = divmod(key, span)
+            if payload < width:
+                kind = _KIND_SAT
+                if self._death[payload] is not None:
                     continue
             else:
-                idx, version = entry[2], entry[3]
-                if version != self._eversion[idx]:
+                kind = _KIND_MERGE
+                payload -= width
+                if key != ekey[payload]:
                     continue
-                u, v = self.inst.ends[idx]
-                if self._maximal_of(u) == self._maximal_of(v):
-                    # swallowed by a merge of two live sets, which does
-                    # not bump edge versions
+                u, v = self.inst.ends[payload]
+                if find(u) == find(v):
+                    # swallowed by a merge of two live sets, which leaves
+                    # the edge's key queued
                     continue
             eps = when - self.clock
             if eps < 0:
                 raise InvariantError("event queue went backwards in time")
-            return eps, kind, entry[2]
+            return eps, kind, payload
         raise InvariantError("no growth event available with several "
                              "active sets remaining")
 

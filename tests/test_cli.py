@@ -1,5 +1,6 @@
 """Command line front end: subcommands, exit codes, output formats."""
 import copy
+import gc
 import io
 import json
 import random
@@ -750,6 +751,137 @@ def test_verify_fuzzed_documents_fail_cleanly(fuzz_files, data):
         code = main(["verify", str(sol_path), str(inst), *flags])
     assert code in (0, 2, 3)
     assert time.perf_counter() - started < 1
+
+
+# -- json text and the cyclic collector ---------------------------------------
+
+
+JSON_TEXT_CASES = [
+    {},
+    [],
+    {"a": [], "b": {}, "c": None, "d": True, "e": False, "f": 0},
+    {"schema": "x", "checks": [{"name": "a\"b\\c", "lhs": "1/2",
+                                "rhs": None, "detail": "\u00e9t\u00e9"}]},
+    [[1, [2, [3, []]]], {"k": [{"l": [-4]}]}, "\n\t"],
+    {"witness": {"vertices": [0, 5], "edges": [[0, 5]]}, "explored": 10},
+]
+
+
+@pytest.mark.parametrize("obj", JSON_TEXT_CASES)
+def test_json_text_is_the_indent_2_layout(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("argv", [("verify", "{sol}", "{inst}", "--json"),
+                                  ("exact", "{inst}", "--compare", "--json"),
+                                  ("exact", "{inst}", "--json")])
+def test_json_reports_keep_the_indent_2_layout(solved, capsys, argv):
+    star_file, sol_path, _ = solved
+    assert run_cli(*(arg.format(sol=sol_path, inst=star_file)
+                     for arg in argv)) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def left_in_cycles(argv):
+    """(exit code, objects in reference cycles) that one cli.main call
+    leaves: gc.collect() with the collector off, before and after it."""
+    cli._parser()  # built once per process, before the count
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        try:
+            with redirect_stdout(io.StringIO()), \
+                    redirect_stderr(io.StringIO()):
+                code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        return code, gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.fixture(params=[(12, "1/3"), (300, "1/30")], ids=["n12", "n300"])
+def gc_files(request, tmp_path):
+    n, p = request.param
+    inst = tmp_path / "inst.json"
+    inst.write_text(emit_instance(
+        gen_random(n, p, max_cost=10, max_prize=8, seed=n), "json"))
+    doc = tmp_path / "doc.json"
+    with redirect_stdout(io.StringIO()) as out:
+        assert main(["solve", str(inst), "--json"]) == 0
+    doc.write_text(out.getvalue())
+    return inst, doc, tmp_path
+
+
+def test_solve_and_verify_leave_no_cyclic_garbage(gc_files):
+    """Every solve and verify form, and a parse error, leave nothing
+    for the cyclic collector, so pausing it during a command holds no
+    memory back."""
+    inst, doc, tmp_path = gc_files
+    small = tmp_path / "small.json"
+    small.write_text(emit_instance(gen_tight_path(4, "1/10"), "json"))
+    forms = {
+        "solve": ["solve", inst],
+        "solve --json": ["solve", inst, "--json"],
+        "solve --trace": ["solve", inst, "--trace", tmp_path / "t.jsonl"],
+        "solve --check-invariants": ["solve", inst, "--check-invariants"],
+        "verify": ["verify", doc, inst],
+        "verify --json": ["verify", doc, inst, "--json"],
+        "parse error": ["solve", tmp_path / "missing.json"],
+        "exact --compare": ["exact", small, "--compare"],
+        "exact --compare --json": ["exact", small, "--compare", "--json"],
+    }
+    left = {name: left_in_cycles(map(str, argv))
+            for name, argv in forms.items()}
+    assert left == {name: (2 if name == "parse error" else 0, 0)
+                    for name in forms}
+
+
+def test_gen_and_usage_errors_leave_a_fixed_count():
+    """gen's json emitter and argparse's usage message leave a few
+    objects in cycles, the same number at any size."""
+    gen = [left_in_cycles(["gen", "random", "--n", str(n), "--p", "1/2"])
+           for n in (10, 200)]
+    usage = [left_in_cycles(argv) for argv in (["solve"], ["bogus"])]
+    assert gen[0] == gen[1] and gen[0][0] == 0 and gen[0][1] < 100
+    assert usage[0] == usage[1] and usage[0][0] == 1 and usage[0][1] < 100
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("outcome", ["ok", "parse-error", "usage", "raise"])
+def test_main_pauses_the_collector_and_restores_it(star_file, monkeypatch,
+                                                   enabled, outcome):
+    seen = []
+    real_solve = cli.solver_mod.solve
+
+    def solve_noting_the_collector(*args, **kwargs):
+        seen.append(gc.isenabled())
+        if outcome == "raise":
+            raise RuntimeError("boom")
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli.solver_mod, "solve", solve_noting_the_collector)
+    argv = {"ok": ["solve", str(star_file)],
+            "parse-error": ["solve", str(star_file) + ".missing"],
+            "usage": ["solve", "--bogus"],
+            "raise": ["solve", str(star_file)]}[outcome]
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except (SystemExit, RuntimeError) as exc:
+                code = type(exc).__name__
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert code == {"ok": 0, "parse-error": 2, "usage": "SystemExit",
+                    "raise": "RuntimeError"}[outcome]
+    assert seen == ([False] if outcome in ("ok", "raise") else [])
 
 
 # -- usage errors and entry point -------------------------------------------------

@@ -63,11 +63,9 @@ def assert_union_find_matches_members(state):
     fam, n = state.fam, state.inst.n
     sets = members(fam)
     duals = state.dual_assignment()
-    assert [state._maximal_of(v) for v in range(n)] == [
-        next(sid for sid in fam.maximal_ids() if v in sets[sid])
-        for v in range(n)]
-    assert [state._chain_load(v) for v in range(n)] == [
-        naive.vertex_chain_load(fam, duals, v) * state._scale
+    assert [state._reach(v) for v in range(n)] == [
+        (next(sid for sid in fam.maximal_ids() if v in sets[sid]),
+         naive.vertex_chain_load(fam, duals, v) * state._scale)
         for v in range(n)]
 
 

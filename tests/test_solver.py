@@ -18,6 +18,7 @@ from pcst import cli
 from pcst import laminar as lam
 from pcst import solver as sv
 from pcst import verify
+from pcst.instance import MAX_SCALE_BITS, MAX_TOTAL_BITS, format_rational
 
 # the solver's checks and the reference checker's, both run on every
 # injected fault below
@@ -187,6 +188,86 @@ def test_compute_epsilon_matches_naive_definition(seed):
     sv.run_phase1(state)
 
 
+def tuple_key(when, kind, payload, width):
+    """The heap key of an event, as the solver docstring lays it out."""
+    return when * 2 * width + kind * width + payload
+
+
+def test_event_keys_order_as_tuples():
+    """Int keys sort exactly as (time, kind, payload) triples: by time,
+    then saturations before merges, then payload; with times of up to
+    thousands of bits, and many equal times."""
+    rng = random.Random(20)
+    for _ in range(200):
+        width = rng.choice((1, 2, 3, 7, rng.randrange(1, 1 << 40)))
+        bits = rng.choice((1, 4, 64, 14_000))
+        times = [rng.getrandbits(bits) for _ in range(rng.randrange(1, 6))]
+        triples = [(rng.choice(times), rng.randrange(2),
+                    rng.randrange(width)) for _ in range(40)]
+        rng.shuffle(triples)
+        assert sorted(triples) == sorted(
+            triples, key=lambda t: tuple_key(*t, width))
+        for when, kind, payload in triples:
+            assert divmod(tuple_key(when, kind, payload, width),
+                          2 * width) == (when, kind * width + payload)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_solver_keys_are_the_documented_layout(seed):
+    """The keys a new state queues: each vertex's saturation at its
+    prize, each edge's merge at half its cost, with W = max(m, 2n)."""
+    inst = gen_random(12 + seed, "1/3", max_cost=9, max_prize=7,
+                      seed=60 + seed)
+    state = sv.init_state(inst)
+    width = max(inst.m, 2 * inst.n)
+    assert state._width == width
+    assert sorted(state._heap) == sorted(
+        [tuple_key(p, sv._KIND_SAT, v, width)
+         for v, p in enumerate(inst.scaled_prizes)]
+        + [tuple_key(c // 2, sv._KIND_MERGE, idx, width)
+           for idx, c in enumerate(inst.scaled_costs)])
+    assert state._ekey == [tuple_key(c // 2, sv._KIND_MERGE, idx, width)
+                           for idx, c in enumerate(inst.scaled_costs)]
+
+
+def big_int_instance(seed):
+    """A random graph whose scale sits just under MAX_SCALE_BITS and
+    whose scaled total sits just under MAX_TOTAL_BITS: every cost and
+    prize is a big multiple of one unit plus a small offset, over one
+    odd denominator of MAX_SCALE_BITS - 2 bits."""
+    rng = random.Random(seed)
+    den = 3 ** 2583  # odd, so the scale 2 * den has one bit more
+    assert den.bit_length() == MAX_SCALE_BITS - 2
+    unit = 1 << (MAX_TOTAL_BITS - 24)
+    n = 10 + seed % 8
+    base = gen_random(n, "1/3", max_cost=10, max_prize=8, seed=700 + seed)
+
+    def big(value):
+        return Fraction(int(value) * unit + rng.randrange(3), den)
+
+    return Instance(n, tuple((u, v, big(c)) for u, v, c in base.edges),
+                    tuple(big(p) for p in base.prizes))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_big_int_keys_agree_with_rescan(seed):
+    """At the top of the exactness budget, where an event time and its
+    key have thousands of bits, the event queue takes the rescan
+    reference's steps, trace for trace and dual for dual."""
+    inst = big_int_instance(seed)
+    assert inst.scale.bit_length() > MAX_SCALE_BITS - 4
+    total = sum(inst.scaled_costs) + 2 * sum(inst.scaled_prizes)
+    assert MAX_TOTAL_BITS - 16 < total.bit_length() <= MAX_TOTAL_BITS
+    fast = solve(inst, check_invariants=False)
+    slow = solve_by_rescan(inst)
+    assert max(ev.time for ev in fast.trace) * inst.scale > 1 << 13_000
+    assert fast.trace == slow.trace
+    assert fast.tree_edge_indices == slow.tree_edge_indices
+    assert fast.duals.y == slow.duals.y
+    assert fast.duals.saturated == slow.duals.saturated
+    assert sv.trace_json_lines(fast) == reference_trace_lines(fast.trace)
+
+
 @pytest.mark.parametrize("seed", range(1, 101))
 def test_chain_loads_match_membership_sums(seed):
     """The union-find's frozen loads plus the live clock give, after
@@ -199,7 +280,7 @@ def test_chain_loads_match_membership_sums(seed):
     def checked_after_step():
         after_step()
         duals = state.dual_assignment()
-        assert [state._chain_load(v) for v in range(inst.n)] == [
+        assert [state._reach(v)[1] for v in range(inst.n)] == [
             naive.vertex_chain_load(state.fam, duals, v) * state._scale
             for v in range(inst.n)]
 
@@ -239,7 +320,7 @@ def test_prune_matches_the_chain_reference(seed):
 
 def outputs(inst, sol):
     """The trace lines and the solution document of a solve."""
-    return (sv.trace_json_lines(sol.trace),
+    return (sv.trace_json_lines(sol),
             cli._solution_document(inst, sol, None))
 
 
@@ -298,7 +379,7 @@ def test_odd_live_slack_mid_growth_is_an_invariant_failure(monkeypatch,
     def bump_a_live_pair(state, edge_list):
         for idx in edge_list:
             u, v, _ = inst.edges[idx]
-            a, b = state._maximal_of(u), state._maximal_of(v)
+            a, b = state._reach(u)[0], state._reach(v)[0]
             if a != b and state._alive(a) and state._alive(b):
                 live_pairs.append(idx)
                 if len(live_pairs) == bump_at:
@@ -552,7 +633,7 @@ def test_two_runs_identical():
     assert a.trace == b.trace
     assert a.tree_vertices == b.tree_vertices
     assert a.objective == b.objective
-    assert sv.trace_json_lines(a.trace) == sv.trace_json_lines(b.trace)
+    assert sv.trace_json_lines(a) == sv.trace_json_lines(b)
 
 
 def test_trace_can_be_suppressed():
@@ -562,6 +643,55 @@ def test_trace_can_be_suppressed():
     assert quiet.trace == ()
     assert quiet.objective == loud.objective
     assert quiet.tree_vertices == loud.tree_vertices
+
+
+def reference_event_obj(ev):
+    """An Event as a json object, the layout the trace writer gave each
+    Event when it dumped one dict per step."""
+    obj = {"ordinal": ev.ordinal, "kind": ev.kind,
+           "epsilon": format_rational(ev.epsilon),
+           "time": format_rational(ev.time)}
+    if ev.kind in ("saturation", "prune"):
+        obj["set"] = ev.set_id
+    elif ev.kind == "merge":
+        obj["edge_index"] = ev.edge_index
+        obj["edge"] = list(ev.edge)
+        obj["new_set"] = ev.new_set_id
+    elif ev.kind == "phase":
+        obj["phase"] = ev.phase
+    return obj
+
+
+def reference_trace_lines(events):
+    return "".join(json.dumps(reference_event_obj(ev)) + "\n"
+                   for ev in events)
+
+
+TRACE_TEXT_CASES = {
+    "tight-star": lambda: gen_tight_star(1),
+    "tight-path": lambda: gen_tight_path(6, "1/10"),
+    "prune-example": lambda: Instance(3, ((0, 1, 4), (1, 2, 1)),
+                                      (10, 10, "1/4")),
+    "single-vertex": lambda: Instance(1, (), (7,)),
+    "fractional": lambda: Instance(
+        4, ((0, 1, 3), (1, 2, "1/2"), (2, 3, "5/3"), (0, 3, 7)),
+        (5, "3/2", 2, "1/3")),
+    "random-40": lambda: gen_random(40, "1/8", max_cost=10, max_prize=8,
+                                    seed=3),
+    "random-300": lambda: gen_random(300, "1/75", max_cost=10, max_prize=8,
+                                     seed=4),
+    "big-scale": lambda: big_int_instance(5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_TEXT_CASES))
+def test_trace_lines_match_the_event_dicts(name):
+    """The trace written from the recorded rows is, byte for byte, one
+    json.dumps of each Event's dict per line."""
+    sol = solve(TRACE_TEXT_CASES[name]())
+    assert sv.trace_json_lines(sol) == reference_trace_lines(sol.trace)
+    quiet = solve(TRACE_TEXT_CASES[name](), emit_trace=False)
+    assert sv.trace_json_lines(quiet) == ""
 
 
 def test_trace_is_built_on_first_read(monkeypatch):
@@ -610,8 +740,8 @@ def test_trace_is_built_on_first_read(monkeypatch):
     monkeypatch.setattr(sv.SolverState, "_record", record)
     solve(inst, check_invariants=False)
     monkeypatch.undo()
-    assert sv.trace_json_lines(traced.trace).splitlines() == \
-        sv.trace_json_lines(eager).splitlines()
+    assert traced.trace == tuple(eager)
+    assert sv.trace_json_lines(traced) == reference_trace_lines(eager)
     assert traced.trace is traced.trace
 
 
