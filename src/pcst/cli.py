@@ -31,9 +31,9 @@ from . import oracle as oracle_mod
 from . import solver as solver_mod
 from . import verify as verify_mod
 from .instance import (FORMATS, MAX_TOTAL_BITS, Instance, ParseError,
-                       approx_decimal, emit_instance, format_rational,
-                       gen_random, gen_tight_path, gen_tight_star,
-                       parse_instance, parse_rational)
+                       _json_list, _json_text, approx_decimal, emit_instance,
+                       format_rational, gen_random, gen_tight_path,
+                       gen_tight_star, parse_instance, parse_rational)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -99,33 +99,6 @@ def _load_instance_or_fail(path: str, fmt: Optional[str]):
 
 _REPORTED_KEYS = ("cost", "penalty", "objective", "lagrangean_objective",
                   "lower_bound")
-
-
-def _json_list(items: list[str], depth: int) -> str:
-    """A list of items, each already json text, laid out as
-    json.dumps(..., indent=2) lays out a list depth levels deep."""
-    if not items:
-        return "[]"
-    pad = "\n" + "  " * (depth + 1)
-    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
-
-
-def _json_text(obj, depth: int = 0) -> str:
-    """obj as json.dumps(obj, indent=2) writes it, depth levels deep,
-    for dicts with str keys, lists and scalars.  json.dumps with an
-    indent runs the pure-Python encoder, whose nested functions form a
-    reference cycle per call; the scalars here take the C encoder."""
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        pad = "\n" + "  " * (depth + 1)
-        return "{" + pad + ("," + pad).join(
-            f"{json.dumps(key)}: {_json_text(value, depth + 1)}"
-            for key, value in obj.items()) + "\n" + "  " * depth + "}"
-    if isinstance(obj, list):
-        return _json_list([_json_text(item, depth + 1) for item in obj],
-                          depth)
-    return json.dumps(obj)
 
 
 def _solution_document(inst: Instance, sol: solver_mod.Solution,

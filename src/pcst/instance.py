@@ -326,6 +326,33 @@ def _parse_json(text: str) -> Instance:
         raise ParseError(str(exc)) from exc
 
 
+def _json_list(items: list[str], depth: int) -> str:
+    """A list of items, each already json text, laid out as
+    json.dumps(..., indent=2) lays out a list depth levels deep."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
+
+
+def _json_text(obj, depth: int = 0) -> str:
+    """obj as json.dumps(obj, indent=2) writes it, depth levels deep,
+    for dicts with str keys, lists and scalars.  json.dumps with an
+    indent runs the pure-Python encoder, whose nested functions form a
+    reference cycle per call; the scalars here take the C encoder."""
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        pad = "\n" + "  " * (depth + 1)
+        return "{" + pad + ("," + pad).join(
+            f"{json.dumps(key)}: {_json_text(value, depth + 1)}"
+            for key, value in obj.items()) + "\n" + "  " * depth + "}"
+    if isinstance(obj, list):
+        return _json_list([_json_text(item, depth + 1) for item in obj],
+                          depth)
+    return json.dumps(obj)
+
+
 def _emit_json(inst: Instance) -> str:
     doc: dict = {
         "n": inst.n,
@@ -334,7 +361,7 @@ def _emit_json(inst: Instance) -> str:
     }
     if inst.names is not None:
         doc["names"] = list(inst.names)
-    return json.dumps(doc, indent=2) + "\n"
+    return _json_text(doc) + "\n"
 
 
 def _parse_stp(text: str) -> Instance:

@@ -43,12 +43,63 @@ id is below 2n - 1 and an edge index below m, so both payloads stay
 below W: a key's quotient by 2W is its time, and its remainder is the
 set id, or W plus the edge index.  Int order is therefore exactly the
 order of (time, kind, payload) tuples, the tie-break above, however
-many bits the time has.  ``_ekey[k]`` is the key queued for edge k, or
--1 for none: re-evaluating an edge overwrites it, so an older entry no
-longer matches and is dropped when popped, as is the saturation of a
-set that has died and the merge along an edge that a merge of two live
-sets swallowed.  An int holds no reference, so neither the heap nor
-its stale entries give the cyclic garbage collector anything to walk.
+many bits the time has.  An int holds no reference, so neither the heap
+nor its stale entries give the cyclic garbage collector anything to
+walk.
+
+A saturation key is exact: a set's saturation clock is fixed at its
+birth.  A merge key is only a lower bound on its edge's tight time.
+``_ekey[k]`` is the key queued for edge k, or -1 for none; re-keying
+overwrites it, so an older entry no longer matches and is dropped when
+popped, as is the saturation of a set that has died and the merge
+along an edge that a merge of two live sets swallowed.  An edge
+between maximal sets with r of them live and slack x now is keyed at
+clock + x/r.  Each chain load grows at unit rate at most, so a key
+computed with both sides live stays a lower bound through any flip.  A
+key computed with one side frozen stays one until that side revives,
+so the edge is listed as waiting on that set; with both sides frozen
+the edge gets no key, only the marker -(its key at a zero slack now)
+in ``_ekey``, and waits on both.  A listing holds the key or marker
+the edge had then, and is stale once that is overwritten.  So a
+saturation touches no edge, a merge of two live sets touches none, and
+a merge that revives a frozen child re-keys only the edges waiting on
+it.  A merge key that pops while its edge is not tight at the key's
+time is a recheck: the edge is re-keyed at the current rates, with the
+parity check, and nothing is recorded or counted as a step.  A slack
+below zero at the key's time is an InvariantError: the key was no
+lower bound.
+
+The event sequence is unchanged by the lower bounds.  Whenever a key
+pops, every live set holds its exact saturation key, and every
+external edge with a live side holds a queued key at most its exact
+(time, kind, payload) key at the current rates: a key computed with
+both sides live is one, a key computed with a side frozen is one while
+that side stays frozen, and that side's revival re-keys the edge, as it
+does an edge with no key.  A popped saturation, or a merge whose edge
+is tight at the key's time, therefore has the smallest exact key of all
+events, and is the step an exact queue takes, tie-break included.  A
+recheck's new key is later than the popped one, because the slack left
+is positive, so rechecks cannot repeat at one time.
+
+Each edge k is pushed at most floor(log2 c) + F times, c its scaled
+cost and F the number of saturations and revivals of sets that hold
+exactly one of its ends; the initial keys are heapified, and besides
+the edges' keys each merge pushes one saturation key.  An edge's key
+is pushed only by a recheck or a revival's re-key.  A revival re-keys
+k once at most, off its one current listing on the revived set.  A
+recheck of a key computed with one side frozen follows a saturation of
+the other side: the frozen side did not revive before the pop, and had
+the other side stayed live the slack would have shrunk at the rate the
+key assumed, to zero at the key's time.  A key computed with both
+sides live waits half the slack; its recheck either at least halves
+the slack, when at every moment of the wait one side grew, or follows
+a saturation on each side, when both were frozen at one moment.  A
+flip charged lies between the keying and the pop, so none is charged
+twice.  Slack never grows and stays positive at a recheck, so at most
+floor(log2 c) rechecks halve it.  F is not logarithmic: when a set
+saturates and revives many times while edges wait on it, each of them
+can be pushed at about every revival.
+
 The tests drive the same state with a full rescan of every constraint,
 recomputed from definitions, and check that the two agree step for
 step.
@@ -75,8 +126,8 @@ Neither phase, nor checked mode, lists the members of a set.
   the child root's, and path compression folds the skipped offsets into
   the node it relinks.  A chain load is then the vertex's frozen load
   plus the live dual of its maximal set, both read off one find
-  (``_reach``, once per edge end when an edge is re-evaluated or
-  merged along).
+  (``_reach``, once per edge end when an edge's key pops or the edge
+  is re-keyed at a revival).
 * Prune counts from merge sets.  Forest edge k created set n + k, the
   lowest set holding both of its endpoints.  One ascending pass over
   the parent links, adding 1 at each endpoint of a tree edge and -2 at
@@ -266,10 +317,8 @@ class SolverState:
         span = 2 * width
         self._ekey = [(c >> 1) * span + width + idx
                       for idx, c in enumerate(cost)]
-        self._incident: list[Optional[list[int]]] = [[] for _ in range(n)]
-        for idx, (u, v) in enumerate(inst.ends):
-            self._incident[u].append(idx)
-            self._incident[v].append(idx)
+        # per frozen maximal set, the keys of the edges waiting on it
+        self._waiting: dict[int, list[int]] = {}
         self._heap = [budget * span + v
                       for v, budget in enumerate(self._budget)]
         self._heap += self._ekey
@@ -340,51 +389,55 @@ class SolverState:
         if self._emit:
             self.trace.append((eps, self.clock, kind, *fields))
 
-    def _retouch_edges(self, edge_list: list[int]) -> list[int]:
-        """Re-evaluate the merge candidacy of the listed edges after the
-        loading rate of one of their extremes changed, returning the
-        still-external survivors.
-
-        A queued fire time stays correct as long as the edge stays
-        external and both extremes keep their alive/frozen status, so
-        this only needs to run when a status actually flips: on a
-        saturation (all incident edges slow down) and on a merge that
-        revives a frozen side.  Edges whose extremes merely merged with
-        other live sets keep their old queue entries.
-        """
-        ends, cost, ekey = self.inst.ends, self._cost, self._ekey
-        reach, death = self._reach, self._death
+    def _rekey(self, idx: int, tu: int, load_u: int, tv: int,
+               load_v: int):
+        """Key external edge idx, between maximal sets tu and tv whose
+        ends carry the given chain loads now, at the earliest time it
+        can tighten at the current rates, and list it as waiting on each
+        frozen side: with no live side it gets no key, only the marker
+        -(its key at a zero slack now)."""
+        death, ekey = self._death, self._ekey
+        rate = (death[tu] is None) + (death[tv] is None)
+        slack = self._cost[idx] - load_u - load_v
+        if slack < 0:
+            raise InvariantError(
+                f"edge {idx} overloaded by "
+                f"{Fraction(-slack, self._scale)} during growth")
         span = 2 * self._width
-        base = self.clock * span + self._width
-        kept: list[int] = []
-        for idx in edge_list:
-            u, v = ends[idx]
-            tu, load_u = reach(u)
-            tv, load_v = reach(v)
-            if tu == tv:
-                ekey[idx] = -1
-                continue  # internal now and forever; drop
-            kept.append(idx)
-            rate = (death[tu] is None) + (death[tv] is None)
-            if rate == 0:
-                ekey[idx] = -1
-                continue  # both sides frozen; growth cannot tighten it
-            slack = cost[idx] - load_u - load_v
-            if slack < 0:
-                raise InvariantError(
-                    f"edge {idx} overloaded by "
-                    f"{Fraction(-slack, self._scale)} during growth")
+        key = self.clock * span + self._width + idx
+        if rate == 0:
+            key = -key
+        else:
             if rate == 2:
                 if slack & 1:
                     raise InvariantError(
                         f"odd slack {slack} on edge {idx} between two "
                         f"live sets at scale {self._scale}")
                 slack >>= 1
-            key = base + slack * span + idx
+            key += slack * span
             if key != ekey[idx]:  # an equal key is still queued
-                ekey[idx] = key
                 heapq.heappush(self._heap, key)
-        return kept
+        ekey[idx] = key
+        for top in (tu, tv):
+            if death[top] is not None:
+                self._waiting.setdefault(top, []).append(key)
+
+    def _revive(self, sid: int):
+        """Re-key the edges waiting on frozen set sid, just merged into a
+        live set.  A listed key that is no longer its edge's is stale."""
+        ends, ekey, reach = self.inst.ends, self._ekey, self._reach
+        span, width = 2 * self._width, self._width
+        for key in self._waiting.pop(sid, ()):
+            idx = abs(key) % span - width
+            if ekey[idx] != key:
+                continue
+            u, v = ends[idx]
+            tu, load_u = reach(u)
+            tv, load_v = reach(v)
+            if tu == tv:
+                ekey[idx] = -1  # internal now and forever
+            else:
+                self._rekey(idx, tu, load_u, tv, load_v)
 
     def _kill(self, sid: int):
         """Stop the growth of maximal set sid now and add its final dual
@@ -423,74 +476,82 @@ class SolverState:
         self._kill(sid)
         self.saturated.add(sid)
         self._active -= 1
-        self._incident[sid] = self._retouch_edges(self._incident[sid])
         self._record(eps, "saturation", sid)
 
-    def _apply_merge(self, idx: int, eps: int):
+    def _apply_merge(self, idx: int, eps: int, a: int, b: int):
+        """Merge along edge idx, tight after eps between maximal sets a
+        and b, at least one of them live, as _pop_next found them."""
         self.clock += eps
-        u, v = self.inst.ends[idx]
-        a, load_u = self._reach(u)
-        b, load_v = self._reach(v)
-        if a == b:
-            raise InvariantError(f"merge along internal edge {idx}")
-        alive_ends = self._alive(a) + self._alive(b)
-        if alive_ends == 0:
-            raise InvariantError(f"merge along edge {idx} between frozen sets")
-        if load_u + load_v != self._cost[idx]:
-            raise InvariantError(f"merge along edge {idx} before it is tight")
         self._ekey[idx] = -1
-        frozen_children = [sid for sid in (a, b) if not self._alive(sid)]
+        frozen = [sid for sid in (a, b) if not self._alive(sid)]
         nid = self._merge(a, b)
         self._budget.append(self._budget[a] - self._dual_of(a)
                             + self._budget[b] - self._dual_of(b))
         self.forest.append(idx)
-        self._active += 1 - alive_ends
-        # a frozen child's edges speed back up inside the live merged
-        # set; a live child's edges keep their valid queue entries
-        incident = self._incident
-        for sid in frozen_children:
-            incident[sid] = self._retouch_edges(incident[sid])
-        big, small = incident[a], incident[b]
-        incident[a] = incident[b] = None
-        if len(big) < len(small):
-            big, small = small, big
-        big.extend(small)
-        incident.append(big)
+        # a frozen child's waiting edges speed up inside the live merged
+        # set; a live child's keys stay lower bounds
+        if frozen:
+            self._revive(frozen[0])
+        else:
+            self._active -= 1
         heapq.heappush(self._heap,
                        self._saturation_clock(nid) * 2 * self._width + nid)
+        u, v = self.inst.ends[idx]
         self._record(eps, "merge", idx, (u, v), nid)
 
-    def _pop_next(self) -> tuple[int, int, int]:
-        """Next valid (epsilon, kind, payload) from the event queue."""
+    def _pop_next(self) -> tuple[int, int, int, Optional[tuple[int, int]]]:
+        """Next event from the queue, as (epsilon, kind, payload, sides):
+        the sides are the maximal sets a merge joins, None for a
+        saturation.  A merge key whose edge is not tight at its time is
+        a recheck, re-keyed here, and no event."""
         heap, width, ekey = self._heap, self._width, self._ekey
-        find, span = self._find, 2 * width
+        death, reach, span = self._death, self._reach, 2 * width
         while heap:
             key = heapq.heappop(heap)
             when, payload = divmod(key, span)
+            eps = when - self.clock
+            if eps < 0:
+                raise InvariantError("event queue went backwards in time")
             if payload < width:
-                kind = _KIND_SAT
-                if self._death[payload] is not None:
+                if death[payload] is not None:
                     continue
+                kind, sides = _KIND_SAT, None
             else:
                 kind = _KIND_MERGE
                 payload -= width
                 if key != ekey[payload]:
                     continue
                 u, v = self.inst.ends[payload]
-                if find(u) == find(v):
+                a, load_u = reach(u)
+                b, load_v = reach(v)
+                if a == b:
                     # swallowed by a merge of two live sets, which leaves
                     # the edge's key queued
+                    ekey[payload] = -1
                     continue
-            eps = when - self.clock
-            if eps < 0:
-                raise InvariantError("event queue went backwards in time")
-            return eps, kind, payload
+                rate = (death[a] is None) + (death[b] is None)
+                slack = self._cost[payload] - load_u - load_v - rate * eps
+                if slack < 0:
+                    raise InvariantError(
+                        f"edge {payload} overloaded at its key's time: "
+                        "the key was no lower bound")
+                if slack or not rate:
+                    self._rekey(payload, a, load_u, b, load_v)
+                    continue
+                sides = (a, b)
+            return eps, kind, payload, sides
         raise InvariantError("no growth event available with several "
                              "active sets remaining")
 
     def _after_step(self):
+        # A saturation or a merge of two live sets lowers the number of
+        # active sets by one, from n to 1, so they come to exactly
+        # n - 1 steps; only a merge with a frozen side leaves it.  The
+        # last step lowers it while two maximal sets remain, so at most
+        # n - 2 merges come before it, and at most 2n - 3 steps in all.
+        # The star reaches the budget.
         self._steps += 1
-        if self._steps > 2 * self.inst.n - 2:
+        if self._steps > 2 * self.inst.n - 3:
             raise InvariantError("growth phase exceeded its step budget")
         if self._check:
             check_growth_invariants(self)
@@ -512,11 +573,11 @@ def run_phase1(state: SolverState):
         raise ValueError(f"run_phase1 needs the growth phase, "
                          f"state is in {state.phase!r}")
     while state._active > 1:
-        eps, kind, payload = state._pop_next()
+        eps, kind, payload, sides = state._pop_next()
         if kind == _KIND_SAT:
             state._apply_saturation(payload, eps)
         else:
-            state._apply_merge(payload, eps)
+            state._apply_merge(payload, eps, *sides)
         state._after_step()
     survivors = [sid for sid in state.fam.maximal_ids() if state._alive(sid)]
     if len(survivors) != 1:

@@ -82,7 +82,13 @@ def rescan_step(state):
     if kind == "saturation":
         state._apply_saturation(payload, scaled.numerator)
     else:
-        state._apply_merge(payload, scaled.numerator)
+        u, v = state.inst.ends[payload]
+        (a, load_u), (b, load_v) = state._reach(u), state._reach(v)
+        rate = state._alive(a) + state._alive(b)
+        assert a != b and rate, f"merge along edge {payload} is no event"
+        assert load_u + load_v + rate * scaled.numerator == \
+            state._cost[payload], f"edge {payload} is not tight"
+        state._apply_merge(payload, scaled.numerator, a, b)
     state._after_step()
 
 

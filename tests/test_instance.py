@@ -11,7 +11,8 @@ from pcst import (FORMATS, Instance, ParseError, approx_decimal,
                   emit_instance, format_rational, gen_random, gen_tight_path,
                   gen_tight_star, parse_instance, parse_rational,
                   rational_token)
-from pcst.instance import MAX_SCALE_BITS, MAX_TOTAL_BITS, MAX_VERTICES
+from pcst.instance import (MAX_SCALE_BITS, MAX_TOTAL_BITS, MAX_VERTICES,
+                           rational_token)
 
 rationals = st.fractions(
     min_value=0, max_value=1000,
@@ -216,6 +217,24 @@ def test_json_round_trip_with_names():
     back = parse_instance(emit_instance(inst, "json"), "json")
     assert back == inst
     assert back.names == ("a", "b")
+
+
+@pytest.mark.parametrize("inst", [
+    Instance(1, (), (0,)),
+    Instance(3, ((0, 1, 4), (1, 2, 0)), (2, 5, 7)),
+    Instance(2, ((0, 1, "7/2"),), ("1/3", 0), names=("a", "b")),
+    Instance(3, ((0, 2, "1/6"),), (1, "22/7", 3),
+             names=("h\u00e9", 'q"uote', "")),
+], ids=["single", "ints", "ratios-names", "escapes"])
+def test_json_emission_is_the_indent_2_layout(inst):
+    """gen's writer gives json.dumps(doc, indent=2)'s bytes, without
+    its pure-Python encoder: int tokens, "p/q" tokens and names."""
+    doc = {"n": inst.n,
+           "prizes": [rational_token(p) for p in inst.prizes],
+           "edges": [[u, v, rational_token(c)] for u, v, c in inst.edges]}
+    if inst.names is not None:
+        doc["names"] = list(inst.names)
+    assert emit_instance(inst, "json") == json.dumps(doc, indent=2) + "\n"
 
 
 # -- stp format ----------------------------------------------------------------

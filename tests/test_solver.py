@@ -1,6 +1,7 @@
 """Two-phase solver: frozen small traces, engine cross-checks, edge
 cases, determinism, the integer core's parity checks, and checker
 fault injection."""
+import heapq
 import json
 import random
 import re
@@ -152,9 +153,9 @@ def test_zero_prize_vertex_saturates_at_once():
 # -- cross-checks against the rescan reference ---------------------------------
 
 
-@pytest.mark.parametrize("seed", range(1, 301))
-def test_rescan_engine_agrees_with_event_queue(seed):
-    inst = sweep_instance(seed)
+def agrees_with_rescan(inst):
+    """The event queue and the rescan reference take the same steps and
+    reach the same solution."""
     fast = solve(inst)
     slow = solve_by_rescan(inst)
     assert fast.trace == slow.trace
@@ -165,6 +166,11 @@ def test_rescan_engine_agrees_with_event_queue(seed):
     assert {s: fast.duals.y[s] for s in fast.fam.ids} == \
         {s: slow.duals.y[s] for s in slow.fam.ids}
     assert fast.duals.saturated == slow.duals.saturated
+
+
+@pytest.mark.parametrize("seed", range(1, 301))
+def test_rescan_engine_agrees_with_event_queue(seed):
+    agrees_with_rescan(sweep_instance(seed))
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -179,13 +185,163 @@ def test_compute_epsilon_matches_naive_definition(seed):
 
     def checked_pop():
         expected = naive_epsilon(inst, state.fam, state.dual_assignment())
-        eps, kind, payload = queue_pop()
+        eps, kind, payload, sides = queue_pop()
         step = Fraction(eps, state._scale)
         assert (step, (kinds[kind], payload)) == expected
-        return eps, kind, payload
+        return eps, kind, payload, sides
 
     state._pop_next = checked_pop
     sv.run_phase1(state)
+
+
+# -- the queue's push bound ----------------------------------------------------
+
+
+def hub_star(n):
+    """Hub 0 with prize 1, and leaf i with prize 2i+1 on an edge of cost
+    3i: every leaf but the last reaches the hub's set after it froze,
+    revives it and saturates inside it, so growth takes 2n - 3 steps."""
+    return Instance(n, tuple((0, i, 3 * i) for i in range(1, n)),
+                    (1,) + tuple(2 * i + 1 for i in range(1, n)))
+
+
+def caterpillar(spine, legs):
+    """A path of spine vertices with legs leaves hung off each one."""
+    edges = [(i, i + 1, 2 + i % 5) for i in range(spine - 1)]
+    prizes = [1 + i % 4 for i in range(spine)]
+    for i in range(spine):
+        for j in range(legs):
+            edges.append((i, len(prizes), 1 + (i + 3 * j) % 9))
+            prizes.append((i * j) % 7)
+    return Instance(len(prizes), tuple(edges), tuple(prizes))
+
+
+def queue_pushes(inst, monkeypatch):
+    """Grow inst untraced and unchecked, counting the heap pushes of each
+    edge's key and of saturation keys, and the largest heap.  Returns
+    (grown state, pushes per edge, saturation pushes, largest heap,
+    re-keys per edge)."""
+    state = sv.init_state(inst, check_invariants=False, emit_trace=False)
+    span, width = 2 * state._width, state._width
+    per_edge = [0] * inst.m
+    rekeys = [0] * inst.m
+    counts = [0, len(state._heap)]
+    real_push = heapq.heappush
+    real_rekey = sv.SolverState._rekey
+
+    def counted_rekey(self, idx, *sides):
+        rekeys[idx] += 1
+        real_rekey(self, idx, *sides)
+
+    def counted_push(heap, key):
+        real_push(heap, key)
+        if key % span < width:
+            counts[0] += 1
+        else:
+            per_edge[key % span - width] += 1
+        counts[1] = max(counts[1], len(heap))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(heapq, "heappush", counted_push)
+        patch.setattr(sv.SolverState, "_rekey", counted_rekey)
+        sv.run_phase1(state)
+    return state, per_edge, counts[0], counts[1], rekeys
+
+
+def flips_at_one_end(state):
+    """Per edge, F of the solver docstring: the saturations and revivals
+    of sets holding exactly one of its ends.  A saturated set with a
+    parent was revived by the merge that made its parent."""
+    fam, sat = state.fam, state.saturated
+    upward = [0] * len(fam)  # flips on the chain from a set to its root
+    for sid in reversed(fam.ids):
+        parent = fam.parent_of(sid)
+        upward[sid] = (sid in sat) * (1 + (parent is not None))
+        if parent is not None:
+            upward[sid] += upward[parent]
+    tops = verify.FamilyIndex(fam, state.inst).tops
+    return [upward[u] + upward[v] - (2 * upward[top] if top >= 0 else 0)
+            for (u, v), top in zip(state.inst.ends, tops)]
+
+
+def flicker(revivals, waiting):
+    """A hub of prize 0 that saturates and revives the given number of
+    times: leaf j reaches it at clock j * L, L = 2 * revivals + 2, and
+    keeps it live for one unit.  Each of the waiting leaves has prize 0
+    and an edge to the hub that the hub's live time alone cannot fill,
+    so a key of that edge pops in most of the hub's frozen spans; a
+    neighbour of the leaf reaches it halfway and revives it."""
+    gap = 2 * revivals + 2
+    edges, prizes = [], [0]
+    for j in range(1, revivals + 1):
+        edges.append((0, len(prizes), j * gap + j - 1))
+        prizes.append(j * gap + 1)
+    for _ in range(waiting):
+        leaf = len(prizes)
+        edges += [(0, leaf, revivals + 5),
+                  (leaf, leaf + 1, revivals * gap // 2)]
+        prizes += [0, revivals * gap * 2]
+    return Instance(len(prizes), tuple(edges), tuple(prizes))
+
+
+PUSH_BOUND_SHAPES = {
+    "flicker-40x40": lambda: flicker(40, 40),
+    "star-501": lambda: hub_star(501),
+    "star-1001": lambda: hub_star(1001),
+    "star-4001": lambda: hub_star(4001),
+    "caterpillar-40x25": lambda: caterpillar(40, 25),
+    "caterpillar-200x4": lambda: caterpillar(200, 4),
+    **{f"random-{n}-{seed}": (lambda n=n, seed=seed: gen_random(
+        n, Fraction(8, n), max_cost=10, max_prize=8, seed=seed))
+       for n, seed in ((300, 1), (1000, 2), (1000, 3))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PUSH_BOUND_SHAPES))
+def test_queue_pushes_stay_within_the_proven_bound(name, monkeypatch):
+    """Each edge's key is pushed at most floor(log2 c) + F times, c its
+    scaled cost and F the flips of sets holding exactly one of its ends;
+    each merge pushes one saturation key; the heap never holds more than
+    n + m entries.  An edge is re-keyed once per pop of its key, at most
+    one more than its pushes, and once per revival of a set at one end,
+    whatever stale listings that set holds."""
+    inst = PUSH_BOUND_SHAPES[name]()
+    state, per_edge, saturation_pushes, largest, rekeys = queue_pushes(
+        inst, monkeypatch)
+    assert saturation_pushes == len(state.forest)
+    flips = flips_at_one_end(state)
+    for idx, c in enumerate(state._cost):
+        assert per_edge[idx] <= (c >> 1).bit_length() + flips[idx], idx
+        assert rekeys[idx] <= per_edge[idx] + 1 + flips[idx], idx
+    assert largest <= inst.n + inst.m
+
+
+@pytest.mark.parametrize("n", [501, 1001, 4001])
+def test_star_grows_in_few_pushes(n, monkeypatch):
+    """The star's hub set saturates and revives n - 2 times, and no flip
+    re-keys every edge: it grows in at most (n - 1) * log2(n) pushes,
+    where re-queueing a set's edges at each flip took n^2 - n - 1."""
+    _, per_edge, saturation_pushes, _, _ = queue_pushes(hub_star(n),
+                                                        monkeypatch)
+    assert sum(per_edge) + saturation_pushes <= (n - 1) * n.bit_length()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 13, 21, 34, 40])
+def test_rescan_engine_agrees_on_stars(n):
+    agrees_with_rescan(hub_star(n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 101])
+def test_star_reaches_the_step_budget(n):
+    """Growth takes at most 2n - 3 steps, and the star takes all of
+    them, rechecks uncounted; one step more is over the budget."""
+    state = sv.init_state(hub_star(n), check_invariants=n <= 10)
+    sv.run_phase1(state)
+    assert state._steps == 2 * n - 3
+    assert sum(row[2] in ("saturation", "merge") for row in state.trace) \
+        == 2 * n - 3
+    with pytest.raises(sv.InvariantError, match="exceeded its step budget"):
+        state._after_step()
 
 
 def tuple_key(when, kind, payload, width):
@@ -370,15 +526,20 @@ def test_odd_live_slack_mid_growth_is_an_invariant_failure(monkeypatch,
                                                            bump_at):
     """The parity proof leaves no odd slack between two live sets.  One
     forced here, by bumping the scaled cost of the bump_at-th live-live
-    edge that growth re-evaluates, fails the run with an InvariantError
-    naming that edge."""
+    edge whose current key the queue pops, turns that pop into a recheck
+    that fails the run with an InvariantError naming that edge."""
     inst = gen_random(40, "1/4", max_cost=10, max_prize=8, seed=7)
-    real_retouch = sv.SolverState._retouch_edges
+    state = sv.init_state(inst, check_invariants=True)
+    span, width = 2 * state._width, state._width
+    real_pop = heapq.heappop
     live_pairs, bumped = [], []
 
-    def bump_a_live_pair(state, edge_list):
-        for idx in edge_list:
-            u, v, _ = inst.edges[idx]
+    def bump_a_live_pair(heap):
+        key = real_pop(heap)
+        idx = key % span - width
+        if heap is state._heap and idx >= 0 and key == state._ekey[idx] \
+                and not bumped:
+            u, v = inst.ends[idx]
             a, b = state._reach(u)[0], state._reach(v)[0]
             if a != b and state._alive(a) and state._alive(b):
                 live_pairs.append(idx)
@@ -386,11 +547,9 @@ def test_odd_live_slack_mid_growth_is_an_invariant_failure(monkeypatch,
                     state._cost = list(state._cost)  # never the instance's
                     state._cost[idx] += 1
                     bumped.append(idx)
-                    break
-        return real_retouch(state, edge_list)
+        return key
 
-    monkeypatch.setattr(sv.SolverState, "_retouch_edges", bump_a_live_pair)
-    state = sv.init_state(inst, check_invariants=True)
+    monkeypatch.setattr(heapq, "heappop", bump_a_live_pair)
     with pytest.raises(sv.InvariantError) as info:
         sv.run_phase1(state)
     [idx] = bumped
@@ -610,6 +769,10 @@ def test_checks_read_none_of_the_solvers_sums():
         sv.check_growth_invariants(state)
         state.__class__ = sv.SolverState
     assert state.phase == sv.PHASE_GROWTH and len(state.forest) > 2
+    # the queue cannot resume after steps taken around it: they pass
+    # over the rechecks it would have popped
+    while state._active > 1:
+        rescan_step(state)
     sv.run_phase1(state)
     tree = sv._pruned_tree(state, ())
     state.__class__ = BlindState
@@ -623,7 +786,7 @@ def test_checks_read_none_of_the_solvers_sums():
 def test_growth_event_budget(seed):
     inst = sweep_instance(seed)
     sol = solve(inst)
-    assert len(events_of(sol.trace)) <= 2 * inst.n - 2
+    assert len(events_of(sol.trace)) <= 2 * inst.n - 3
 
 
 def test_two_runs_identical():
