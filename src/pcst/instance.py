@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import random
 import re
 from dataclasses import dataclass, field
@@ -171,12 +172,17 @@ class Instance:
     cost and prize denominator, and ``scaled_costs[k]`` and
     ``scaled_prizes[v]`` are edge k's cost and vertex v's prize times
     the scale, as ints: they are the only numbers an instance stores.
-    They are made here only, in the one walk that validates the input;
-    an int token takes no ``Fraction``, and an instance past
-    MAX_SCALE_BITS or MAX_TOTAL_BITS is refused.  ``edges``, the
-    (u, v, cost) triples, and ``prizes`` are ``Fraction`` views built
-    on first read.  ``names`` is cosmetic and ignored by equality (the
-    stp format cannot carry labels).
+    They are made here only, on one of two paths that make the same
+    checks.  An input of lists or tuples whose every edge is three ints
+    with u < v and every prize an int is read in whole-column passes
+    (_int_columns) and gets scale 2.  Any other input, and any input
+    that fails a check, is read by the per-edge walk (_walk), which
+    parses every other token and raises every refusal, naming the
+    first bad edge or prize.  An int token takes no ``Fraction`` on
+    either path, and an instance past MAX_SCALE_BITS or MAX_TOTAL_BITS
+    is refused.  ``edges``, the (u, v, cost) triples, and ``prizes``
+    are ``Fraction`` views built on first read.  ``names`` is cosmetic
+    and ignored by equality (the stp format cannot carry labels).
     """
 
     n: int
@@ -190,51 +196,21 @@ class Instance:
                  names: Optional[Sequence[str]] = None):
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValueError(f"vertex count must be a positive int, got {n!r}")
-        # numerators and denominators of the prizes, then of the costs
-        nums, dens = [], []
-        for p in prizes:
-            a, q = (p, 1) if type(p) is int \
-                else parse_rational(p).as_integer_ratio()
-            nums.append(a)
-            dens.append(q)
-        if len(nums) != n:
-            raise ValueError(f"expected {n} prizes, got {len(nums)}")
-        for v, a in enumerate(nums):
-            if a < 0:
-                raise ValueError(f"negative prize {Fraction(a, dens[v])} "
-                                 f"at vertex {v}")
-        ends: dict[tuple[int, int], None] = {}  # ordered, and the seen-set
-        for k, e in enumerate(edges):
-            if not isinstance(e, (list, tuple)) or len(e) != 3:
-                raise ValueError(f"edge {k} must be a [u, v, cost] triple")
-            u, v, c = e
-            if not isinstance(u, int) or not isinstance(v, int) \
-                    or isinstance(u, bool) or isinstance(v, bool):
-                raise ValueError(f"edge {k} has non-integer endpoint: {e!r}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge {k} endpoint out of range: ({u}, {v})")
-            if u == v:
-                raise ValueError(f"edge {k} is a self-loop at vertex {u}")
-            if u > v:
-                u, v = v, u
-            if (u, v) in ends:
-                raise ValueError(f"parallel edge {k} between {u} and {v}")
-            ends[u, v] = None
-            a, q = (c, 1) if type(c) is int \
-                else parse_rational(c).as_integer_ratio()
-            if a < 0:
-                raise ValueError(f"negative cost {Fraction(a, q)} on edge {k}")
-            nums.append(a)
-            dens.append(q)
+        ends, nums, dens = _int_columns(n, edges, prizes) \
+            or _walk(n, edges, prizes)
         if names is not None:
             names = tuple(names)
             if not all(isinstance(s, str) for s in names):
                 raise ValueError('"names" must be a list of strings')
             if len(names) != n:
                 raise ValueError(f"expected {n} names, got {len(names)}")
-        scale = budgeted_scale(set(dens), 2, "the scale, twice the lcm "
-                               "of the denominators,")
-        scaled = [a * (scale // q) for a, q in zip(nums, dens)]
+        if dens is None:  # every number an int: the scale is 2
+            scale = 2
+            scaled = [a + a for a in nums]
+        else:
+            scale = budgeted_scale(set(dens), 2, "the scale, twice the lcm "
+                                   "of the denominators,")
+            scaled = [a * (scale // q) for a, q in zip(nums, dens)]
         total = sum(scaled) + sum(scaled[:n])  # prizes count twice
         if total.bit_length() > MAX_TOTAL_BITS:
             raise ValueError("the cost total plus twice the prize total, at "
@@ -242,7 +218,7 @@ class Instance:
                              f"{total.bit_length()} bits, more than "
                              f"{MAX_TOTAL_BITS}")
         # frozen: the fields are set past the dataclass's __setattr__
-        vars(self).update(n=n, ends=tuple(ends), scale=scale,
+        vars(self).update(n=n, ends=ends, scale=scale,
                           scaled_costs=tuple(scaled[n:]),
                           scaled_prizes=tuple(scaled[:n]), names=names)
 
@@ -263,6 +239,82 @@ class Instance:
 
     def prize_total(self) -> Fraction:
         return Fraction(sum(self.scaled_prizes), self.scale)
+
+
+def _int_columns(n: int, edges: Sequence, prizes: Sequence):
+    """An instance's edge ends and numbers read in whole-column passes,
+    as ``(ends, nums, None)`` with nums the prizes and then the costs,
+    or None.
+
+    It reads only a list or tuple of edges and of prizes in which every
+    edge is a list or tuple of three ints and every prize and cost an
+    int (``type(x) is int``, so no bool), and only when the input
+    passes every check of _walk with u < v on each edge.  Otherwise it
+    returns None, and _walk reads the input: the walk is what parses
+    other tokens and words every error.  A one-shot iterable is never
+    iterated here.
+    """
+    if type(edges) not in (list, tuple) or type(prizes) not in (list, tuple) \
+            or len(prizes) != n or set(map(type, prizes)) != {int} \
+            or min(prizes) < 0:
+        return None
+    if not set(map(type, edges)) <= {list, tuple}:
+        return None
+    try:
+        us, vs, costs = zip(*edges, strict=True)
+    except ValueError:  # no edges, or edges not all of three items
+        return None
+    if {*map(type, us), *map(type, vs), *map(type, costs)} != {int} \
+            or min(us) < 0 or max(vs) >= n or min(costs) < 0 \
+            or not all(map(operator.lt, us, vs)):
+        return None
+    ends = dict.fromkeys(zip(us, vs))  # the parallel-edge check
+    if len(ends) != len(edges):
+        return None
+    return tuple(ends), [*prizes, *costs], None
+
+
+def _walk(n: int, edges: Iterable, prizes: Iterable):
+    """An instance's edge ends and numbers read one token at a time, as
+    ``(ends, nums, dens)``: nums and dens are the numerators and
+    denominators of the prizes and then the costs.  Every refusal of
+    an edge or prize is raised here, naming the first bad one."""
+    nums, dens = [], []
+    for p in prizes:
+        a, q = (p, 1) if type(p) is int \
+            else parse_rational(p).as_integer_ratio()
+        nums.append(a)
+        dens.append(q)
+    if len(nums) != n:
+        raise ValueError(f"expected {n} prizes, got {len(nums)}")
+    for v, a in enumerate(nums):
+        if a < 0:
+            raise ValueError(f"negative prize {Fraction(a, dens[v])} "
+                             f"at vertex {v}")
+    ends: dict[tuple[int, int], None] = {}  # ordered, and the seen-set
+    for k, e in enumerate(edges):
+        if not isinstance(e, (list, tuple)) or len(e) != 3:
+            raise ValueError(f"edge {k} must be a [u, v, cost] triple")
+        u, v, c = e
+        if not isinstance(u, int) or not isinstance(v, int) \
+                or isinstance(u, bool) or isinstance(v, bool):
+            raise ValueError(f"edge {k} has non-integer endpoint: {e!r}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge {k} endpoint out of range: ({u}, {v})")
+        if u == v:
+            raise ValueError(f"edge {k} is a self-loop at vertex {u}")
+        if u > v:
+            u, v = v, u
+        if (u, v) in ends:
+            raise ValueError(f"parallel edge {k} between {u} and {v}")
+        ends[u, v] = None
+        a, q = (c, 1) if type(c) is int \
+            else parse_rational(c).as_integer_ratio()
+        if a < 0:
+            raise ValueError(f"negative cost {Fraction(a, q)} on edge {k}")
+        nums.append(a)
+        dens.append(q)
+    return tuple(ends), nums, dens
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +416,23 @@ def _emit_json(inst: Instance) -> str:
     return _json_text(doc) + "\n"
 
 
+def _stp_number(token: str) -> int | Fraction:
+    """A cost or prize token of an stp file: an int when it is ASCII
+    digits, as a json int is, else parse_rational's Fraction (and its
+    refusals)."""
+    if token.isascii() and token.isdigit() and len(token) <= MAX_TOKEN_CHARS:
+        try:
+            return int(token)
+        except ValueError:  # past int()'s digit limit: parse_rational's words
+            pass
+    return parse_rational(token)
+
+
 def _parse_stp(text: str) -> Instance:
     n = None
     declared_m = None
-    edges: list[tuple[int, int, Fraction]] = []
-    prize_lines: dict[int, Fraction] = {}
+    edges: list[tuple[int, int, int | Fraction]] = []
+    prize_lines: dict[int, int | Fraction] = {}
     section = None
     saw_graph = False
     saw_eof = False
@@ -434,7 +498,7 @@ def _parse_stp(text: str) -> Instance:
                     fail("edge line before Nodes line", lineno)
                 try:
                     u, v = int(parts[1]), int(parts[2])
-                    cost = parse_rational(parts[3])
+                    cost = _stp_number(parts[3])
                 except ValueError as exc:
                     fail(str(exc), lineno)
                 if not (1 <= u <= n and 1 <= v <= n):
@@ -447,7 +511,7 @@ def _parse_stp(text: str) -> Instance:
                 fail(f"unknown line {line!r} in Terminals section", lineno)
             try:
                 v = int(parts[1])
-                prize = parse_rational(parts[2])
+                prize = _stp_number(parts[2])
             except ValueError as exc:
                 fail(str(exc), lineno)
             if n is None or not (1 <= v <= n):

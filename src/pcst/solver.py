@@ -175,7 +175,9 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
+from operator import add, mul
 from typing import Optional
 
 from . import laminar as lam
@@ -287,9 +289,8 @@ class SolverState:
         n = inst.n
         self._scale = scale = inst.scale
         self._cost = cost = inst.scaled_costs
-        odd = next((idx for idx, c in enumerate(cost) if c & 1), None)
-        if odd is not None:
-            # c >> 1 below would floor it
+        if gcd(*cost) & 1:  # some cost is odd: c / 2 below is no int
+            odd = next(idx for idx, c in enumerate(cost) if c & 1)
             raise InvariantError(
                 f"edge {odd} has odd cost {cost[odd]} at scale {scale}")
         self.fam = lam.LaminarFamily(n)
@@ -314,13 +315,13 @@ class SolverState:
         # heap keys, see the module docstring: a set id or an edge index
         # stays below W, and the edge's key is the one queued for it
         self._width = width = max(inst.m, 2 * n)
-        span = 2 * width
-        self._ekey = [(c >> 1) * span + width + idx
-                      for idx, c in enumerate(cost)]
+        # edge idx tightens at time c / 2, its key c/2 * 2W + W + idx
+        self._ekey = list(map(add, map(mul, cost, repeat(width)),
+                              range(width, width + len(cost))))
         # per frozen maximal set, the keys of the edges waiting on it
         self._waiting: dict[int, list[int]] = {}
-        self._heap = [budget * span + v
-                      for v, budget in enumerate(self._budget)]
+        self._heap = list(map(add, map(mul, self._budget, repeat(2 * width)),
+                              range(n)))
         self._heap += self._ekey
         heapq.heapify(self._heap)
         self._check_cache: Optional[tuple] = None  # (inst, FamilyIndex)

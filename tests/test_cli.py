@@ -3,12 +3,14 @@ import copy
 import gc
 import io
 import json
+import os
 import random
 import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -920,3 +922,22 @@ def test_entry_point_subprocess(tmp_path):
     assert "solve time" in first.stderr
     doc = json.loads(first.stdout)
     assert doc["objective"] == "4/1"
+
+
+def test_cli_imports_only_the_standard_library():
+    """Importing pcst.cli in a fresh process loads no module from
+    outside the standard library and the package: pyproject.toml
+    declares no dependencies, and the import is part of every run's
+    set-up time."""
+    code = ("import sys; before = set(sys.modules); import pcst.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    loaded = proc.stdout.split()
+    assert "pcst.cli" in loaded
+    foreign = [name for name in loaded
+               if name.partition(".")[0] not in sys.stdlib_module_names
+               and name.partition(".")[0] != "pcst"]
+    assert foreign == []

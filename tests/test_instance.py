@@ -1,6 +1,8 @@
 """Instance model, rational tokens, both file formats, generators."""
 import json
+import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from pcst import (FORMATS, Instance, ParseError, approx_decimal,
                   emit_instance, format_rational, gen_random, gen_tight_path,
                   gen_tight_star, parse_instance, parse_rational,
                   rational_token)
+from pcst import instance
 from pcst.instance import (MAX_SCALE_BITS, MAX_TOTAL_BITS, MAX_VERTICES,
                            rational_token)
 
@@ -120,11 +123,11 @@ def test_names_do_not_affect_equality():
 
 
 def test_int_tokens_build_no_fraction(monkeypatch):
-    """An int-only instance is parsed and generated without a single
-    Fraction: its ints are its numbers at scale 2."""
+    """An int-only instance is parsed from either format and generated
+    without a single Fraction: its ints are its numbers at scale 2."""
     p = Fraction(1, 250)
-    text = emit_instance(gen_random(1000, p, max_cost=10, max_prize=8,
-                                    seed=99))
+    inst = gen_random(1000, p, max_cost=10, max_prize=8, seed=99)
+    texts = {fmt: emit_instance(inst, fmt) for fmt in FORMATS}
     built = []
 
     def counted(*args, real=Fraction.__new__, **kwargs):
@@ -132,12 +135,13 @@ def test_int_tokens_build_no_fraction(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counted)
-    parsed = parse_instance(text)
+    parsed = {fmt: parse_instance(text, fmt) for fmt, text in texts.items()}
     assert built == []
     generated = gen_random(1000, p, max_cost=10, max_prize=8, seed=99)
     assert built == []
     monkeypatch.undo()
-    assert parsed == generated and parsed.m > 1000 and parsed.scale == 2
+    assert generated.m > 1000 and generated.scale == 2
+    assert parsed == {fmt: generated for fmt in FORMATS}
 
 
 def test_prize_total():
@@ -437,6 +441,39 @@ def two_vertex_texts(prizes, cost) -> dict:
             "stp": stp}
 
 
+@pytest.mark.parametrize("int_digits", [4300, 0])
+@pytest.mark.parametrize("token", [
+    "7", "007", "1" * 4000, "1" * 4301, "1" * 10_001, "\u0663", "+7", "1_0",
+    "7.0", "14/2", "x"], ids=lambda token: f"{len(token)}-digits"
+    if len(token) > 9 else None)
+def test_stp_numbers_read_as_parse_rational_reads_them(token, int_digits):
+    """An stp cost token of ASCII digits becomes an int, any other goes
+    through parse_rational.  Either way the instance is the one with
+    parse_rational's value, or the refusal is parse_rational's with its
+    line number or the instance's, also with int()'s digit limit
+    lifted."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(int_digits)
+    try:
+        try:
+            value = parse_rational(token)
+        except ValueError as exc:
+            expected = f"{exc} (line 4)"
+        else:
+            try:
+                expected = Instance(2, ((0, 1, value),), (1, 1))
+            except ValueError as exc:
+                expected = str(exc)
+        try:
+            got = parse_instance(two_vertex_texts((1, 1), token)["stp"],
+                                 "stp")
+        except ParseError as exc:
+            got = str(exc)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == expected
+
+
 HALF_SCALE = 2 ** (MAX_SCALE_BITS // 2)
 BUDGET_CASES = {
     # name: (prizes, cost, why the instance is refused or None)
@@ -492,6 +529,130 @@ def test_scaled_ints_are_the_numbers_at_the_scale(root_prize, hung):
         back = parse_instance(emit_instance(inst, fmt), fmt)
         assert (back.scale, back.scaled_costs, back.scaled_prizes) == \
             (inst.scale, *scaled), fmt
+
+
+# -- the column path and the per-edge walk agree --------------------------------
+
+
+def seeded_int_input(seed: int) -> tuple:
+    """n, edges as [u, v, cost] lists with u < v and prizes, all ints."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 12)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    pairs = rng.sample(pairs, rng.randint(1, len(pairs)))
+    edges = [[u, v, rng.randint(0, 9)] for u, v in pairs]
+    return n, edges, [rng.randint(0, 9) for _ in range(n)]
+
+
+def either_path(monkeypatch, make) -> list:
+    """make() as it runs, then with the column path declining so that
+    the per-edge walk reads every input: per run, the instance's fields
+    and hash, or the error's type and message."""
+    outcomes = []
+    for walk_only in (False, True):
+        with monkeypatch.context() as patch:
+            if walk_only:
+                patch.setattr(instance, "_int_columns", lambda *args: None)
+            try:
+                inst = make()
+            except ValueError as exc:
+                outcomes.append((type(exc), str(exc)))
+                continue
+        outcomes.append((inst.n, inst.ends, inst.scale, inst.scaled_costs,
+                         inst.scaled_prizes, hash(inst)))
+    return outcomes
+
+
+def _set_end(value):
+    def corrupt(rng, n, edges, prizes):
+        rng.choice(edges)[rng.randrange(2)] = value(rng, n)
+    return corrupt
+
+
+def _set_cost(value):
+    def corrupt(rng, n, edges, prizes):
+        rng.choice(edges)[2] = value
+    return corrupt
+
+
+def _set_prize(value):
+    def corrupt(rng, n, edges, prizes):
+        prizes[rng.randrange(n)] = value
+    return corrupt
+
+
+def _replace_edge(make):
+    def corrupt(rng, n, edges, prizes):
+        k = rng.randrange(len(edges))
+        edges[k] = make(rng, edges[k])
+    return corrupt
+
+
+def _parallel(reverse: bool):
+    def corrupt(rng, n, edges, prizes):
+        u, v, _ = rng.choice(edges)
+        if reverse:
+            u, v = v, u
+        edges.insert(rng.randint(0, len(edges)), [u, v, rng.randint(0, 9)])
+    return corrupt
+
+
+CORRUPTIONS = {  # name: corrupt(rng, n, edges, prizes) in place
+    "none": lambda *args: None,
+    "bool-endpoint": _set_end(lambda rng, n: rng.choice([True, False])),
+    "bool-cost": _set_cost(True),
+    "bool-prize": _set_prize(False),
+    "u-above-v": _replace_edge(lambda rng, e: [e[1], e[0], e[2]]),
+    "parallel": _parallel(reverse=False),
+    "parallel-reversed": _parallel(reverse=True),
+    "self-loop": _replace_edge(lambda rng, e: [e[0], e[0], e[2]]),
+    "endpoint-n": _set_end(lambda rng, n: n),
+    "endpoint-negative": _set_end(lambda rng, n: -1),
+    "negative-cost": _set_cost(-3),
+    "negative-prize": _set_prize(-2),
+    "two-item-edge": _replace_edge(lambda rng, e: e[:2]),
+    "four-item-edge": _replace_edge(lambda rng, e: e + [1]),
+    "non-list-edge": _replace_edge(lambda rng, e: rng.choice(
+        ["011", {"u": e[0], "v": e[1], "cost": e[2]}, 7, None])),
+    "ratio-cost": _set_cost("1/3"),
+    "missing-prize": lambda rng, n, edges, prizes: prizes.pop(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_column_path_and_walk_agree(name, monkeypatch):
+    """On seeded int-only inputs, corrupted or not, Instance gives the
+    instance or the error the per-edge walk alone gives, from lists,
+    tuples and one-shot iterators and through the json parser; the
+    column path reads every clean input."""
+    for seed in range(25):
+        n, edges, prizes = seeded_int_input(seed)
+        if name == "none":
+            assert instance._int_columns(n, edges, prizes) is not None
+        CORRUPTIONS[name](random.Random(seed), n, edges, prizes)
+        text = json.dumps({"n": n, "prizes": prizes, "edges": edges})
+        makes = [
+            lambda: Instance(n, edges, prizes),
+            lambda: Instance(n, tuple(tuple(e) if isinstance(e, list) else e
+                                      for e in edges), tuple(prizes)),
+            lambda: Instance(n, (e for e in edges), prizes),
+            lambda: Instance(n, edges, iter(prizes)),
+            lambda: parse_instance(text),
+        ]
+        for make in makes:
+            outcomes = either_path(monkeypatch, make)
+            assert outcomes[0] == outcomes[1], (seed, outcomes)
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET_CASES))
+def test_column_path_and_walk_agree_at_the_budget(name, monkeypatch):
+    prizes, cost, _ = BUDGET_CASES[name]
+    texts = two_vertex_texts(prizes, cost)
+    for make in [lambda: Instance(2, [[0, 1, cost]], list(prizes)),
+                 *(lambda fmt=fmt: parse_instance(texts[fmt], fmt)
+                   for fmt in FORMATS)]:
+        outcomes = either_path(monkeypatch, make)
+        assert outcomes[0] == outcomes[1]
 
 
 def test_deeply_nested_json_is_a_parse_error():
