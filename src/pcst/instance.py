@@ -416,14 +416,24 @@ def _emit_json(inst: Instance) -> str:
     return _json_text(doc) + "\n"
 
 
+def _stp_int(token: str) -> int:
+    """The stp rule for an integer token, a count, a vertex id or a cost
+    or prize: ASCII digits only, so no sign, no underscore and no other
+    script's digits.  Anything else is refused as int() refuses junk,
+    and a run past int()'s digit limit as int() refuses it."""
+    if token.isascii() and token.isdigit():
+        return int(token)
+    raise ValueError(f"invalid literal for int() with base 10: {token!r}")
+
+
 def _stp_number(token: str) -> int | Fraction:
     """A cost or prize token of an stp file: an int when it is ASCII
     digits, as a json int is, else parse_rational's Fraction (and its
     refusals)."""
-    if token.isascii() and token.isdigit() and len(token) <= MAX_TOKEN_CHARS:
+    if len(token) <= MAX_TOKEN_CHARS:
         try:
-            return int(token)
-        except ValueError:  # past int()'s digit limit: parse_rational's words
+            return _stp_int(token)
+        except ValueError:  # not digits, or past int()'s digit limit
             pass
     return parse_rational(token)
 
@@ -441,10 +451,10 @@ def _parse_stp(text: str) -> Instance:
         raise ParseError(msg, line=lineno)
 
     def count(parts: list[str], line: str, lineno: int) -> int:
-        if len(parts) == 2 and parts[1].isdecimal():
+        if len(parts) == 2:
             try:
-                return int(parts[1])
-            except ValueError:  # past Python's digit limit for int()
+                return _stp_int(parts[1])
+            except ValueError:  # not digits, or past int()'s digit limit
                 pass
         fail(f"bad {parts[0]} line {line!r}", lineno)
 
@@ -497,7 +507,7 @@ def _parse_stp(text: str) -> Instance:
                 if n is None:
                     fail("edge line before Nodes line", lineno)
                 try:
-                    u, v = int(parts[1]), int(parts[2])
+                    u, v = _stp_int(parts[1]), _stp_int(parts[2])
                     cost = _stp_number(parts[3])
                 except ValueError as exc:
                     fail(str(exc), lineno)
@@ -510,7 +520,7 @@ def _parse_stp(text: str) -> Instance:
             if key != "TP" or len(parts) != 3:
                 fail(f"unknown line {line!r} in Terminals section", lineno)
             try:
-                v = int(parts[1])
+                v = _stp_int(parts[1])
                 prize = _stp_number(parts[2])
             except ValueError as exc:
                 fail(str(exc), lineno)

@@ -24,13 +24,15 @@ parents, so a snapshot's checks are a few linear passes over its links:
 
 The dual sums of a snapshot are DualIndex, and an audit answers the
 instance's edges and the tree's edges with one family index.  A tree is
-checked in one place, TreeIndex, on one union-find: its edges are
+checked in one place, TreeIndex, in one union-find pass: its edges are
 replayed in ascending order of their lca, which counts the pieces the
 tree leaves inside every set, and the edges with no common set are
 replayed last, which tells whether the whole tree is connected.  Given
 the instance, the same index validates the tree (vertex range, instance
 edges, no repeats, connected) and holds its cost and penalty, so an
 audit validates the tree once and every check reads the same index.
+A tree's vertices are ints (make_tree refuses anything else, bool
+included), and any other value names no vertex of the family.
 
 Dual sums are integers over DualIndex.scale, the duals' scale or, with
 an instance, the audit_scale of the two; results are exact Fractions.
@@ -54,6 +56,7 @@ is not contained in one.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -70,7 +73,14 @@ class Tree(NamedTuple):
 
 
 def make_tree(vertices: Iterable[int], edges: Iterable) -> Tree:
-    return Tree(frozenset(vertices), tuple((u, v) for u, v in edges))
+    """A tree of int vertices and (u, v) edges; a ValueError names any
+    vertex or edge end that is not an int, bool included."""
+    vertices = tuple(vertices)
+    tree = Tree(frozenset(vertices), tuple((u, v) for u, v in edges))
+    # the raw list, not the set, which would merge true with 1
+    if any(type(x) is not int for x in itertools.chain(vertices, *tree.edges)):
+        raise ValueError("tree vertices and edge ends must be integers")
+    return tree
 
 
 @dataclass(frozen=True)
@@ -95,17 +105,9 @@ def root_of(link: list[int], v: int) -> int:
 
 
 def _vertex(x, n: int) -> int:
-    """x as a vertex of an n-vertex family, or -1 if it names none.
-    Like set membership, a value equal to an int in 0..n-1 names it."""
-    if type(x) is not int:
-        try:
-            k = int(x)
-        except (TypeError, ValueError, OverflowError):
-            return -1
-        if k != x:
-            return -1
-        x = k
-    return x if 0 <= x < n else -1
+    """x as a vertex of an n-vertex family, or -1 if it names none: only
+    an int in 0..n-1 names one."""
+    return x if type(x) is int and 0 <= x < n else -1
 
 
 class FamilyIndex:
@@ -265,28 +267,21 @@ class DualIndex:
         return Fraction(scaled, self.scale)
 
 
-def _crossing_loads(chain: list[int], ends: list,
-                    tops: list[int]) -> list[int]:
-    """Per (u, v) pair with lowest common set top: the dual mass on the
-    sets holding exactly one end.  An end or a top of -1 names no set,
-    and reads the 0 appended to the chain loads."""
-    chain = chain + [0]
-    return [chain[u] + chain[v] - 2 * chain[top]
-            for (u, v), top in zip(ends, tops)]
-
-
 class TreeIndex:
     """How a tree meets every family set, read off a family index.
 
     members[s] counts the tree's vertices in s, crossing[s] the tree
     edges with exactly one end in s, and joined[s] the edges inside s
-    (both ends tree vertices) that join two pieces of the tree inside s,
-    replayed with a union-find in the ascending order of each edge's
-    lowest common set: an edge inside s has its lowest common set in the
-    subtree of s, and every earlier edge either lies inside that set
-    too or has no end in it.  So s meets the tree in members[s] -
-    joined[s] connected pieces.  The edges in no common set are replayed
-    last, so connected tells whether the tree's edges join all of it.
+    (both ends tree vertices) that join two pieces of the tree inside s.
+    One union-find pass replays the edges with both ends tree vertices
+    in the ascending order of each edge's lowest common set: an edge
+    inside s has its lowest common set in the subtree of s, and every
+    earlier edge either lies inside that set too or has no end in it.
+    So s meets the tree in members[s] - joined[s] connected pieces.  The
+    edges in no common set sort last, so connected tells whether the
+    tree's edges join all of it.  A family vertex is its own union-find
+    slot, and a tree vertex outside the family, which lies in no set,
+    takes the next slot from n up; whole is True when there is none.
 
     With an instance, the index also holds the tree's cost and penalty
     and error, the first way the tree fails to be a connected subgraph
@@ -305,38 +300,33 @@ class TreeIndex:
         family = family or FamilyIndex(fam, inst, tree.edges)
         if pairs is None:
             pairs = range(family.m, len(family.ends))
-        self.ends = ends = [family.ends[k] for k in pairs]
+        self.ends = [family.ends[k] for k in pairs]
         self.tops = tops = [family.tops[k] for k in pairs]
         self.parent = parent = family.parent
         members = [0] * len(parent)
-        # union-find slots: the family's vertices, then tree vertices
-        # outside the family, which lie in no set
-        slot: dict = {}
+        slot, outside = {}, n  # union-find slots, outside ones from n up
         for x in tree.vertices:
             v = _vertex(x, n)
             if v < 0:
-                slot[x] = n + len(slot)
+                v, outside = outside, outside + 1
             else:
                 members[v] = 1
-        self.whole = not slot
+            slot[x] = v
+        self.whole = outside == n
         joined = [0] * len(parent)
-        piece = list(range(n + len(slot)))
-        for top, u, v in sorted([(top, u, v) for (u, v), top in zip(ends, tops)
-                                 if top >= 0 and members[u] and members[v]]):
+        piece = list(range(outside))
+        unions = 0
+        # the edges with no common set sort last
+        for _, top, u, v in sorted(
+                [(top < 0, top, slot[a], slot[b])
+                 for (a, b), top in zip(tree.edges, tops)
+                 if a in slot and b in slot]):
             ru, rv = root_of(piece, u), root_of(piece, v)
             if ru != rv:
                 piece[ru] = rv
-                joined[top] += 1
-        unions = sum(joined)
-        for (a, b), (u, v), top in zip(tree.edges, ends, tops):
-            if top < 0:
-                u = slot.get(a) if u < 0 else (u if members[u] else None)
-                v = slot.get(b) if v < 0 else (v if members[v] else None)
-                if u is not None and v is not None:
-                    ru, rv = root_of(piece, u), root_of(piece, v)
-                    if ru != rv:
-                        piece[ru] = rv
-                        unions += 1
+                unions += 1
+                if top >= 0:
+                    joined[top] += 1
         self.size = len(tree.vertices)
         self.connected = self.size > 0 and unions == self.size - 1
         self._links = family.links
@@ -375,14 +365,13 @@ class TreeIndex:
     def crossing(self) -> list[int]:
         """Per set, the tree edges with exactly one end in it, summed on
         first read: checked mode checks trees without reading it."""
-        crossing = [0] * len(self.parent)
+        # an end or a top of -1, in no set, counts in a spare last entry
+        crossing = [0] * (len(self.parent) + 1)
         for (u, v), top in zip(self.ends, self.tops):
-            if u >= 0:
-                crossing[u] += 1
-            if v >= 0:
-                crossing[v] += 1
-            if top >= 0:
-                crossing[top] -= 2
+            crossing[u] += 1
+            crossing[v] += 1
+            crossing[top] -= 2
+        crossing.pop()
         for sid, up in self._links:
             crossing[up] += crossing[sid]
         return crossing
@@ -469,12 +458,12 @@ def certificate(fam: LaminarFamily, duals: DualAssignment) -> Certificate:
 
 class GrowthBound:
     """The growth inequality of one (family, duals) snapshot and tree,
-    shared by every vertex o: the left side is computed once, and the
-    right side at o reads o's chain load."""
+    shared by every vertex o: the left side is computed once, from the
+    tree index's crossing counts, and the right side at o reads o's
+    chain load."""
 
     def __init__(self, index: DualIndex, tree_index: TreeIndex):
-        crossing = sum(_crossing_loads(index.chain, tree_index.ends,
-                                       tree_index.tops))
+        crossing = sum(map(operator.mul, index.y, tree_index.crossing))
         outside = sum(y for y, count in zip(index.y, tree_index.members)
                       if not count)
         self.index = index
@@ -491,9 +480,12 @@ def growth_inequality(fam: LaminarFamily, duals: DualAssignment,
                       ) -> tuple[Fraction, Fraction]:
     """(lhs, rhs) of the output-side bound at vertex o:
 
-        sum over tree edges of crossing dual mass
+        sum over sets S of y_S * (tree edges crossing S)
           + 2 * dual mass strictly outside the tree
         <= 2 * dual mass on sets missing o.
+
+    The first sum is the dual mass each tree edge crosses, summed over
+    the tree's edges, counted per set instead of per edge.
 
     The left side dominates cost(T) + 2*penalty(T) when the tree's edges
     are tight and the outside mass covers the forfeited prizes, which is

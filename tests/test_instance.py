@@ -266,6 +266,8 @@ def test_stp_parse():
     assert inst.n == 3
     assert inst.edges == ((0, 1, Fraction(5, 2)), (1, 2, Fraction(1)))
     assert inst.prizes == (Fraction(7), Fraction(0), Fraction(1, 2))
+    # a leading zero is still ASCII digits
+    assert parse_instance(STP_SAMPLE.replace("E 1 2", "E 01 2"), "stp") == inst
 
 
 @pytest.mark.parametrize("mutation, lineno", [
@@ -421,6 +423,23 @@ def test_parse_stp_parses_or_raises_parse_error(text):
 def test_stp_bad_counts_are_parse_errors(old, new):
     with pytest.raises(ParseError, match="bad"):
         parse_instance(STP_SAMPLE.replace(old, new), "stp")
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("E 2 3 1", "E 1_0 2 3", "invalid literal for int() with base 10: '1_0'"),
+    ("E 2 3 1", "E +2 1 3", "invalid literal for int() with base 10: '+2'"),
+    ("E 2 3 1", "E ٣ 1 3", "invalid literal for int() with base 10: '٣'"),
+    ("TP 3 0.5", "TP ٣ 4", "invalid literal for int() with base 10: '٣'"),
+    ("TP 3 0.5", "TP +1 4", "invalid literal for int() with base 10: '+1'"),
+    ("Nodes 3", "Nodes ٣", "bad Nodes line 'Nodes ٣'"),
+    ("Edges 2", "Edges ٢", "bad Edges line 'Edges ٢'"),
+])
+def test_stp_integers_are_ascii_digits(old, new, message):
+    """Counts and vertex ids pass one rule, ASCII digits: int() alone
+    reads 1_0 as 10, +2 as 2 and an Arabic-Indic ٣ as 3."""
+    with pytest.raises(ParseError, match=re.escape(message)) as info:
+        parse_instance(STP_SAMPLE.replace(old, new), "stp")
+    assert info.value.line == STP_SAMPLE.splitlines().index(old) + 1
 
 
 def test_vertex_counts_past_the_limit_are_parse_errors():

@@ -220,6 +220,25 @@ def test_tree_validation_rejects(star, vertices, edges):
     assert not structure.passed and structure.detail == message
 
 
+@pytest.mark.parametrize("vertices, edges", [
+    ((0, True), ()),
+    ((0, 1.0), ()),
+    ([1, True], ()),  # a set would merge true with 1
+    ((0, 1), ((0, Fraction(1)),)),
+])
+def test_make_tree_takes_only_int_vertices(vertices, edges):
+    with pytest.raises(ValueError, match="^tree vertices and edge ends "
+                                         "must be integers$"):
+        make_tree(vertices, edges)
+
+
+def test_tree_index_names_a_non_int_vertex_out_of_range(star):
+    inst, sol = star
+    tree = Tree(frozenset({0, 1.0}), ())
+    assert verify.TreeIndex(sol.fam, tree, inst).error == \
+        "tree vertex 1.0 out of range"
+
+
 def test_tree_validation_rejects_repeated_edge(star):
     inst, sol = star
     message = "tree edge (1, 0) repeated"
@@ -505,6 +524,13 @@ def test_tree_across_maximal_sets_is_connected():
     assert reference_tree_check(inst, fam, tree) == (2, 0)
     assert not verify.TreeIndex(fam, make_tree((0, 1, 2), ((0, 1),)),
                                 inst).connected
+    # vertices 3 and 4 lie outside the family, and each needs a slot of
+    # its own: the path 0-1-2-4-3 is connected only through both
+    fam = lam.LaminarFamily(3)
+    tree = make_tree(range(5), ((0, 1), (1, 2), (2, 4), (3, 4)))
+    assert verify.TreeIndex(fam, tree).connected
+    assert cluster_count_bound(fam, set(), tree) == (Fraction(5, 2), 2) \
+        == naive.cluster_count_bound(fam, set(), tree)
 
 
 # -- agreement with the reference checker ----------------------------------------
