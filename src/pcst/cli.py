@@ -73,21 +73,20 @@ def _guess_format(path: str, override: Optional[str]) -> str:
     return "stp" if path.endswith(".stp") else "json"
 
 
-def _read_instance(path: str, fmt: Optional[str]) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_instance(text, _guess_format(path, fmt))
+def _cannot_read(path: str, exc: OSError) -> int:
+    print(f"error: cannot read {path}: {exc.strerror or exc}", file=sys.stderr)
+    return EXIT_PARSE
 
 
 def _load_instance_or_fail(path: str, fmt: Optional[str]):
     """Returns (instance, None) or (None, exit_code) with the message
     already printed to standard error."""
     try:
-        return _read_instance(path, fmt), None
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        return parse_instance(text, _guess_format(path, fmt)), None
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc.strerror or exc}",
-              file=sys.stderr)
-        return None, EXIT_PARSE
+        return None, _cannot_read(path, exc)
     except (ParseError, ValueError) as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return None, EXIT_PARSE
@@ -279,14 +278,13 @@ def cmd_gen(args) -> int:
 def _load_solution(path: str):
     """Parse a solution document into (tree, records, reported).
 
-    Raises ParseError for anything structurally wrong with the file;
-    semantic problems are left for the audit to flag.
+    Raises OSError if the file cannot be read and ParseError for
+    anything structurally wrong with it; semantic problems are left for
+    the audit to flag.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror or exc}")
     except ValueError as exc:  # bad json, bad utf-8, an over-long integer
         raise ParseError(str(exc))
     except RecursionError:
@@ -324,6 +322,8 @@ def cmd_verify(args) -> int:
         return code
     try:
         tree, records, reported = _load_solution(args.solution)
+    except OSError as exc:
+        return _cannot_read(args.solution, exc)
     except ParseError as exc:
         print(f"error: {args.solution}: {exc}", file=sys.stderr)
         return EXIT_PARSE

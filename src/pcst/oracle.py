@@ -4,7 +4,8 @@ Enumerates every nonempty connected vertex subset exactly once, scores
 each as (minimum spanning tree of the induced subgraph) + (prizes left
 outside), and keeps the best.  Intended as an independent reference for
 testing the primal-dual solver, so it shares no code with it; anything
-beyond limit_n vertices is refused up front.
+beyond limit_n vertices is refused up front.  It scores on the
+instance's scaled ints and builds one Fraction, the optimum, at the end.
 """
 from __future__ import annotations
 
@@ -61,30 +62,25 @@ def exact_solve(inst: Instance, limit_n: int = 18) -> ExactResult:
         raise ValueError(f"instance has {n} > limit_n = {limit_n} vertices; "
                          "refusing exhaustive enumeration")
     adj_masks = [0] * n
-    for u, v, _ in inst.edges:
+    for u, v in inst.ends:
         adj_masks[u] |= 1 << v
         adj_masks[v] |= 1 << u
+    costs, prizes = inst.scaled_costs, inst.scaled_prizes
     # stable Kruskal order: by cost, then input position
-    order = sorted(range(inst.m), key=lambda i: (inst.edges[i][2], i))
-    sorted_edges = [inst.edges[i] for i in order]
-    total_prize = inst.prize_total()
-    prize = inst.prizes
+    sorted_edges = [(*inst.ends[i], costs[i])
+                    for i in sorted(range(inst.m), key=costs.__getitem__)]
+    total_prize = sum(prizes)
 
-    best_value: Fraction | None = None
+    best_value: int | None = None
     best_key: tuple[int, ...] | None = None
     best_edges: tuple[tuple[int, int], ...] = ()
     explored = 0
 
     for mask in iter_connected_masks(n, adj_masks):
         explored += 1
-        inside = Fraction(0)
-        m2 = mask
-        while m2:
-            bit = m2 & (-m2)
-            m2 ^= bit
-            inside += prize[bit.bit_length() - 1]
+        inside = sum(map(prizes.__getitem__, _mask_tuple(mask)))
         k = mask.bit_count()
-        cost = Fraction(0)
+        cost = 0
         picked: list[tuple[int, int]] = []
         if k > 1:
             parent = {}
@@ -119,7 +115,7 @@ def exact_solve(inst: Instance, limit_n: int = 18) -> ExactResult:
                 best_mask = mask
 
     assert best_value is not None
-    return ExactResult(best_value,
+    return ExactResult(Fraction(best_value, inst.scale),
                        frozenset(_mask_tuple(best_mask)),
                        best_edges, explored)
 

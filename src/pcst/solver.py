@@ -171,7 +171,6 @@ Neither phase, nor checked mode, lists the members of a set.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -190,9 +189,6 @@ PHASE_DONE = "done"
 
 # default cutoff above which solve() skips per-step invariant checking
 CHECK_DEFAULT_MAX_N = 128
-
-_KIND_SAT = 0
-_KIND_MERGE = 1
 
 
 class InvariantError(RuntimeError):
@@ -223,7 +219,9 @@ _ROW_GAP = {"saturation": (), "prune": (), "merge": (None,),
 def trace_json_lines(sol: Solution) -> str:
     """The trace as json lines, one object per step, written from the
     recorded rows: ordinal, kind, epsilon and time as "p/q" in lowest
-    terms, then the kind's own fields, in json.dumps's layout."""
+    terms, then the kind's own fields, in json.dumps's layout.  A phase
+    name, PHASE_PRUNE or PHASE_DONE, is plain text that json.dumps
+    leaves as it is."""
     scale = sol.duals.scale
     lines = []
     for ordinal, (eps, clock, kind, *fields) in enumerate(sol.trace_rows):
@@ -232,7 +230,7 @@ def trace_json_lines(sol: Solution) -> str:
             idx, (u, v), nid = fields
             own = f'"edge_index": {idx}, "edge": [{u}, {v}], "new_set": {nid}'
         elif kind == "phase":
-            own = f'"phase": {json.dumps(fields[0])}'
+            own = f'"phase": "{fields[0]}"'
         else:
             own = f'"set": {fields[0]}'
         lines.append(f'{{"ordinal": {ordinal}, "kind": "{kind}", '
@@ -336,14 +334,12 @@ class SolverState:
         return (self.clock if death is None else death) - self._birth[sid]
 
     def _find(self, v: int) -> int:
-        """Union-find root of vertex v.  Relinking a node straight to
-        the root adds the offsets it skips into its own."""
+        """Union-find root of vertex v; _reach asks only when v's parent
+        is no root.  Relinking a node straight to the root adds the
+        offsets it skips into its own."""
         dsu = self._dsu
-        parent = dsu[v]
-        if dsu[parent] == parent:
-            return parent  # v is the root or a child of it
         path = [v]
-        v = parent
+        v = dsu[v]
         while dsu[v] != v:
             path.append(v)
             v = dsu[v]
@@ -444,9 +440,7 @@ class SolverState:
         """Stop the growth of maximal set sid now and add its final dual
         into its members' frozen chain loads, at its union-find root."""
         self._death[sid] = self.clock
-        value = self.clock - self._birth[sid]
-        if value != 0:
-            self._offset[self._root[sid]] += value
+        self._offset[self._root[sid]] += self.clock - self._birth[sid]
 
     def _merge(self, a: int, b: int) -> int:
         """Append the union of maximal sets a and b, born now, and union
@@ -500,11 +494,11 @@ class SolverState:
         u, v = self.inst.ends[idx]
         self._record(eps, "merge", idx, (u, v), nid)
 
-    def _pop_next(self) -> tuple[int, int, int, Optional[tuple[int, int]]]:
-        """Next event from the queue, as (epsilon, kind, payload, sides):
-        the sides are the maximal sets a merge joins, None for a
-        saturation.  A merge key whose edge is not tight at its time is
-        a recheck, re-keyed here, and no event."""
+    def _pop_next(self) -> tuple[int, int, Optional[tuple[int, int]]]:
+        """Next event from the queue, as (epsilon, payload, sides): the
+        sides are the maximal sets a merge joins, None for a saturation.
+        A merge key whose edge is not tight at its time is a recheck,
+        re-keyed here, and no event."""
         heap, width, ekey = self._heap, self._width, self._ekey
         death, reach, span = self._death, self._reach, 2 * width
         while heap:
@@ -516,9 +510,8 @@ class SolverState:
             if payload < width:
                 if death[payload] is not None:
                     continue
-                kind, sides = _KIND_SAT, None
+                sides = None
             else:
-                kind = _KIND_MERGE
                 payload -= width
                 if key != ekey[payload]:
                     continue
@@ -540,7 +533,7 @@ class SolverState:
                     self._rekey(payload, a, load_u, b, load_v)
                     continue
                 sides = (a, b)
-            return eps, kind, payload, sides
+            return eps, payload, sides
         raise InvariantError("no growth event available with several "
                              "active sets remaining")
 
@@ -574,8 +567,8 @@ def run_phase1(state: SolverState):
         raise ValueError(f"run_phase1 needs the growth phase, "
                          f"state is in {state.phase!r}")
     while state._active > 1:
-        eps, kind, payload, sides = state._pop_next()
-        if kind == _KIND_SAT:
+        eps, payload, sides = state._pop_next()
+        if sides is None:
             state._apply_saturation(payload, eps)
         else:
             state._apply_merge(payload, eps, *sides)

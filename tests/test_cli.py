@@ -299,9 +299,21 @@ def test_solve_invariant_failure_exits_4(tmp_path, capsys, monkeypatch):
                             "scale 1\n")
 
 
-def test_solve_missing_file(tmp_path, capsys):
-    assert run_cli("solve", str(tmp_path / "nope.json")) == 2
-    assert "cannot read" in capsys.readouterr().err
+@pytest.mark.parametrize("command, doc, inst", [
+    ("solve", None, "nope.json"),
+    ("verify", "nope.json", "star.json"),
+    ("verify", "star.json", "nope.json"),
+    ("exact", None, "nope.json"),
+], ids=["solve-instance", "verify-document", "verify-instance",
+        "exact-instance"])
+def test_missing_file_is_named_once(star_file, capsys, command, doc, inst):
+    """A file that cannot be read, instance or solution document, exits
+    2 with one line that names it once."""
+    paths = [str(star_file.parent / name) for name in (doc, inst) if name]
+    assert run_cli(command, *paths) == 2
+    missing = star_file.parent / "nope.json"
+    assert capsys.readouterr().err == \
+        f"error: cannot read {missing}: No such file or directory\n"
 
 
 def test_solve_parse_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
 """Brute-force exact solver and its subset enumerator."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -117,3 +118,60 @@ def test_size_limit():
 def test_explored_counts_connected_subsets():
     inst = Instance(3, ((0, 1, 1), (1, 2, 1)), (1, 1, 1))
     assert exact_solve(inst).explored == 6
+
+
+def fraction_optimum(inst):
+    """The optimum over connected_subsets_naive, each subset scored by a
+    Kruskal in Fractions over inst.edges (ties by edge index) plus the
+    prizes it leaves out, and the subsets scored."""
+    subsets = connected_subsets_naive(inst.n, [(u, v) for u, v, _ in
+                                               inst.edges])
+    by_cost = sorted(range(inst.m), key=lambda i: (inst.edges[i][2], i))
+    best = None
+    for subset in subsets:
+        root = {v: v for v in subset}
+
+        def find(v):
+            while root[v] != v:
+                v = root[v]
+            return v
+
+        value = sum(p for v, p in enumerate(inst.prizes) if v not in subset)
+        for i in by_cost:
+            u, v, c = inst.edges[i]
+            if u in subset and v in subset and find(u) != find(v):
+                root[find(u)] = find(v)
+                value += c
+        best = value if best is None else min(best, value)
+    return best, subsets
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_int_scoring_matches_a_fraction_brute_force(seed):
+    """exact_solve scores on the instance's scaled ints; a brute force
+    over Fractions finds the same optimum and explores as many subsets,
+    on rational costs and prizes with denominators 2 to 7."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 9)
+
+    def rational():
+        return Fraction(rng.randint(0, 30), rng.randint(2, 7))
+
+    edges = [(u, v, rational()) for u in range(n) for v in range(u + 1, n)
+             if rng.random() < 0.4]
+    # vertex 0's prize has denominator 7, so the scale is not 2
+    prizes = [Fraction(rng.randint(1, 6), 7)] + \
+        [rational() for _ in range(n - 1)]
+    inst = Instance(n, edges, prizes)
+    assert inst.scale % 7 == 0
+    res = exact_solve(inst)
+    optimum, subsets = fraction_optimum(inst)
+    assert res.optimum == optimum
+    assert res.explored == len(subsets)
+    assert res.witness_vertices in subsets
+    cost = {(u, v): c for u, v, c in inst.edges}
+    assert len(res.witness_edges) == len(res.witness_vertices) - 1
+    assert {x for e in res.witness_edges for x in e} <= res.witness_vertices
+    assert sum(cost[e] for e in res.witness_edges) + sum(
+        p for v, p in enumerate(inst.prizes)
+        if v not in res.witness_vertices) == optimum

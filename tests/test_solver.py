@@ -181,14 +181,14 @@ def test_compute_epsilon_matches_naive_definition(seed):
                       seed=1000 + seed)
     state = sv.init_state(inst)
     queue_pop = state._pop_next
-    kinds = {sv._KIND_SAT: "saturation", sv._KIND_MERGE: "merge"}
 
     def checked_pop():
         expected = naive_epsilon(inst, state.fam, state.dual_assignment())
-        eps, kind, payload, sides = queue_pop()
+        eps, payload, sides = queue_pop()
         step = Fraction(eps, state._scale)
-        assert (step, (kinds[kind], payload)) == expected
-        return eps, kind, payload, sides
+        kind = "saturation" if sides is None else "merge"
+        assert (step, (kind, payload)) == expected
+        return eps, payload, sides
 
     state._pop_next = checked_pop
     sv.run_phase1(state)
@@ -370,19 +370,20 @@ def test_event_keys_order_as_tuples():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_solver_keys_are_the_documented_layout(seed):
-    """The keys a new state queues: each vertex's saturation at its
-    prize, each edge's merge at half its cost, with W = max(m, 2n)."""
+    """The keys a new state queues: each vertex's saturation (kind 0)
+    at its prize, each edge's merge (kind 1) at half its cost, with
+    W = max(m, 2n)."""
     inst = gen_random(12 + seed, "1/3", max_cost=9, max_prize=7,
                       seed=60 + seed)
     state = sv.init_state(inst)
     width = max(inst.m, 2 * inst.n)
     assert state._width == width
     assert sorted(state._heap) == sorted(
-        [tuple_key(p, sv._KIND_SAT, v, width)
+        [tuple_key(p, 0, v, width)
          for v, p in enumerate(inst.scaled_prizes)]
-        + [tuple_key(c // 2, sv._KIND_MERGE, idx, width)
+        + [tuple_key(c // 2, 1, idx, width)
            for idx, c in enumerate(inst.scaled_costs)])
-    assert state._ekey == [tuple_key(c // 2, sv._KIND_MERGE, idx, width)
+    assert state._ekey == [tuple_key(c // 2, 1, idx, width)
                            for idx, c in enumerate(inst.scaled_costs)]
 
 

@@ -446,11 +446,21 @@ def test_audit_flags_broken_tree(pruned):
 
 
 def test_audit_flags_family_instance_mismatch(pruned):
+    """A 3-vertex family against instances whose edges end at vertices
+    past it: the family index maps such an end, the larger one of edge
+    (2, 3) and the smaller one of edge (3, 4) too, to no set, so edge 2
+    carries only vertex 2's chain load and edge 3 none."""
     inst, sol = pruned
-    other = Instance(4, ((0, 1, 4), (1, 2, 1)), (10, 10, "1/4", 5))
-    bad = failing_names(audits(other, sol.fam, sol.duals,
-                               sol.tree(), reported_of(sol)))
-    assert "laminar-structure" in bad
+    edges = ((0, 1, 4), (1, 2, 1), (2, 3, 1))
+    for other in (Instance(4, edges, (10, 10, "1/4", 5)),
+                  Instance(5, edges + ((3, 4, 1),), (10, 10, "1/4", 5, 5))):
+        results = audits(other, sol.fam, sol.duals, sol.tree(),
+                         reported_of(sol))
+        failed = {r.name: r.detail for r in results if not r.passed}
+        assert failed["laminar-structure"] == \
+            f"snapshot covers 3 vertices, instance has {other.n}"
+        assert failed["dual-feasibility"] == \
+            "1 violated constraint(s); first: edge 2: slack -1/2"
 
 
 def test_audit_fails_on_instance_smaller_than_family():
