@@ -300,7 +300,16 @@ def _load_solution(path: str):
             or not {"vertices", "edges"} <= set(tree_obj):
         raise ParseError("solution tree must carry vertices and edges")
     try:
-        tree = verify_mod.make_tree(tree_obj["vertices"], tree_obj["edges"])
+        vertices, edges = tree_obj["vertices"], tree_obj["edges"]
+        for name, value in (("tree vertices", vertices), ("tree edges", edges),
+                            ("laminar", doc["laminar"])):
+            if not isinstance(value, list):
+                raise ValueError(f"{name} must be a list")
+        for k, edge in enumerate(edges):
+            if not isinstance(edge, list) or len(edge) != 2:
+                raise ValueError(f"tree edge {k} must be a list of two "
+                                 "vertices")
+        tree = verify_mod.make_tree(vertices, edges)
         records = lam.records_from_json(doc["laminar"])
         reported = {key: parse_rational(doc[key]) for key in _REPORTED_KEYS}
         for key, value in reported.items():

@@ -237,9 +237,6 @@ class Instance:
     def m(self) -> int:
         return len(self.ends)
 
-    def prize_total(self) -> Fraction:
-        return Fraction(sum(self.scaled_prizes), self.scale)
-
 
 def _int_columns(n: int, edges: Sequence, prizes: Sequence):
     """An instance's edge ends and numbers read in whole-column passes,

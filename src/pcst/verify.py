@@ -22,17 +22,20 @@ parents, so a snapshot's checks are a few linear passes over its links:
   children's pending lists; the tree edges crossing each set come from
   +1 at both ends and -2 at the lca, summed over subtrees.
 
-The dual sums of a snapshot are DualIndex, and an audit answers the
-instance's edges and the tree's edges with one family index.  A tree is
-checked in one place, TreeIndex, in one union-find pass: its edges are
-replayed in ascending order of their lca, which counts the pieces the
-tree leaves inside every set, and the edges with no common set are
-replayed last, which tells whether the whole tree is connected.  Given
-the instance, the same index validates the tree (vertex range, instance
-edges, no repeats, connected) and holds its cost and penalty, so an
-audit validates the tree once and every check reads the same index.
-A tree's vertices are ints (make_tree refuses anything else, bool
-included), and any other value names no vertex of the family.
+The dual sums of a snapshot are DualIndex; its extend takes the sets
+appended to the family since, when no dual it holds has moved and the
+new ones are 0, as after a growth step of length 0.  An audit answers
+the instance's edges and the tree's edges with one family index.  A
+tree is checked in one place, TreeIndex, in one union-find pass: its
+edges are replayed in ascending order of their lca, which counts the
+pieces the tree leaves inside every set, and the edges with no common
+set are replayed last, which tells whether the whole tree is
+connected.  Given the instance, the same index validates the tree
+(vertex range, instance edges, no repeats, connected) and holds its
+cost and penalty, so an audit validates the tree once and every check
+reads the same index.  A tree's vertices are ints (make_tree refuses
+anything else, bool included), and any other value names no vertex of
+the family.
 
 Dual sums are integers over DualIndex.scale, the duals' scale or, with
 an instance, the audit_scale of the two; results are exact Fractions.
@@ -213,9 +216,10 @@ class DualIndex:
     the mass on the sets it crosses, prizes[s], the prize of s, and
     violations, the check_feasibility list; without one, as for
     certificate, which reads only chain loads and the total, the pass
-    for inside is skipped.  An instance with fewer vertices than the
-    family is refused with a ValueError.  A caller holding a
-    FamilyIndex of the family and the instance passes it."""
+    for inside is skipped and inside is None.  An instance with fewer
+    vertices than the family is refused with a ValueError.  A caller
+    holding a FamilyIndex of the family and the instance passes it, and
+    family is the one read; extend follows it as it grows."""
 
     def __init__(self, fam: LaminarFamily, duals: DualAssignment,
                  inst: Optional[Instance] = None,
@@ -224,15 +228,16 @@ class DualIndex:
         if inst is not None and inst.n < n:
             raise ValueError(f"snapshot covers {n} vertices, "
                              f"instance has {inst.n}")
-        family = family or FamilyIndex(fam, inst)
+        self.family = family = family or FamilyIndex(fam, inst)
         self.scale = audit_scale(duals, inst) if inst else duals.scale
         unit = self.scale // duals.scale
-        y = duals.y if unit == 1 else [q * unit for q in duals.y]
+        y = duals.y[:] if unit == 1 else [q * unit for q in duals.y]
         chain = y[:]
         for sid, up in reversed(family.links):
             chain[sid] += chain[up]
         self.y, self.chain = y, chain
         self.total = sum(y)
+        self.inside: Optional[list[int]] = None
         if inst is None:
             return
         self.inside = inside = y[:]
@@ -257,6 +262,43 @@ class DualIndex:
             if slacks and min(slacks) < 0:
                 self.violations += [Violation(kind, k, self.value(q))
                                     for k, q in enumerate(slacks) if q < 0]
+
+    def extend(self, duals: DualAssignment) -> bool:
+        """Take the sets the family index gained since the index was
+        built or last extended, given duals of the whole family at the
+        index's scale, and return True, when the duals of the sets held
+        are unchanged and every new set's is 0, as after a growth step of
+        length 0; otherwise change nothing and return False, and the
+        caller builds afresh.
+
+        Every number then equals a fresh build's.  A new set lies above
+        the held ones and has no dual, so no held set's chain or inside
+        load moves, nor the total; and its chain load is 0, as is
+        held[-1], so no edge slack moves when an edge's lowest common
+        set changes from -1 to a new set.  Each new set adds its inside
+        load, the sum of its children's, and its set slack, whose
+        violation comes after the held ones."""
+        family, held, y = self.family, len(self.y), duals.y
+        if duals.scale != self.scale or len(y) != len(family.parent) \
+                or y[:held] != self.y or any(y[held:]):
+            return False
+        zeros = [0] * (len(y) - held)
+        self.y += zeros
+        self.chain += zeros
+        inside = self.inside
+        if inside is None:
+            return True
+        inside += zeros
+        for sid, up in family.links[2 * (held - family.n):]:
+            inside[up] += inside[sid]
+        prizes = self.prizes
+        if prizes is not family.prizes:  # a copy at another scale
+            unit = self.scale // family.scale
+            prizes += [p * unit for p in family.prizes[held:]]
+        self.violations += [
+            Violation("set", sid, self.value(prizes[sid] - inside[sid]))
+            for sid in range(held, len(y)) if prizes[sid] < inside[sid]]
+        return True
 
     def value(self, scaled: int) -> Fraction:
         return Fraction(scaled, self.scale)

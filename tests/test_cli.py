@@ -539,6 +539,26 @@ def test_verify_mistyped_field_is_parse_error(solved, capsys, mutate,
     assert "Traceback" not in captured.err + captured.out
 
 
+@pytest.mark.parametrize("fields, detail", [
+    ({"tree": {"vertices": 5, "edges": [[0, 1], [0, 2]]}},
+     "tree vertices must be a list"),
+    ({"tree": {"vertices": [0, 1, 2], "edges": None}},
+     "tree edges must be a list"),
+    ({"tree": {"vertices": [0, 1, 2], "edges": [[0, 1], [1]]}},
+     "tree edge 1 must be a list of two vertices"),
+    ({"laminar": 5}, "laminar must be a list"),
+], ids=["vertices-int", "edges-null", "edge-short", "laminar-int"])
+def test_verify_misshapen_field_is_named(solved, capsys, fields, detail):
+    """A tree or laminar field of the wrong shape is named in the
+    detail, not described by the text of Python's own exception."""
+    star_file, sol_path, _ = solved
+    corrupt_solution(sol_path, lambda doc: doc.update(fields))
+    assert run_cli("verify", str(sol_path), str(star_file)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {sol_path}: {MALFORMED}: {detail}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("vertex", [1, 7, 99999, -1])
 def test_verify_catches_wrong_minimizing_vertex(solved, capsys, vertex):
     star_file, sol_path, _ = solved

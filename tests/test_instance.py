@@ -146,7 +146,7 @@ def test_int_tokens_build_no_fraction(monkeypatch):
 
 def test_prize_total():
     inst = Instance(3, (), ("1/2", "1/3", 0))
-    assert inst.prize_total() == Fraction(5, 6)
+    assert Fraction(sum(inst.scaled_prizes), inst.scale) == Fraction(5, 6)
 
 
 # -- json format ---------------------------------------------------------------

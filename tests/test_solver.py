@@ -663,6 +663,110 @@ def test_checked_growth_runs_no_lca_pass(monkeypatch):
     assert built == [64, len(state.fam)]
 
 
+# what a dual index holds of a snapshot
+DUAL_INDEX_FIELDS = ("y", "chain", "inside", "edge_slack", "total",
+                     "violations")
+
+
+def checked_index_instances():
+    """Integer instances with tied event times, fractional ones, and
+    stars."""
+    rng = random.Random(26)
+    for seed in range(60):
+        yield gen_random(rng.randint(2, 24), "1/4", max_cost=4, max_prize=4,
+                         seed=seed)
+    for _ in range(40):
+        n = rng.randint(2, 16)
+        edges = tuple((u, v, Fraction(rng.randint(1, 30), rng.randint(1, 7)))
+                      for u in range(n) for v in range(u + 1, n)
+                      if rng.random() < 0.4)
+        yield Instance(n, edges, tuple(Fraction(rng.randint(0, 20),
+                                                rng.randint(1, 5))
+                                       for _ in range(n)))
+    for n in (2, 3, 5, 13, 40):
+        yield hub_star(n)
+    yield gen_tight_star("1/3")
+
+
+def test_checked_indexes_equal_fresh_builds(monkeypatch):
+    """After every growth check of a checked solve, the dual index and
+    the cover gaps the check read equal fresh builds of the snapshot,
+    number for number, whether the check extended them or built them
+    afresh; over the sweep both happen."""
+    fresh_index = verify.DualIndex
+    real_check = sv.check_growth_invariants
+    kept = []
+
+    def check(state):
+        before = state._dual_cache
+        real_check(state)
+        index = state._dual_cache
+        fresh = fresh_index(state.fam, state.dual_assignment(), state.inst)
+        for name in DUAL_INDEX_FIELDS:
+            assert getattr(index, name) == getattr(fresh, name), name
+        gaps = state._gap_cache[1]
+        family = verify.FamilyIndex(state.fam, state.inst)
+        assert gaps == sv._cover_gaps(family, state.saturated,
+                                      [0] * len(gaps))
+        kept.append(index is before)
+
+    monkeypatch.setattr(sv, "check_growth_invariants", check)
+    for inst in checked_index_instances():
+        solve(inst, check_invariants=True)
+    assert len(kept) > 1200
+    assert 500 < sum(kept) < len(kept) - 500, (sum(kept), len(kept))
+
+
+def test_growth_gaps_follow_any_change_of_the_saturated_sets():
+    """The cached cover gaps of the growth check equal a fresh pass after
+    every step and after any set, with a parent or not, is marked or
+    unmarked saturated, though no honest step unmarks a set or marks one
+    that has a parent."""
+    rng = random.Random(26)
+    resumed = 0
+    for seed in range(100):
+        inst = gen_random(rng.randint(2, 12), "1/2", max_cost=6, max_prize=6,
+                          seed=seed)
+        state = sv.init_state(inst)
+        family = sv._family_index(state)
+        while sum(sid not in state.saturated
+                  for sid in state.fam.maximal_ids()) > 1:
+            rescan_step(state)
+            family = sv._family_index(state)
+            toggled = {rng.choice(state.fam.ids)}
+            for change in (set(), toggled, toggled):
+                state.saturated ^= change
+                held = state._gap_cache and state._gap_cache[1]
+                gaps = sv._growth_gaps(state, family)
+                resumed += gaps is held
+                assert gaps == sv._cover_gaps(family, state.saturated,
+                                              [0] * len(gaps)), seed
+    assert resumed > 300, resumed
+
+
+def test_checked_growth_builds_the_dual_index_once_per_clock_move(
+        monkeypatch):
+    """A checked solve builds the dual index of the instance once at
+    set-up and once after each growth step of positive length; every
+    step of length 0 extends it.  The certificate's index, without an
+    instance, is not counted."""
+    built = []
+
+    class CountingDualIndex(verify.DualIndex):
+        def __init__(self, fam, duals, inst=None, *args):
+            if inst is not None:
+                built.append(len(fam))
+            super().__init__(fam, duals, inst, *args)
+
+    monkeypatch.setattr(verify, "DualIndex", CountingDualIndex)
+    inst = gen_random(64, "1/16", max_cost=10, max_prize=8, seed=99)
+    sol = solve(inst, check_invariants=True)
+    steps = events_of(sol.trace)
+    moves = sum(ev.epsilon > 0 for ev in steps)
+    assert (len(steps), moves) == (71, 8)
+    assert len(built) == 1 + moves
+
+
 def check_outcome(check, state):
     """The message a check raises, or None if it passes."""
     try:
@@ -672,15 +776,46 @@ def check_outcome(check, state):
     return None
 
 
+def poison_state(state, rng):
+    """One random poisoning of a grown state: a dead set's birth or the
+    clock shifted, an equal instance object or one with a prize changed
+    swapped in, or a set with a parent marked or unmarked saturated.
+    Returns the undo, or None when the state has no such set."""
+    kind = rng.choice(("birth", "clock", "instance", "saturated"))
+    delta = rng.choice((-1, 1)) * rng.randint(1, 4) * state._scale // 2
+    if kind == "birth":
+        dead = [sid for sid in state.fam.ids if not state._alive(sid)]
+        return dead and shift(state._birth, rng.choice(dead), delta)
+    if kind == "clock":
+        return move_clock(state, delta)
+    if kind == "instance":
+        prizes = list(state.inst.prizes)
+        if rng.random() < 0.5:
+            at = rng.randrange(len(prizes))
+            prizes[at] = max(0, prizes[at] + Fraction(delta, state._scale))
+        return swap_instance(state, tuple(prizes))
+    merged = [sid for sid in state.fam.ids if not state.fam.is_maximal(sid)]
+    if not merged:
+        return None
+    toggled = {rng.choice(merged)}
+    state.saturated ^= toggled
+    return lambda: state.saturated.__ixor__(toggled)
+
+
 def test_forest_check_agrees_with_naive_on_corrupted_forests():
     """Seeded sweep: on states grown a random number of steps and then
     given a corrupted forest (an edge dropped, duplicated, replaced by
     another instance edge, possibly one inside an older set, or
     appended, or the forest shuffled), the solver's growth check and
     the naive checker both pass or both raise the same message.  A
-    check on the healthy state first makes the cached index live."""
+    check after every step keeps the cached indexes live, extended
+    through the steps of length 0.  Then the state is poisoned in turn
+    (poison_state): the two checks agree again, and the repaired state
+    passes."""
     rng = random.Random(18)
+    poisons = random.Random(26)
     raised = cases = 0
+    poisoned = poisoned_raised = 0
     for seed in range(300):
         n = rng.randint(2, 10)
         inst = gen_random(n, "1/2", max_cost=6, max_prize=6, seed=seed)
@@ -692,6 +827,7 @@ def test_forest_check_agrees_with_naive_on_corrupted_forests():
                    for sid in state.fam.maximal_ids()) < 2:
                 break
             rescan_step(state)
+            assert check_outcome(sv.check_growth_invariants, state) is None
         healthy = state.forest
         assert check_outcome(sv.check_growth_invariants, state) is None
         for _ in range(6):
@@ -716,7 +852,20 @@ def test_forest_check_agrees_with_naive_on_corrupted_forests():
             raised += outcomes[0] is not None
             cases += 1
         state.forest = healthy
+        for _ in range(4):
+            undo = poison_state(state, poisons)
+            if not undo:
+                continue
+            outcomes = [check_outcome(check, state)
+                        for check in GROWTH_CHECKS]
+            assert outcomes[0] == outcomes[1], (seed, outcomes)
+            poisoned += 1
+            poisoned_raised += outcomes[0] is not None
+            undo()
+            assert check_outcome(sv.check_growth_invariants, state) is None
     assert cases > 1500 and 300 < raised < cases - 300, (cases, raised)
+    assert poisoned > 900 and 300 < poisoned_raised < poisoned - 200, \
+        (poisoned, poisoned_raised)
 
 
 def ladder_instance(n, m, monkeypatch):
@@ -941,6 +1090,70 @@ def test_checker_catches_poisoned_duals():
         with pytest.raises(sv.InvariantError,
                            match="duals infeasible during growth: edge 0"):
             check(state)
+
+
+def tied_state():
+    """A state whose second step has length 0, checked after each step:
+    edges 0 and 1 tighten together at clock 1, so the second merge
+    extends the cached indexes instead of building them."""
+    inst = Instance(4, ((0, 1, 2), (2, 3, 2), (1, 2, 6)), (10, 10, 10, 10))
+    state = sv.init_state(inst)
+    rescan_step(state)
+    sv.check_growth_invariants(state)
+    index = state._dual_cache
+    rescan_step(state)
+    sv.check_growth_invariants(state)
+    assert state.trace[-1][:3] == (0, state._scale, "merge")
+    assert state._dual_cache is index
+    return state
+
+
+def shift(values, at, delta):
+    """Add delta to values[at]; returns the undo."""
+    values[at] += delta
+    return lambda: values.__setitem__(at, values[at] - delta)
+
+
+def swap_instance(state, prizes):
+    inst = state.inst
+    state.inst = Instance(inst.n, inst.edges, prizes)
+    return lambda: setattr(state, "inst", inst)
+
+
+def move_clock(state, delta):
+    state.clock += delta
+    return lambda: setattr(state, "clock", state.clock - delta)
+
+
+@pytest.mark.parametrize("poison, message", [
+    (lambda state: shift(state._birth, 0, -state._scale),
+     "duals infeasible during growth: edge 0: slack -1"),
+    (lambda state: shift(state._birth, 1, state._scale // 2),
+     "forest edge 0 not tight: load 3/2 vs cost 2"),
+    (lambda state: move_clock(state, 3 * state._scale),
+     "duals infeasible during growth: edge 2: slack -2"),
+    (lambda state: move_clock(state, -state._scale // 2),
+     "duals infeasible during growth: negative-dual 4: slack -1/2"),
+    (lambda state: swap_instance(state, (10, "1/2", 10, 10)),
+     "duals infeasible during growth: set 1: slack -1/2"),
+    (lambda state: swap_instance(state, state.inst.prizes), None),
+], ids=["earlier-birth", "later-birth", "clock-forward", "clock-back",
+        "other-instance", "equal-instance"])
+def test_checker_rebuilds_a_poisoned_cache(poison, message):
+    """With the cached indexes live after a zero-length step, a dead
+    set's shifted birth, a moved clock or another instance object makes
+    the growth check build afresh: it raises what the naive checker
+    raises, an equal instance passes as it does, and the repaired state
+    passes again."""
+    state = tied_state()
+    index = state._dual_cache
+    undo = poison(state)
+    assert [check_outcome(check, state)
+            for check in GROWTH_CHECKS] == [message] * 2
+    assert state._dual_cache is not index
+    undo()
+    for check in GROWTH_CHECKS:
+        check(state)
 
 
 def test_checker_catches_missing_forest_edge():

@@ -4,6 +4,7 @@ tests run against both the package checker and the naive reference
 checker in naive_checker.py, and agreement tests compare the two."""
 import ast
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -83,6 +84,69 @@ def test_loads_on_hand_family():
             naive.check_feasibility(fam, duals, inst) == \
             [verify.Violation("edge", 1, Fraction(-7, 12))] * (cost != 1) \
             + [verify.Violation("set", 3, Fraction(-5, 6))]
+
+
+def merge_at_random(fam, rng, count):
+    for _ in range(count):
+        tops = fam.maximal_ids()
+        if len(tops) < 2:
+            return
+        fam.merge(*rng.sample(tops, 2))
+
+
+DUAL_INDEX_FIELDS = ("scale", "y", "chain", "total", "inside", "costs",
+                     "prizes", "edge_slack", "violations")
+
+
+def test_dual_index_extend_equals_a_fresh_build():
+    """Seeded sweep over random families and duals, feasible or not, at
+    the instance's scale, at other scales and without an instance: after
+    unions with no dual, extend takes them and the index equals a fresh
+    build in every number.  A held dual changed, a new set's dual not 0
+    or duals at another scale than the index's make extend refuse and
+    change nothing."""
+    rng = random.Random(26)
+    new_set_violations = 0
+    for seed in range(300):
+        n = rng.randint(2, 9)
+        inst = gen_random(n, "1/2", max_cost=6, max_prize=6, seed=seed)
+        fam = lam.LaminarFamily(n)
+        merge_at_random(fam, rng, rng.randint(0, n - 1))
+        scale = rng.choice((inst.scale, 3 * inst.scale, 5))
+        y = [rng.randint(-1, 3 * scale) for _ in fam.ids]
+        given = rng.choice((inst, None))
+        family = verify.FamilyIndex(fam, given)
+        index = verify.DualIndex(fam, lam.DualAssignment(y, scale, set()),
+                                 given, family)
+        held = len(y)
+        merge_at_random(fam, rng, rng.randint(1, n - 1))
+        family.extend()
+        y += [0] * (len(fam) - held)
+        before = {name: getattr(index, name, None)
+                  for name in DUAL_INDEX_FIELDS}
+        before = {name: value[:] if isinstance(value, list) else value
+                  for name, value in before.items()}
+        refused = [[*y[:-1], y[-1] + 1], [*y[:-1], y[-1] - 1],
+                   [y[0] + 1, *y[1:]]]
+        for other in refused:
+            assert not index.extend(lam.DualAssignment(other, scale, set()))
+        assert not index.extend(lam.DualAssignment([3 * q for q in y],
+                                                   3 * scale, set()))
+        assert {name: getattr(index, name, None)
+                for name in DUAL_INDEX_FIELDS} == before
+        if scale != index.scale:  # the instance's scale is no divisor
+            assert not index.extend(lam.DualAssignment(y, scale, set()))
+            continue
+        assert index.extend(lam.DualAssignment(y, scale, set()))
+        fresh = verify.DualIndex(fam, lam.DualAssignment(y, scale, set()),
+                                 given)
+        for name in DUAL_INDEX_FIELDS:
+            assert getattr(index, name, None) == getattr(fresh, name, None), \
+                (seed, name)
+        if given is not None:
+            new_set_violations += any(v.kind == "set" and v.subject >= held
+                                      for v in fresh.violations)
+    assert new_set_violations > 15, new_set_violations
 
 
 # -- feasibility ---------------------------------------------------------------
