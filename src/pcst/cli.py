@@ -13,6 +13,13 @@ Conventions shared by all commands:
   reproducible for identical inputs and flags
 * exit codes: 0 success, 1 usage error, 2 parse error, 3 verification
   failure, 4 internal invariant failure
+
+A command refuses by raising ``_Refusal`` where the fault is found: the
+reader of the input files, the parsers, the output writer or the
+command's own usage check.  ``main`` prints its one line on standard
+error and returns its exit code; it also turns the solver's
+``InvariantError`` into exit 4, for every command.  Any other exception
+propagates.
 """
 from __future__ import annotations
 
@@ -67,29 +74,34 @@ def _note_time(label: str, started: float):
           file=sys.stderr)
 
 
-def _guess_format(path: str, override: Optional[str]) -> str:
-    if override:
-        return override
-    return "stp" if path.endswith(".stp") else "json"
+class _Refusal(Exception):
+    """A command's refusal, raised where its fault is found: main prints
+    the line on standard error and returns the exit code."""
+
+    def __init__(self, code: int, line: str):
+        super().__init__(line)
+        self.code = code
 
 
-def _cannot_read(path: str, exc: OSError) -> int:
-    print(f"error: cannot read {path}: {exc.strerror or exc}", file=sys.stderr)
-    return EXIT_PARSE
-
-
-def _load_instance_or_fail(path: str, fmt: Optional[str]):
-    """Returns (instance, None) or (None, exit_code) with the message
-    already printed to standard error."""
+def _read(path: str) -> str:
+    """The text of an input file, the instance or the solution
+    document, read whole before it is parsed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        return parse_instance(text, _guess_format(path, fmt)), None
+            return fh.read()
     except OSError as exc:
-        return None, _cannot_read(path, exc)
-    except (ParseError, ValueError) as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return None, EXIT_PARSE
+        raise _Refusal(EXIT_PARSE, f"error: cannot read {path}: "
+                                   f"{exc.strerror or exc}")
+    except ValueError as exc:  # not utf-8
+        raise _Refusal(EXIT_PARSE, f"error: {path}: {exc}")
+
+
+def _load_instance(path: str, fmt: Optional[str]) -> Instance:
+    fmt = fmt or ("stp" if path.endswith(".stp") else "json")
+    try:
+        return parse_instance(_read(path), fmt)
+    except ValueError as exc:  # a ParseError among them
+        raise _Refusal(EXIT_PARSE, f"error: {path}: {exc}")
 
 
 # -- solve -------------------------------------------------------------------
@@ -148,32 +160,22 @@ def _print_solution_report(inst: Instance, sol: solver_mod.Solution,
         print(f"trace: {trace_path}")
 
 
-def _write_or_fail(path: str, text: str) -> int:
-    """Write text to path: EXIT_OK, or EXIT_USAGE with the reason on
-    standard error."""
+def _write(path: str, text: str):
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
-        return EXIT_USAGE
-    return EXIT_OK
+        raise _Refusal(EXIT_USAGE, f"error: cannot write {path}: "
+                                   f"{exc.strerror}")
 
 
 def cmd_solve(args) -> int:
-    inst, code = _load_instance_or_fail(args.instance, args.format)
-    if inst is None:
-        return code
+    inst = _load_instance(args.instance, args.format)
     started = time.perf_counter()
-    try:
-        sol = solver_mod.solve(inst, check_invariants=args.check)
-    except solver_mod.InvariantError as exc:
-        print(f"invariant failure: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+    sol = solver_mod.solve(inst, check_invariants=args.check)
     _note_time("solve", started)
-    if args.trace and _write_or_fail(
-            args.trace, solver_mod.trace_json_lines(sol)):
-        return EXIT_USAGE
+    if args.trace:
+        _write(args.trace, solver_mod.trace_json_lines(sol))
     if args.json:
         print(_solution_document(inst, sol, args.trace))
     else:
@@ -185,27 +187,22 @@ def cmd_solve(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    inst, code = _load_instance_or_fail(args.instance, args.format)
-    if inst is None:
-        return code
+    inst = _load_instance(args.instance, args.format)
     started = time.perf_counter()
     try:
         res = oracle_mod.exact_solve(inst, limit_n=args.limit)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Refusal(EXIT_USAGE, f"error: {exc}")
     _note_time("exact", started)
-    comparison = None
+    sol = ratio = None
     if args.compare:
         started = time.perf_counter()
         sol = solver_mod.solve(inst)
         _note_time("solve", started)
-        ratio = None
         if res.optimum > 0:
             ratio = sol.objective / res.optimum
-        comparison = (sol, ratio)
     if args.json:
-        obj = {
+        print(_json_text({
             "schema": "pcst-exact/1",
             "instance": {"n": inst.n, "m": inst.m},
             "optimum": format_rational(res.optimum),
@@ -214,18 +211,14 @@ def cmd_exact(args) -> int:
                 "edges": [list(e) for e in res.witness_edges],
             },
             "explored": res.explored,
-            "comparison": None,
-        }
-        if comparison:
-            sol, ratio = comparison
-            obj["comparison"] = {
+            "comparison": None if sol is None else {
                 "objective": format_rational(sol.objective),
                 "lagrangean_objective":
                     format_rational(sol.lagrangean_objective),
                 "lower_bound": format_rational(sol.lower_bound),
                 "ratio": None if ratio is None else format_rational(ratio),
-            }
-        print(_json_text(obj))
+            },
+        }))
     else:
         print(f"instance: n={inst.n}, m={inst.m}")
         print(f"optimum: {_fmt_pair(res.optimum)}")
@@ -234,8 +227,7 @@ def cmd_exact(args) -> int:
         es = " ".join(f"({u},{v})" for u, v in res.witness_edges) or "(none)"
         print(f"witness edges: {es}")
         print(f"subsets explored: {res.explored}")
-        if comparison:
-            sol, ratio = comparison
+        if sol is not None:
             print(f"approximation objective: {_fmt_pair(sol.objective)}")
             if ratio is None:
                 print("realized ratio: n/a (optimum is 0)")
@@ -263,29 +255,27 @@ def cmd_gen(args) -> int:
             inst = gen_random(need(args.n, "--n"), args.p, args.max_cost,
                               args.max_prize, args.seed)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Refusal(EXIT_USAGE, f"error: {exc}")
     text = emit_instance(inst, args.format or "json")
     if args.out:
-        return _write_or_fail(args.out, text)
-    sys.stdout.write(text)
+        _write(args.out, text)
+    else:
+        sys.stdout.write(text)
     return EXIT_OK
 
 
 # -- verify ------------------------------------------------------------------
 
 
-def _load_solution(path: str):
+def _load_solution(text: str):
     """Parse a solution document into (tree, records, reported).
 
-    Raises OSError if the file cannot be read and ParseError for
-    anything structurally wrong with it; semantic problems are left for
-    the audit to flag.
+    Raises ParseError for anything structurally wrong with it; semantic
+    problems are left for the audit to flag.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except ValueError as exc:  # bad json, bad utf-8, an over-long integer
+        doc = json.loads(text)
+    except ValueError as exc:  # bad json, an over-long integer
         raise ParseError(str(exc))
     except RecursionError:
         raise ParseError("json nested too deeply")
@@ -311,8 +301,12 @@ def _load_solution(path: str):
                                  "vertices")
         tree = verify_mod.make_tree(vertices, edges)
         records = lam.records_from_json(doc["laminar"])
-        reported = {key: parse_rational(doc[key]) for key in _REPORTED_KEYS}
-        for key, value in reported.items():
+        reported = {}
+        for key in _REPORTED_KEYS:
+            try:
+                value = reported[key] = parse_rational(doc[key])
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}")
             if max(value.numerator.bit_length(),
                    value.denominator.bit_length()) > MAX_TOTAL_BITS:
                 raise ValueError(f"{key} needs more than {MAX_TOTAL_BITS} "
@@ -326,36 +320,24 @@ def _load_solution(path: str):
 
 
 def cmd_verify(args) -> int:
-    inst, code = _load_instance_or_fail(args.instance, args.format)
-    if inst is None:
-        return code
+    inst = _load_instance(args.instance, args.format)
     try:
-        tree, records, reported = _load_solution(args.solution)
-    except OSError as exc:
-        return _cannot_read(args.solution, exc)
-    except ParseError as exc:
-        print(f"error: {args.solution}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
+        tree, records, reported = _load_solution(_read(args.solution))
         fam, duals = lam.from_records(records, inst.n)
-    except ParseError as exc:  # past the budget
-        print(f"error: {args.solution}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        # the audit's ints are over its scale; a solve's duals add up to
+        # at most the prize total, within the instance's budget, and a
+        # larger total could make an audit value unprintable
+        unit = verify_mod.audit_scale(duals, inst) // duals.scale
+        bits = (sum(duals.y) * unit).bit_length()
+        if bits > MAX_TOTAL_BITS:
+            raise ParseError(f"the dual total, at the audit's scale, needs "
+                             f"{bits} bits, more than {MAX_TOTAL_BITS}")
+    except ParseError as exc:  # malformed, or past the budget
+        raise _Refusal(EXIT_PARSE, f"error: {args.solution}: {exc}")
     except ValueError as exc:
         # shape mismatch between solution and instance: a verification
         # failure, not a parse error; both files are individually fine
-        print(f"solution does not fit instance: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    # the audit's ints are over its scale; a solve's duals add up to at
-    # most the prize total, within the instance's budget, and a larger
-    # total could make an audit value unprintable
-    unit = verify_mod.audit_scale(duals, inst) // duals.scale
-    bits = (sum(duals.y) * unit).bit_length()
-    if bits > MAX_TOTAL_BITS:
-        print(f"error: {args.solution}: the dual total, at the audit's "
-              f"scale, needs {bits} bits, more than {MAX_TOTAL_BITS}",
-              file=sys.stderr)
-        return EXIT_PARSE
+        raise _Refusal(EXIT_VERIFY, f"solution does not fit instance: {exc}")
     results = verify_mod.audit_solution(inst, fam, duals, tree, reported)
     ok = all(res.passed for res in results)
     if args.json:
@@ -461,14 +443,23 @@ def _parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    """Run one command.  The cyclic collector is paused while it runs,
-    and left as it was found: a solve or verify makes no reference
-    cycle, so a collection would only walk the solve's data."""
+    """Run one command and return its exit code.  A refusal and an
+    invariant failure of the solver, from any command, are printed here
+    as one line on standard error.  The cyclic collector is paused while
+    the command runs, and left as it was found: a solve or verify makes
+    no reference cycle, so a collection would only walk the solve's
+    data."""
     enabled = gc.isenabled()
     gc.disable()
     try:
         args = _parser().parse_args(argv)
         return args.func(args)
+    except _Refusal as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
+    except solver_mod.InvariantError as exc:
+        print(f"invariant failure: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     finally:
         if enabled:
             gc.enable()

@@ -134,31 +134,36 @@ def records_from_json(items: list) -> list[Record]:
     token of two ASCII digit runs around a slash, in lowest terms with a
     positive denominator and at most _SPLIT_MAX_CHARS long, is split into
     its two ints; parse_rational reads every other token to the same
-    value, or refuses it."""
+    value, or refuses it.  A refusal names the entry's position in the
+    list, as "laminar entry k: ..."."""
     cap = min(_SPLIT_MAX_CHARS,
               sys.get_int_max_str_digits() or _SPLIT_MAX_CHARS)
     records = []
-    for item in items:
-        if not isinstance(item, dict):
-            raise ValueError("laminar snapshot entries must be objects")
-        missing = {"id", "y", "saturated", "parent"} - set(item)
-        if missing:
-            raise ValueError(f"snapshot entry missing keys {sorted(missing)}")
-        sid, parent = item["id"], item["parent"]
-        if type(sid) is not int or not (parent is None
-                                         or type(parent) is int):
-            raise ValueError("snapshot ids and parents must be integers")
-        if type(item["saturated"]) is not bool:
-            raise ValueError("snapshot saturation flags must be booleans")
-        y = item["y"]
-        p = q = 0
-        if isinstance(y, str) and len(y) <= cap and y.isascii():
-            num, _, den = y.partition("/")
-            if num.isdigit() and den.isdigit():
-                p, q = int(num), int(den)
-        if q < 1 or gcd(p, q) != 1:
-            p, q = parse_rational(y).as_integer_ratio()
-        records.append((sid, p, q, item["saturated"], parent))
+    try:
+        for k, item in enumerate(items):
+            if not isinstance(item, dict):
+                raise ValueError("snapshot entries must be objects")
+            missing = {"id", "y", "saturated", "parent"} - set(item)
+            if missing:
+                raise ValueError("snapshot entry missing keys "
+                                 f"{sorted(missing)}")
+            sid, parent = item["id"], item["parent"]
+            if type(sid) is not int or not (parent is None
+                                             or type(parent) is int):
+                raise ValueError("snapshot ids and parents must be integers")
+            if type(item["saturated"]) is not bool:
+                raise ValueError("snapshot saturation flags must be booleans")
+            y = item["y"]
+            p = q = 0
+            if isinstance(y, str) and len(y) <= cap and y.isascii():
+                num, _, den = y.partition("/")
+                if num.isdigit() and den.isdigit():
+                    p, q = int(num), int(den)
+            if q < 1 or gcd(p, q) != 1:
+                p, q = parse_rational(y).as_integer_ratio()
+            records.append((sid, p, q, item["saturated"], parent))
+    except ValueError as exc:
+        raise ValueError(f"laminar entry {k}: {exc}")
     return records
 
 

@@ -283,6 +283,8 @@ def test_solve_prints_an_instance_at_the_budget(tmp_path, capsys):
 
 
 def test_solve_invariant_failure_exits_4(tmp_path, capsys, monkeypatch):
+    """A solver invariant failure, in solve or in exact --compare, exits
+    4 with one line on standard error beside the timings."""
     # at half the solver's scale the odd cost 3 cannot be halved exactly
     path = tmp_path / "odd.json"
     path.write_text('{"n": 2, "prizes": [1, 1], "edges": [[0, 1, 3]]}')
@@ -292,11 +294,14 @@ def test_solve_invariant_failure_exits_4(tmp_path, capsys, monkeypatch):
         return halve_scale(real_parse(*args))
 
     monkeypatch.setattr(cli, "parse_instance", halved_scale)
-    assert run_cli("solve", str(path), "--json") == 4
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("invariant failure: edge 0 has odd cost 3 at "
-                            "scale 1\n")
+    for argv in (["solve", path, "--json"], ["exact", path, "--compare"],
+                 ["exact", path, "--compare", "--json"]):
+        assert run_cli(*map(str, argv)) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [line for line in captured.err.splitlines()
+                if " time: " not in line] == \
+            ["invariant failure: edge 0 has odd cost 3 at scale 1"]
 
 
 @pytest.mark.parametrize("command, doc, inst", [
@@ -539,20 +544,51 @@ def test_verify_mistyped_field_is_parse_error(solved, capsys, mutate,
     assert "Traceback" not in captured.err + captured.out
 
 
-@pytest.mark.parametrize("fields, detail", [
-    ({"tree": {"vertices": 5, "edges": [[0, 1], [0, 2]]}},
+def set_fields(**fields):
+    return lambda doc: doc.update(fields)
+
+
+def set_entry(k, **fields):
+    return lambda doc: doc["laminar"][k].update(fields)
+
+
+@pytest.mark.parametrize("mutate, detail", [
+    (set_fields(tree={"vertices": 5, "edges": [[0, 1], [0, 2]]}),
      "tree vertices must be a list"),
-    ({"tree": {"vertices": [0, 1, 2], "edges": None}},
+    (set_fields(tree={"vertices": [0, 1, 2], "edges": None}),
      "tree edges must be a list"),
-    ({"tree": {"vertices": [0, 1, 2], "edges": [[0, 1], [1]]}},
+    (set_fields(tree={"vertices": [0, 1, 2], "edges": [[0, 1], [1]]}),
      "tree edge 1 must be a list of two vertices"),
-    ({"laminar": 5}, "laminar must be a list"),
-], ids=["vertices-int", "edges-null", "edge-short", "laminar-int"])
-def test_verify_misshapen_field_is_named(solved, capsys, fields, detail):
-    """A tree or laminar field of the wrong shape is named in the
-    detail, not described by the text of Python's own exception."""
+    (set_fields(laminar=5), "laminar must be a list"),
+    (set_fields(cost=None), "cost: not a rational token: None"),
+    (set_fields(penalty="x"), "penalty: not a rational token: 'x'"),
+    (set_fields(objective=1.5),
+     "objective: floats are inexact; pass the token as a string"),
+    (set_fields(lagrangean_objective=True),
+     "lagrangean_objective: not a rational token: True"),
+    (set_fields(lower_bound=[1]), "lower_bound: not a rational token: [1]"),
+    (lambda doc: doc["laminar"].insert(2, 7),
+     "laminar entry 2: snapshot entries must be objects"),
+    (lambda doc: doc["laminar"][1].pop("y"),
+     "laminar entry 1: snapshot entry missing keys ['y']"),
+    (set_entry(2, id="2"),
+     "laminar entry 2: snapshot ids and parents must be integers"),
+    (set_entry(0, parent=1.0),
+     "laminar entry 0: snapshot ids and parents must be integers"),
+    (set_entry(2, saturated=1),
+     "laminar entry 2: snapshot saturation flags must be booleans"),
+    (set_entry(1, y="1/0"),
+     "laminar entry 1: not a rational token: '1/0'"),
+], ids=["vertices-int", "edges-null", "edge-short", "laminar-int",
+        "cost-null", "penalty-str", "objective-float", "lagrangean-bool",
+        "lower-bound-list", "entry-int", "entry-missing-key", "entry-id-str",
+        "entry-parent-float", "entry-saturated-int", "entry-dual-token"])
+def test_verify_misshapen_field_is_named(solved, capsys, mutate, detail):
+    """A tree, laminar or reported field of the wrong shape is named in
+    the detail, a laminar entry by its position, not described by the
+    text of Python's own exception alone."""
     star_file, sol_path, _ = solved
-    corrupt_solution(sol_path, lambda doc: doc.update(fields))
+    corrupt_solution(sol_path, mutate)
     assert run_cli("verify", str(sol_path), str(star_file)) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {sol_path}: {MALFORMED}: {detail}\n"
@@ -885,9 +921,13 @@ def test_gen_and_usage_errors_leave_a_fixed_count():
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
-@pytest.mark.parametrize("outcome", ["ok", "parse-error", "usage", "raise"])
+@pytest.mark.parametrize("outcome", ["ok", "parse-error", "usage", "raise",
+                                     "invariant"])
 def test_main_pauses_the_collector_and_restores_it(star_file, monkeypatch,
                                                    enabled, outcome):
+    """main restores the collector on every way out: an exit code, a
+    usage error, an invariant failure (exit 4, here from exact
+    --compare) and any other exception, which propagates."""
     seen = []
     real_solve = cli.solver_mod.solve
 
@@ -895,13 +935,16 @@ def test_main_pauses_the_collector_and_restores_it(star_file, monkeypatch,
         seen.append(gc.isenabled())
         if outcome == "raise":
             raise RuntimeError("boom")
+        if outcome == "invariant":
+            raise cli.solver_mod.InvariantError("boom")
         return real_solve(*args, **kwargs)
 
     monkeypatch.setattr(cli.solver_mod, "solve", solve_noting_the_collector)
     argv = {"ok": ["solve", str(star_file)],
             "parse-error": ["solve", str(star_file) + ".missing"],
             "usage": ["solve", "--bogus"],
-            "raise": ["solve", str(star_file)]}[outcome]
+            "raise": ["solve", str(star_file)],
+            "invariant": ["exact", str(star_file), "--compare"]}[outcome]
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
@@ -914,8 +957,9 @@ def test_main_pauses_the_collector_and_restores_it(star_file, monkeypatch,
     finally:
         (gc.enable if was else gc.disable)()
     assert code == {"ok": 0, "parse-error": 2, "usage": "SystemExit",
-                    "raise": "RuntimeError"}[outcome]
-    assert seen == ([False] if outcome in ("ok", "raise") else [])
+                    "raise": "RuntimeError", "invariant": 4}[outcome]
+    assert seen == ([False] if outcome in ("ok", "raise", "invariant")
+                    else [])
 
 
 # -- usage errors and entry point -------------------------------------------------

@@ -247,10 +247,11 @@ def test_records_from_json_splits_only_canonical_tokens(monkeypatch):
     """A dual token of two ASCII digit runs, in lowest terms with q >= 1
     and at most 4000 characters, is split into its ints without
     parse_rational.  Every other token goes through parse_rational and
-    gives its value or its message, Arabic-Indic digits and superscripts
-    that str.isdigit accepts among them.  The split stays below
-    sys.int_max_str_digits when that is set lower, so int() never
-    refuses a token with a message of its own."""
+    gives its value or its message behind the entry's position,
+    Arabic-Indic digits and superscripts that str.isdigit accepts among
+    them.  The split stays below sys.int_max_str_digits when that is
+    set lower, so int() never refuses a token with a message of its
+    own."""
     calls = []
     real = lam.parse_rational
 
@@ -270,7 +271,7 @@ def test_records_from_json_splits_only_canonical_tokens(monkeypatch):
         try:
             return real(token).as_integer_ratio()
         except ValueError as exc:
-            return str(exc)
+            return f"laminar entry 0: {exc}"
 
     monkeypatch.setattr(lam, "parse_rational", counted)
     for token in SPLIT_TOKENS:
