@@ -16,19 +16,20 @@ _spec.loader.exec_module(verify_corpus)
 
 
 def test_corpus_verifies_each_document_twice_and_repeats():
+    path = list(sys.path)
     first = verify_corpus.run_corpus(str(SRC), 12)
     assert sum(first["codes"].values()) == 24
     assert set(first["codes"]) <= {0, 2, 3}
     assert verify_corpus.run_corpus(str(SRC), 12) == first
     assert len(verify_corpus.PERTURBATIONS) == 22
+    assert sys.path == path
 
 
 def test_main_prints_the_counts_and_the_digest():
-    proc = subprocess.run(
-        [sys.executable, str(TOOL), str(SRC), "--documents", "3"],
-        capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, str(TOOL), str(SRC)],
+                          capture_output=True, text=True, check=True)
     lines = proc.stdout.splitlines()
-    assert lines[0] == "runs: 6"
+    assert lines[0] == "runs: 2400"
     assert all(re.fullmatch(r"exit [023]: \d+", line)
                for line in lines[1:-1])
     assert re.fullmatch(r"sha256: [0-9a-f]{64}", lines[-1])

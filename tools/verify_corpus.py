@@ -1,7 +1,7 @@
 """Run ``pcst verify`` over a seeded corpus of perturbed solution
 documents and print one digest of everything it printed.
 
-    python tools/verify_corpus.py SRC [--documents N]
+    python tools/verify_corpus.py SRC
 
 SRC is the ``src`` directory whose ``pcst`` package is imported and run,
 so the same corpus can be put to two checkouts and their digests
@@ -9,11 +9,10 @@ compared.  The corpus is fixed by its seeds: 40 ``gen_random``
 instances with n from 3 to 18 (every fourth with rational costs and
 prizes), the ``pcst solve --json`` document of each, and 30 copies of
 each document that carry 1 to 3 of the 22 kinds of PERTURBATIONS,
-1200 documents in all; --documents N keeps the first N.  Each document
-is verified twice in this process through ``cli.main``, plain and with
-``--json``.  The output is the count of runs per exit code and one
-sha256 over the stdout, the stderr without timing lines and the exit
-code of every run, in order.
+1200 documents in all.  Each document is verified twice in this
+process through ``cli.main``, plain and with ``--json``.  The output
+is the count of runs per exit code and one sha256 over the stdout, the
+stderr without timing lines and the exit code of every run, in order.
 """
 import argparse
 import contextlib
@@ -226,8 +225,11 @@ def run_corpus(src: str, documents: int = INSTANCES * PER_INSTANCE) -> dict:
     """Verify the first `documents` of the corpus with the package under
     src: {"codes": {exit code: runs}, "sha256": digest}."""
     sys.path.insert(0, src)
-    from pcst import cli
-    from pcst.instance import emit_instance, gen_random
+    try:
+        from pcst import cli
+        from pcst.instance import emit_instance, gen_random
+    finally:
+        sys.path.remove(src)
     if not Path(cli.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"error: imported pcst from {cli.__file__}, "
                          f"not from {src}")
@@ -270,11 +272,8 @@ def run_corpus(src: str, documents: int = INSTANCES * PER_INSTANCE) -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src", help="the src directory of a checkout")
-    parser.add_argument("--documents", type=int,
-                        default=INSTANCES * PER_INSTANCE,
-                        help="verify only the first N documents")
     args = parser.parse_args()
-    result = run_corpus(args.src, args.documents)
+    result = run_corpus(args.src)
     print(f"runs: {sum(result['codes'].values())}")
     for code, runs in result["codes"].items():
         print(f"exit {code}: {runs}")
