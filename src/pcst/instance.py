@@ -98,13 +98,24 @@ class ParseError(ValueError):
         super().__init__(message + where)
 
 
+def _quoted(token) -> str:
+    """repr(token) for a refusal, or, when it is longer than 40
+    characters, its first 40 and the token's length: a refused token
+    may run to MAX_TOKEN_CHARS."""
+    text = repr(token)
+    if len(text) <= 40:
+        return text
+    return f"{text[:40]}... ({len(str(token))} characters)"
+
+
 def parse_rational(token: RationalLike) -> Fraction:
     """Convert an int, Fraction, or numeric string token exactly.
 
     Floats are rejected on purpose: the caller should pass the original
     text so "0.1" means 1/10 and not the nearest binary double.  String
     tokens longer than MAX_TOKEN_CHARS or with an exponent beyond
-    MAX_EXPONENT in magnitude are refused.
+    MAX_EXPONENT in magnitude are refused.  A refusal quotes at most 40
+    characters of the token's repr.
     """
     if isinstance(token, Fraction):
         return token
@@ -122,13 +133,14 @@ def parse_rational(token: RationalLike) -> Fraction:
         exponent = _EXPONENT.search(text)
         if exponent and \
                 abs(int(exponent.group(1).replace("_", ""))) > MAX_EXPONENT:
-            raise ValueError(f"exponent of {text!r} exceeds "
+            raise ValueError(f"exponent of {_quoted(text)} exceeds "
                              f"{MAX_EXPONENT} in magnitude")
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational token: {token!r}") from exc
-    raise ValueError(f"not a rational token: {token!r}")
+            raise ValueError("not a rational token: "
+                             + _quoted(token)) from exc
+    raise ValueError(f"not a rational token: {_quoted(token)}")
 
 
 def format_rational(value: Fraction) -> str:

@@ -163,10 +163,10 @@ Neither phase, nor checked mode, lists the members of a set.
   the verifier's DualIndex: the duals from the clocks, one descending
   pass for chain loads and one ascending pass for inside loads, and
   the slack of every edge and every set; the tightness and exhaustion
-  checks read it.  It is kept on the state beside the family index and
-  extended while the clock stands still: a step of length 0 moves no
-  dual, and the sets it appends have none, so only their inside loads
-  and set slacks are new (DualIndex.extend).  A step of positive
+  checks read it.  It is kept beside the family index and extended
+  while the clock stands still: a step of length 0 moves no dual, and
+  the sets it appends have none, so only their inside loads and set
+  slacks are new (DualIndex.extend).  A step of positive
   length, like any changed birth, death or clock, changes a held dual
   and builds the index afresh.  Of the growth steps on the benchmark's
   twelve certify-64 instances (seed 1), 796 of 873 (91%) have length
@@ -180,8 +180,10 @@ Neither phase, nor checked mode, lists the members of a set.
   one with every step rebuilding the index, and takes 5.6 times now
   (best of 15, one core of a shared 2-core x86-64 VM).  A prune step
   checks the tree with the verifier's TreeIndex over the cached family
-  index.  The caches are rebuilt when the instance object or the family
-  they were built from differs.
+  index.  The family index, the dual index and the gaps are one cache
+  on the state, keyed by the instance object and the family the family
+  index was built from; when either is another object, the cache is
+  rebuilt as a whole.
 """
 from __future__ import annotations
 
@@ -337,11 +339,8 @@ class SolverState:
                               range(n)))
         self._heap += self._ekey
         heapq.heapify(self._heap)
-        # checked mode's: (inst, FamilyIndex), the DualIndex read off
-        # that index, and (FamilyIndex, gaps, saturated) of _growth_gaps
-        self._check_cache: Optional[tuple] = None
-        self._dual_cache: Optional[verify.DualIndex] = None
-        self._gap_cache: Optional[tuple] = None
+        # checked mode's one cache, see _family_index
+        self._check_cache: dict = {}
 
     # -- clock-derived quantities ------------------------------------
 
@@ -635,13 +634,13 @@ def run_phase2(state: SolverState) -> Solution:
         return first[sid] <= first[v] < first[sid] + fam.size(sid)
 
     # per set, the number of tree edges crossing it and the XOR of their
-    # merge sets (forest edge k created set n + k); see the module docstring
-    in_final = _kept_sets(state, ())
+    # merge sets (forest edge k created set n + k), over the forest edges
+    # in the final maximal set; see the module docstring
     count = [0] * len(fam)
     merge_xor = [0] * len(fam)
     for k, idx in enumerate(forest):
         u, v = inst.ends[idx]
-        if in_final[u]:
+        if inside(u, state.final_maximal):
             count[u] += 1
             count[v] += 1
             count[n + k] -= 2
@@ -773,30 +772,31 @@ def solve(inst: Instance, *, check_invariants: Optional[bool] = None,
 
 def _family_index(state: SolverState) -> verify.FamilyIndex:
     """The verifier's family index of the state's family and instance,
-    cached on the state with the instance it was built from: extended
-    by the sets appended since the last check, and built afresh when
-    the instance or the family is another object."""
-    inst, family = state._check_cache or (None, None)
-    if inst is state.inst and family.fam is state.fam:
-        family.extend()
+    held in the state's one cache: "inst", the instance it was built
+    from, "family", the index, and beside it "duals", the DualIndex read
+    off it, and "gaps", _growth_gaps'.  The index is extended by the
+    sets appended since the last check; when the instance or the family
+    is another object, the whole cache is built afresh, so what lies
+    beside the index always reads this one."""
+    cache = state._check_cache
+    if cache.get("inst") is state.inst and cache["family"].fam is state.fam:
+        cache["family"].extend()
     else:
         family = verify.FamilyIndex(state.fam, state.inst)
-        state._check_cache = (state.inst, family)
-    return family
+        state._check_cache = cache = {"inst": state.inst, "family": family}
+    return cache["family"]
 
 
 def _dual_index(state: SolverState,
                 family: verify.FamilyIndex) -> verify.DualIndex:
-    """The verifier's dual index of the state's duals, cached on the
-    state beside the family index it reads: extended while the duals it
-    holds stand still and the new sets have none, and built afresh
-    otherwise, or when the family index is another object."""
+    """The verifier's dual index of the state's duals, cached beside the
+    family index it reads: extended while the duals it holds stand still
+    and the new sets have none, and built afresh otherwise."""
     duals = state.dual_assignment()
-    index = state._dual_cache
-    if index is None or index.family is not family \
-            or not index.extend(duals):
-        index = verify.DualIndex(state.fam, duals, state.inst, family)
-        state._dual_cache = index
+    index = state._check_cache.get("duals")
+    if index is None or not index.extend(duals):
+        index = state._check_cache["duals"] = verify.DualIndex(
+            state.fam, duals, state.inst, family)
     return index
 
 
@@ -829,18 +829,20 @@ def _cover_gaps(family: verify.FamilyIndex, saturated: set[int],
 def _growth_gaps(state: SolverState,
                  family: verify.FamilyIndex) -> list[int]:
     """The cover gaps of the growth check, with no tree vertex, cached
-    on the state beside the family index.  A set's gap is settled once
-    it has a parent, and only a maximal set saturates, so the pass
-    resumes while every saturated set of the last pass still is one and
-    each new one had no parent then; otherwise it starts over."""
+    beside the family index with the saturated sets they were passed.
+    A set's gap is settled once it has a parent, and only a maximal set
+    saturates, so the pass resumes while every saturated set of the last
+    pass still is one and each new one had no parent then; otherwise it
+    starts over."""
     sat, parent = state.saturated, family.parent
-    held_family, gap, held_sat = state._gap_cache or (None, None, set())
-    if held_family is not family or not sat >= held_sat or any(
+    # with no pass held, nothing is new: gap stays None
+    gap, held_sat = state._check_cache.get("gaps", (None, sat))
+    if not sat >= held_sat or any(
             parent[sid] is not None and parent[sid] < len(gap)
             for sid in sat - held_sat):
         gap = None
     gap = _cover_gaps(family, sat, [0] * len(parent), gap)
-    state._gap_cache = (family, gap, set(sat))
+    state._check_cache["gaps"] = (gap, set(sat))
     return gap
 
 

@@ -22,20 +22,20 @@ parents, so a snapshot's checks are a few linear passes over its links:
   children's pending lists; the tree edges crossing each set come from
   +1 at both ends and -2 at the lca, summed over subtrees.
 
-The dual sums of a snapshot are DualIndex; its extend takes the sets
-appended to the family since, when no dual it holds has moved and the
-new ones are 0, as after a growth step of length 0.  An audit answers
-the instance's edges and the tree's edges with one family index.  A
-tree is checked in one place, TreeIndex, in one union-find pass: its
-edges are replayed in ascending order of their lca, which counts the
-pieces the tree leaves inside every set, and the edges with no common
-set are replayed last, which tells whether the whole tree is
-connected.  Given the instance, the same index validates the tree
-(vertex range, instance edges, no repeats, connected) and holds its
-cost and penalty, so an audit validates the tree once and every check
-reads the same index.  A tree's vertices are ints (make_tree refuses
-anything else, bool included), and any other value names no vertex of
-the family.
+The dual sums of a snapshot are DualIndex; given an instance at the
+family index's scale, its extend takes the sets appended to the family
+since, when no dual it holds has moved and the new ones are 0, as after
+a growth step of length 0.  An audit answers the instance's edges and
+the tree's edges with one family index.  A tree is checked in one
+place, TreeIndex, in one union-find pass: its edges are replayed in
+ascending order of their lca, which counts the pieces the tree leaves
+inside every set, and the edges with no common set are replayed last,
+which tells whether the whole tree is connected.  Given the instance,
+the same index validates the tree (vertex range, instance edges, no
+repeats, connected) and holds its cost and penalty, so an audit
+validates the tree once and every check reads the same index.  A
+tree's vertices are ints (make_tree refuses anything else, bool
+included), and any other value names no vertex of the family.
 
 Dual sums are integers over DualIndex.scale, the duals' scale or, with
 an instance, the audit_scale of the two; results are exact Fractions.
@@ -78,12 +78,11 @@ class Tree(NamedTuple):
 def make_tree(vertices: Iterable[int], edges: Iterable) -> Tree:
     """A tree of int vertices and (u, v) edges; a ValueError names any
     vertex or edge end that is not an int, bool included."""
-    vertices = tuple(vertices)
-    tree = Tree(frozenset(vertices), tuple((u, v) for u, v in edges))
-    # the raw list, not the set, which would merge true with 1
-    if any(type(x) is not int for x in itertools.chain(vertices, *tree.edges)):
+    vertices, edges = tuple(vertices), tuple((u, v) for u, v in edges)
+    # the raw list, before a set merges true with 1 or hashes a list
+    if any(type(x) is not int for x in itertools.chain(vertices, *edges)):
         raise ValueError("tree vertices and edge ends must be integers")
-    return tree
+    return Tree(frozenset(vertices), edges)
 
 
 @dataclass(frozen=True)
@@ -219,7 +218,8 @@ class DualIndex:
     for inside is skipped and inside is None.  An instance with fewer
     vertices than the family is refused with a ValueError.  A caller
     holding a FamilyIndex of the family and the instance passes it, and
-    family is the one read; extend follows it as it grows."""
+    family is the one read; extend follows it as it grows, for an index
+    with an instance at the family index's scale."""
 
     def __init__(self, fam: LaminarFamily, duals: DualAssignment,
                  inst: Optional[Instance] = None,
@@ -269,7 +269,9 @@ class DualIndex:
         index's scale, and return True, when the duals of the sets held
         are unchanged and every new set's is 0, as after a growth step of
         length 0; otherwise change nothing and return False, and the
-        caller builds afresh.
+        caller builds afresh.  An index built without an instance, or at
+        a scale other than its family index's, is refused the same way:
+        checked mode, the one caller, builds neither.
 
         Every number then equals a fresh build's.  A new set lies above
         the held ones and has no dual, so no held set's chain or inside
@@ -279,22 +281,20 @@ class DualIndex:
         load, the sum of its children's, and its set slack, whose
         violation comes after the held ones."""
         family, held, y = self.family, len(self.y), duals.y
-        if duals.scale != self.scale or len(y) != len(family.parent) \
+        if self.inside is None \
+                or not duals.scale == self.scale == family.scale \
+                or len(y) != len(family.parent) \
                 or y[:held] != self.y or any(y[held:]):
             return False
         zeros = [0] * (len(y) - held)
         self.y += zeros
         self.chain += zeros
-        inside = self.inside
-        if inside is None:
-            return True
+        # at the family index's scale, prizes is the family index's list,
+        # which its own extend has grown
+        inside, prizes = self.inside, self.prizes
         inside += zeros
         for sid, up in family.links[2 * (held - family.n):]:
             inside[up] += inside[sid]
-        prizes = self.prizes
-        if prizes is not family.prizes:  # a copy at another scale
-            unit = self.scale // family.scale
-            prizes += [p * unit for p in family.prizes[held:]]
         self.violations += [
             Violation("set", sid, self.value(prizes[sid] - inside[sid]))
             for sid in range(held, len(y)) if prizes[sid] < inside[sid]]
@@ -318,7 +318,9 @@ class TreeIndex:
     edges in no common set sort last, so connected tells whether the
     tree's edges join all of it.  A family vertex is its own union-find
     slot, and a tree vertex outside the family, which lies in no set,
-    takes the next slot from n up; whole is True when there is none.
+    takes the next slot from n up.  Such a vertex keeps members[s] below
+    size in every set s, so holds_tree reads members alone, with no
+    whole-tree flag.
 
     With an instance, the index also holds the tree's cost and penalty
     and error, the first way the tree fails to be a connected subgraph
@@ -349,7 +351,6 @@ class TreeIndex:
             else:
                 members[v] = 1
             slot[x] = v
-        self.whole = outside == n
         joined = [0] * len(parent)
         piece = list(range(outside))
         unions = 0
@@ -430,7 +431,7 @@ class TreeIndex:
             raise ValueError("subgraph has a cycle, not a tree")
 
     def holds_tree(self, sid: int) -> bool:
-        return self.whole and self.members[sid] == self.size
+        return self.members[sid] == self.size
 
     def disconnected_set(self) -> Optional[int]:
         """Smallest id of a set that meets the tree in several pieces."""
@@ -619,26 +620,23 @@ def audit_solution(inst: Instance, fam: LaminarFamily,
 
     reported carries the solution's own numbers: cost, penalty,
     objective, lagrangean_objective, lower_bound (Fractions) and
-    minimizing_vertex (int).  Returns one CheckResult per check; the
-    solution verifies iff every check passed.  The indexes are built
-    once, by the first check that needs them: one family index answers
-    the instance's edges and the tree's edges in one pass, and the tree
-    is validated once.
+    minimizing_vertex (int).  Returns one CheckResult per check, in a
+    fixed order; the solution verifies iff every check passed.  Each
+    check returns its verdict to one loop, which writes the results and
+    turns a ValueError or KeyError into a failed check.  The indexes are
+    built once, by the first check that needs them: one family index
+    answers the instance's edges and the tree's edges in one pass, and
+    the tree is validated once.
     """
-    out: list[CheckResult] = []
     family = functools.cache(lambda: FamilyIndex(fam, inst, tree.edges))
     dual_index = functools.cache(lambda: DualIndex(fam, duals, inst,
                                                    family()))
     tree_index = functools.cache(lambda: TreeIndex(fam, tree, inst,
                                                    family()))
 
-    def run(name: str, fn):
-        try:
-            fn(name)
-        except (ValueError, KeyError) as exc:
-            out.append(CheckResult(name, False, detail=str(exc)))
+    # each check returns the fields of its CheckResult after the name
 
-    def structure(name):
+    def structure():
         # LaminarFamily(n) starts as the n singletons and merge only
         # appends the union of two maximal sets, so the childless sets
         # are exactly 0..n-1, each in one maximal set: only the vertex
@@ -646,19 +644,19 @@ def audit_solution(inst: Instance, fam: LaminarFamily,
         if fam.n != inst.n:
             raise ValueError(f"snapshot covers {fam.n} vertices, "
                              f"instance has {inst.n}")
-        out.append(CheckResult(name, True))
+        return (True,)
 
-    def feasibility(name):
+    def feasibility():
         bad = dual_index().violations
         detail = "" if not bad else \
             f"{len(bad)} violated constraint(s); first: {bad[0]}"
-        out.append(CheckResult(name, not bad, detail=detail))
+        return not bad, None, None, detail
 
-    def tree_structure(name):
+    def tree_structure():
         tree_index().check(require_tree=True)
-        out.append(CheckResult(name, True))
+        return (True,)
 
-    def arithmetic(name):
+    def arithmetic():
         ti = tree_index()
         ti.check(require_tree=True)
         cost, penalty = ti.cost, ti.penalty
@@ -668,9 +666,9 @@ def audit_solution(inst: Instance, fam: LaminarFamily,
         detail = "" if ok else (
             f"recomputed cost {cost}, penalty {penalty} vs reported "
             f"{reported['cost']}, {reported['penalty']}")
-        out.append(CheckResult(name, ok, detail=detail))
+        return ok, None, None, detail
 
-    def cert(name):
+    def cert():
         index = dual_index()
         if index.violations:
             raise ValueError(f"duals are infeasible ({index.violations[0]})")
@@ -685,46 +683,44 @@ def audit_solution(inst: Instance, fam: LaminarFamily,
             detail = (f"recomputed minimizing vertex "
                       f"{got.minimizing_vertex} vs reported "
                       f"{reported['minimizing_vertex']}")
-        out.append(CheckResult(name, not detail, lhs=lag,
-                               rhs=2 * got.lower_bound, detail=detail))
+        return not detail, lag, 2 * got.lower_bound, detail
 
-    def tree_lb(name):
+    def tree_lb():
         lhs, rhs = tree_bound(fam, duals, inst, tree, dual_index(),
                               tree_index())
-        out.append(CheckResult(name, lhs <= rhs, lhs=lhs, rhs=rhs))
+        return lhs <= rhs, lhs, rhs
 
-    def growth(name):
+    def growth():
         # the left side is the same at every o: the tightest vertex is
         # the first with the smallest right side
         bound = GrowthBound(dual_index(), tree_index())
-        worst = None
-        for o in range(inst.n):
-            lhs, rhs = growth_inequality(fam, duals, tree, o, bound)
-            if worst is None or rhs < worst[1]:
-                worst = (lhs, rhs, o)
-        lhs, rhs, o = worst
-        out.append(CheckResult(name, lhs <= rhs, lhs=lhs, rhs=rhs,
-                               detail=f"tightest at vertex {o}"))
+        lhs, rhs, o = min(((*growth_inequality(fam, duals, tree, o, bound), o)
+                           for o in range(inst.n)), key=operator.itemgetter(1))
+        return lhs <= rhs, lhs, rhs, f"tightest at vertex {o}"
 
-    def predicates(name):
+    def predicates():
         preds = tree_predicates(fam, duals.saturated, tree, tree_index())
         ok = preds.family_connected and not preds.bridges \
             and preds.wrapped is None
-        detail = "" if ok else f"{preds}"
-        out.append(CheckResult(name, ok, detail=detail))
+        return ok, None, None, "" if ok else f"{preds}"
 
-    def counting(name):
+    def counting():
         lhs, rhs = cluster_count_bound(fam, duals.saturated, tree,
                                        tree_index())
-        out.append(CheckResult(name, lhs <= rhs, lhs=lhs, rhs=rhs))
+        return lhs <= rhs, lhs, rhs
 
-    run("laminar-structure", structure)
-    run("dual-feasibility", feasibility)
-    run("tree-structure", tree_structure)
-    run("objective-arithmetic", arithmetic)
-    run("certificate-lower-bound", cert)
-    run("tree-lower-bound", tree_lb)
-    run("growth-bound", growth)
-    run("tree-predicates", predicates)
-    run("cluster-counting", counting)
+    out = []
+    for name, check in (("laminar-structure", structure),
+                        ("dual-feasibility", feasibility),
+                        ("tree-structure", tree_structure),
+                        ("objective-arithmetic", arithmetic),
+                        ("certificate-lower-bound", cert),
+                        ("tree-lower-bound", tree_lb),
+                        ("growth-bound", growth),
+                        ("tree-predicates", predicates),
+                        ("cluster-counting", counting)):
+        try:
+            out.append(CheckResult(name, *check()))
+        except (ValueError, KeyError) as exc:
+            out.append(CheckResult(name, False, detail=str(exc)))
     return out

@@ -563,9 +563,13 @@ def set_entry(k, **fields):
      "tree edges must be a list"),
     (set_fields(tree={"vertices": [0, 1, 2], "edges": [[0, 1], [1]]}),
      "tree edge 1 must be a list of two vertices"),
+    (set_fields(tree={"vertices": [0, [1], 2], "edges": [[0, 1], [0, 2]]}),
+     "tree vertices and edge ends must be integers"),
     (set_fields(laminar=5), "laminar must be a list"),
     (set_fields(cost=None), "cost: not a rational token: None"),
     (set_fields(penalty="x"), "penalty: not a rational token: 'x'"),
+    (set_fields(cost="1" * 5000),
+     "cost: not a rational token: '" + "1" * 39 + "... (5000 characters)"),
     (set_fields(objective=1.5),
      "objective: floats are inexact; pass the token as a string"),
     (set_fields(lagrangean_objective=True),
@@ -583,8 +587,9 @@ def set_entry(k, **fields):
      "laminar entry 2: snapshot saturation flags must be booleans"),
     (set_entry(1, y="1/0"),
      "laminar entry 1: not a rational token: '1/0'"),
-], ids=["vertices-int", "edges-null", "edge-short", "laminar-int",
-        "cost-null", "penalty-str", "objective-float", "lagrangean-bool",
+], ids=["vertices-int", "edges-null", "edge-short", "vertex-list",
+        "laminar-int", "cost-null", "penalty-str", "cost-5000-digits",
+        "objective-float", "lagrangean-bool",
         "lower-bound-list", "entry-int", "entry-missing-key", "entry-id-str",
         "entry-parent-float", "entry-saturated-int", "entry-dual-token"])
 def test_verify_misshapen_field_is_named(solved, capsys, mutate, detail):

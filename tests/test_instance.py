@@ -52,6 +52,27 @@ def test_parse_rational_rejects(token):
         parse_rational(token)
 
 
+@pytest.mark.parametrize("token, message", [
+    ("x" * 38, "not a rational token: '" + "x" * 38 + "'"),
+    ("x" * 39, "not a rational token: '" + "x" * 39 + "... (39 characters)"),
+    ("1" * 5000,
+     "not a rational token: '" + "1" * 39 + "... (5000 characters)"),
+    ([1] * 20, "not a rational token: [" + "1, " * 13 + "... (60 characters)"),
+    ("1e4000000", "exponent of '1e4000000' exceeds 1000 in magnitude"),
+    (" 1e" + "9" * 60,
+     "exponent of '1e" + "9" * 37 + "... (62 characters) exceeds 1000 in "
+     "magnitude"),
+], ids=["repr-40", "repr-41", "5000-digits", "long-list", "exponent",
+        "long-exponent"])
+def test_parse_rational_quotes_at_most_40_characters(token, message):
+    """A refusal quotes a token whose repr runs to 40 characters whole,
+    and of a longer one the first 40 and the token's length, so that a
+    10,000-character token makes a short message."""
+    with pytest.raises(ValueError) as refusal:
+        parse_rational(token)
+    assert str(refusal.value) == message
+
+
 def test_format_rational_canonical():
     assert format_rational(Fraction(4)) == "4/1"
     assert format_rational(Fraction(-6, 4)) == "-3/2"

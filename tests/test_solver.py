@@ -698,13 +698,13 @@ def test_checked_indexes_equal_fresh_builds(monkeypatch):
     kept = []
 
     def check(state):
-        before = state._dual_cache
+        before = state._check_cache.get("duals")
         real_check(state)
-        index = state._dual_cache
+        index = state._check_cache["duals"]
         fresh = fresh_index(state.fam, state.dual_assignment(), state.inst)
         for name in DUAL_INDEX_FIELDS:
             assert getattr(index, name) == getattr(fresh, name), name
-        gaps = state._gap_cache[1]
+        gaps = state._check_cache["gaps"][0]
         family = verify.FamilyIndex(state.fam, state.inst)
         assert gaps == sv._cover_gaps(family, state.saturated,
                                       [0] * len(gaps))
@@ -736,7 +736,7 @@ def test_growth_gaps_follow_any_change_of_the_saturated_sets():
             toggled = {rng.choice(state.fam.ids)}
             for change in (set(), toggled, toggled):
                 state.saturated ^= change
-                held = state._gap_cache and state._gap_cache[1]
+                held = state._check_cache.get("gaps", [None])[0]
                 gaps = sv._growth_gaps(state, family)
                 resumed += gaps is held
                 assert gaps == sv._cover_gaps(family, state.saturated,
@@ -1100,11 +1100,11 @@ def tied_state():
     state = sv.init_state(inst)
     rescan_step(state)
     sv.check_growth_invariants(state)
-    index = state._dual_cache
+    index = state._check_cache["duals"]
     rescan_step(state)
     sv.check_growth_invariants(state)
     assert state.trace[-1][:3] == (0, state._scale, "merge")
-    assert state._dual_cache is index
+    assert state._check_cache["duals"] is index
     return state
 
 
@@ -1144,13 +1144,18 @@ def test_checker_rebuilds_a_poisoned_cache(poison, message):
     set's shifted birth, a moved clock or another instance object makes
     the growth check build afresh: it raises what the naive checker
     raises, an equal instance passes as it does, and the repaired state
-    passes again."""
+    passes again.  What the cache holds beside the family index always
+    reads that index: another instance object drops the dual index with
+    the family index it was read off."""
     state = tied_state()
-    index = state._dual_cache
+    index = state._check_cache["duals"]
     undo = poison(state)
     assert [check_outcome(check, state)
             for check in GROWTH_CHECKS] == [message] * 2
-    assert state._dual_cache is not index
+    cache = state._check_cache
+    assert cache["duals"] is not index
+    assert cache["duals"].family is cache["family"]
+    assert cache["inst"] is state.inst
     undo()
     for check in GROWTH_CHECKS:
         check(state)

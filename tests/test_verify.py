@@ -104,10 +104,13 @@ def test_dual_index_extend_equals_a_fresh_build():
     unions with no dual, extend takes them and the index equals a fresh
     build in every number.  A held dual changed, a new set's dual not 0
     or duals at another scale than the index's make extend refuse and
-    change nothing."""
+    change nothing.  So does an index built without an instance, or at
+    a scale other than its family index's, even given the duals it
+    holds and zeros for the new sets."""
     rng = random.Random(26)
     new_set_violations = 0
-    for seed in range(300):
+    refused_indexes = {"no instance": 0, "other scale": 0}
+    for seed in range(600):
         n = rng.randint(2, 9)
         inst = gen_random(n, "1/2", max_cost=6, max_prize=6, seed=seed)
         fam = lam.LaminarFamily(n)
@@ -132,21 +135,29 @@ def test_dual_index_extend_equals_a_fresh_build():
             assert not index.extend(lam.DualAssignment(other, scale, set()))
         assert not index.extend(lam.DualAssignment([3 * q for q in y],
                                                    3 * scale, set()))
-        assert {name: getattr(index, name, None)
-                for name in DUAL_INDEX_FIELDS} == before
         if scale != index.scale:  # the instance's scale is no divisor
             assert not index.extend(lam.DualAssignment(y, scale, set()))
+        unit = index.scale // scale
+        duals = lam.DualAssignment([unit * q for q in y], index.scale, set())
+        kind = "no instance" if given is None else \
+            "other scale" if index.scale != family.scale else None
+        if kind:
+            refused_indexes[kind] += 1
+            assert not index.extend(duals)
+        assert {name: getattr(index, name, None)
+                for name in DUAL_INDEX_FIELDS} == before
+        if kind:
             continue
-        assert index.extend(lam.DualAssignment(y, scale, set()))
+        assert index.extend(duals)
         fresh = verify.DualIndex(fam, lam.DualAssignment(y, scale, set()),
                                  given)
         for name in DUAL_INDEX_FIELDS:
             assert getattr(index, name, None) == getattr(fresh, name, None), \
                 (seed, name)
-        if given is not None:
-            new_set_violations += any(v.kind == "set" and v.subject >= held
-                                      for v in fresh.violations)
+        new_set_violations += any(v.kind == "set" and v.subject >= held
+                                  for v in fresh.violations)
     assert new_set_violations > 15, new_set_violations
+    assert min(refused_indexes.values()) > 100, refused_indexes
 
 
 # -- feasibility ---------------------------------------------------------------
@@ -368,6 +379,10 @@ def test_tree_predicates_flag_wrapped():
         preds = checker.tree_predicates(fam, sat,
                                         make_tree((0, 1), ((0, 1),)))
         assert preds.wrapped == nid
+        # vertex 2 lies outside the family, so no set holds the tree
+        preds = checker.tree_predicates(
+            fam, sat, make_tree((0, 1, 2), ((0, 1), (1, 2))))
+        assert preds.wrapped is None
 
 
 def test_tree_predicates_flag_disconnection():

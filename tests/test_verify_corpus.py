@@ -25,13 +25,30 @@ def test_corpus_verifies_each_document_twice_and_repeats():
     assert sys.path == path
 
 
+# what a refused document's message may name after the common prefix:
+# the tree, the laminar family or one of the five reported numbers
+NAMED_FIELD = re.compile(
+    r"error: doc\.json: malformed solution field: (tree |laminar"
+    r"|(cost|penalty|objective|lagrangean_objective|lower_bound): ).*")
+
+
 def test_main_prints_the_counts_and_the_digest():
+    """The runs per exit code, then each stderr line of the runs that
+    exit 2 with its count, one line per run, and the digest.  Every such
+    line names the field that was refused."""
     proc = subprocess.run([sys.executable, str(TOOL), str(SRC)],
                           capture_output=True, text=True, check=True)
     lines = proc.stdout.splitlines()
     assert lines[0] == "runs: 2400"
-    assert all(re.fullmatch(r"exit [023]: \d+", line)
-               for line in lines[1:-1])
+    codes = dict(re.fullmatch(r"exit ([023]): (\d+)", line).groups()
+                 for line in lines[1:4])
+    assert codes.keys() == {"0", "2", "3"}
+    messages = [re.fullmatch(r"exit 2 message, (\d+) runs: (.*)", line)
+                for line in lines[4:-1]]
+    assert all(messages)
+    assert sum(int(match[1]) for match in messages) == int(codes["2"])
+    for match in messages:
+        assert NAMED_FIELD.fullmatch(match[2]), match[2]
     assert re.fullmatch(r"sha256: [0-9a-f]{64}", lines[-1])
 
 

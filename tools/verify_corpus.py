@@ -11,8 +11,10 @@ prizes), the ``pcst solve --json`` document of each, and 30 copies of
 each document that carry 1 to 3 of the 22 kinds of PERTURBATIONS,
 1200 documents in all.  Each document is verified twice in this
 process through ``cli.main``, plain and with ``--json``.  The output
-is the count of runs per exit code and one sha256 over the stdout, the
-stderr without timing lines and the exit code of every run, in order.
+is the count of runs per exit code, the count of each distinct stderr
+line of the runs that exit 2, with its digit runs folded to N, and one
+sha256 over the stdout, the stderr without timing lines and the exit
+code of every run, in order.
 """
 import argparse
 import contextlib
@@ -30,6 +32,7 @@ from pathlib import Path
 INSTANCES = 40
 PER_INSTANCE = 30
 TIMING = re.compile(r"^\w+ time: [0-9.]+s$")
+DIGITS = re.compile(r"\d+")
 
 
 def instance_doc(k: int, gen_random, emit_instance) -> dict:
@@ -223,7 +226,8 @@ def run_cli(cli, argv) -> tuple[int, str, str]:
 
 def run_corpus(src: str, documents: int = INSTANCES * PER_INSTANCE) -> dict:
     """Verify the first `documents` of the corpus with the package under
-    src: {"codes": {exit code: runs}, "sha256": digest}."""
+    src: {"codes": {exit code: runs}, "refusals": {folded stderr line of
+    an exit-2 run: count}, "sha256": digest}."""
     sys.path.insert(0, src)
     try:
         from pcst import cli
@@ -233,7 +237,7 @@ def run_corpus(src: str, documents: int = INSTANCES * PER_INSTANCE) -> dict:
     if not Path(cli.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"error: imported pcst from {cli.__file__}, "
                          f"not from {src}")
-    digest, codes = hashlib.sha256(), {}
+    digest, codes, refusals = hashlib.sha256(), {}, {}
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)  # the files are named relative to it in every line
@@ -261,11 +265,16 @@ def run_corpus(src: str, documents: int = INSTANCES * PER_INSTANCE) -> dict:
                                       err.splitlines(keepends=True)
                                       if not TIMING.match(line.rstrip("\n")))
                         codes[code] = codes.get(code, 0) + 1
+                        if code == 2:
+                            for line in err.splitlines():
+                                line = DIGITS.sub("N", line)
+                                refusals[line] = refusals.get(line, 0) + 1
                         digest.update(json.dumps([code, out, err]).encode())
                         digest.update(b"\n")
         finally:
             os.chdir(cwd)
     return {"codes": dict(sorted(codes.items())),
+            "refusals": dict(sorted(refusals.items())),
             "sha256": digest.hexdigest()}
 
 
@@ -277,6 +286,8 @@ def main() -> None:
     print(f"runs: {sum(result['codes'].values())}")
     for code, runs in result["codes"].items():
         print(f"exit {code}: {runs}")
+    for line, runs in result["refusals"].items():
+        print(f"exit 2 message, {runs} runs: {line}")
     print(f"sha256: {result['sha256']}")
 
 
