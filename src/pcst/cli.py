@@ -37,9 +37,10 @@ from . import oracle as oracle_mod
 from . import solver as solver_mod
 from . import verify as verify_mod
 from .instance import (FORMATS, MAX_TOTAL_BITS, Instance, ParseError,
-                       _json_list, _json_text, approx_decimal, emit_instance,
-                       format_rational, gen_random, gen_tight_path,
-                       gen_tight_star, parse_instance, parse_rational)
+                       _json_list, _json_text, _load_json, approx_decimal,
+                       emit_instance, format_rational, gen_random,
+                       gen_tight_path, gen_tight_star, parse_instance,
+                       parse_rational)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -274,7 +275,7 @@ def _load_solution(text: str):
     problems are left for the audit to flag.
     """
     try:
-        doc = json.loads(text)
+        doc = _load_json(text)
     except ValueError as exc:  # bad json, an over-long integer
         raise ParseError(str(exc))
     except RecursionError:

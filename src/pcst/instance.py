@@ -49,6 +49,7 @@ import math
 import operator
 import random
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -131,8 +132,9 @@ def parse_rational(token: RationalLike) -> Fraction:
             raise ValueError(f"numeric token longer than {MAX_TOKEN_CHARS} "
                              "characters")
         exponent = _EXPONENT.search(text)
+        # float(), not int(): int() refuses a run past its digit limit
         if exponent and \
-                abs(int(exponent.group(1).replace("_", ""))) > MAX_EXPONENT:
+                abs(float(exponent.group(1).replace("_", ""))) > MAX_EXPONENT:
             raise ValueError(f"exponent of {_quoted(text)} exceeds "
                              f"{MAX_EXPONENT} in magnitude")
         try:
@@ -141,6 +143,27 @@ def parse_rational(token: RationalLike) -> Fraction:
             raise ValueError("not a rational token: "
                              + _quoted(token)) from exc
     raise ValueError(f"not a rational token: {_quoted(token)}")
+
+
+def _int(token: str) -> int:
+    """int(token) of a run of digits, with an optional sign; one past
+    int()'s digit limit is refused quoting the token and the limit."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"integer {_quoted(token)} has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
+
+
+def _load_json(text: str, **hooks):
+    """json.loads(text, **hooks).  Text it refuses with a ValueError is
+    parsed again with every integer read by _int, so that an integer
+    past int()'s digit limit is refused in _int's words and any other
+    fault as before: the hook costs nothing on text that parses."""
+    try:
+        return json.loads(text, **hooks)
+    except ValueError:
+        return json.loads(text, parse_int=_int, **hooks)
 
 
 def format_rational(value: Fraction) -> str:
@@ -307,7 +330,8 @@ def _walk(n: int, edges: Iterable, prizes: Iterable):
         u, v, c = e
         if not isinstance(u, int) or not isinstance(v, int) \
                 or isinstance(u, bool) or isinstance(v, bool):
-            raise ValueError(f"edge {k} has non-integer endpoint: {e!r}")
+            raise ValueError(f"edge {k} has non-integer endpoint: "
+                             f"{_quoted(e)}")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge {k} endpoint out of range: ({u}, {v})")
         if u == v:
@@ -352,8 +376,8 @@ def _reject_constant(token: str):
 
 def _parse_json(text: str) -> Instance:
     try:
-        doc = json.loads(text, parse_float=parse_rational,
-                         parse_constant=_reject_constant)
+        doc = _load_json(text, parse_float=parse_rational,
+                        parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid json: {exc.msg}",
                          line=exc.lineno, column=exc.colno) from exc
@@ -371,7 +395,7 @@ def _parse_json(text: str) -> Instance:
         raise ParseError(f"unknown keys {sorted(extra)}")
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool):
-        raise ParseError(f'"n" must be an integer, got {n!r}')
+        raise ParseError(f'"n" must be an integer, got {_quoted(n)}')
     if n > MAX_VERTICES:
         raise ParseError(f'"n" is {n}, more than {MAX_VERTICES} vertices')
     if not isinstance(doc["prizes"], list):
@@ -429,10 +453,11 @@ def _stp_int(token: str) -> int:
     """The stp rule for an integer token, a count, a vertex id or a cost
     or prize: ASCII digits only, so no sign, no underscore and no other
     script's digits.  Anything else is refused as int() refuses junk,
-    and a run past int()'s digit limit as int() refuses it."""
+    quoted, and a run past int()'s digit limit as _int refuses it."""
     if token.isascii() and token.isdigit():
-        return int(token)
-    raise ValueError(f"invalid literal for int() with base 10: {token!r}")
+        return _int(token)
+    raise ValueError("invalid literal for int() with base 10: "
+                     + _quoted(token))
 
 
 def _stp_number(token: str) -> int | Fraction:
@@ -456,90 +481,90 @@ def _parse_stp(text: str) -> Instance:
     saw_graph = False
     saw_eof = False
 
-    def fail(msg: str, lineno: int):
+    def fail(msg: str):
+        """Refuse the line being read."""
         raise ParseError(msg, line=lineno)
 
-    def count(parts: list[str], line: str, lineno: int) -> int:
+    def count(parts: list[str], line: str) -> int:
         if len(parts) == 2:
             try:
                 return _stp_int(parts[1])
             except ValueError:  # not digits, or past int()'s digit limit
                 pass
-        fail(f"bad {parts[0]} line {line!r}", lineno)
+        fail(f"bad {parts[0]} line {_quoted(line)}")
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if saw_eof:
-            fail("content after EOF", lineno)
+            fail("content after EOF")
         parts = line.split()
         key = parts[0]
         if key == "SECTION":
             if len(parts) != 2 or parts[1] not in ("Graph", "Terminals"):
-                fail(f"unknown section in {line!r}", lineno)
+                fail(f"unknown section in {_quoted(line)}")
             if section is not None:
-                fail("nested SECTION", lineno)
+                fail("nested SECTION")
             section = parts[1]
             if section == "Graph":
                 if saw_graph:
-                    fail("duplicate Graph section", lineno)
+                    fail("duplicate Graph section")
                 saw_graph = True
             elif not saw_graph:
-                fail("Terminals section before Graph section", lineno)
+                fail("Terminals section before Graph section")
             continue
         if key == "END":
             if section is None:
-                fail("END outside a section", lineno)
+                fail("END outside a section")
             section = None
             continue
         if key == "EOF":
             if section is not None:
-                fail("EOF inside a section", lineno)
+                fail("EOF inside a section")
             saw_eof = True
             continue
         if section == "Graph":
             if key == "Nodes":
                 if n is not None:
-                    fail("duplicate Nodes line", lineno)
-                n = count(parts, line, lineno)
+                    fail("duplicate Nodes line")
+                n = count(parts, line)
                 if n > MAX_VERTICES:
-                    fail(f"Nodes {n} is more than {MAX_VERTICES} vertices",
-                         lineno)
+                    fail(f"Nodes {n} is more than {MAX_VERTICES} vertices")
             elif key == "Edges":
                 if declared_m is not None:
-                    fail("duplicate Edges line", lineno)
-                declared_m = count(parts, line, lineno)
+                    fail("duplicate Edges line")
+                declared_m = count(parts, line)
             elif key == "E":
                 if len(parts) != 4:
-                    fail(f"bad edge line {line!r}", lineno)
+                    fail(f"bad edge line {_quoted(line)}")
                 if n is None:
-                    fail("edge line before Nodes line", lineno)
+                    fail("edge line before Nodes line")
                 try:
                     u, v = _stp_int(parts[1]), _stp_int(parts[2])
                     cost = _stp_number(parts[3])
                 except ValueError as exc:
-                    fail(str(exc), lineno)
+                    fail(str(exc))
                 if not (1 <= u <= n and 1 <= v <= n):
-                    fail(f"edge endpoint out of range in {line!r}", lineno)
+                    fail(f"edge endpoint out of range in {_quoted(line)}")
                 edges.append((u - 1, v - 1, cost))
             else:
-                fail(f"unknown line {line!r} in Graph section", lineno)
+                fail(f"unknown line {_quoted(line)} in Graph section")
         elif section == "Terminals":
             if key != "TP" or len(parts) != 3:
-                fail(f"unknown line {line!r} in Terminals section", lineno)
+                fail(f"unknown line {_quoted(line)} in Terminals section")
             try:
                 v = _stp_int(parts[1])
                 prize = _stp_number(parts[2])
             except ValueError as exc:
-                fail(str(exc), lineno)
+                fail(str(exc))
             if n is None or not (1 <= v <= n):
-                fail(f"terminal vertex out of range in {line!r}", lineno)
+                fail(f"terminal vertex out of range in {_quoted(line)}")
             if v - 1 in prize_lines:
-                fail(f"duplicate prize for vertex {v}", lineno)
+                fail(f"duplicate prize for vertex {v}")
             prize_lines[v - 1] = prize
         else:
-            fail(f"unexpected line {line!r} outside any section", lineno)
+            fail(f"unexpected line {_quoted(line)} outside any section")
 
     if not saw_eof:
         raise ParseError("missing EOF line")

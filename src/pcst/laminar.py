@@ -3,12 +3,17 @@
 The family always covers every vertex: it starts as the n singletons and
 is append-only, each later set being the disjoint union of two sets that
 were maximal when the union was formed.  Containment is therefore a
-forest over set ids, stored with parent links; ids are assigned in
-creation order (singleton {v} has id v) and never reused, so the family
-can hold at most 2n - 1 sets, and each union records the two sets it
-was made of.  No set's member vertices are ever listed: the parent
-links determine them, and the verifier reads everything it needs off
-those and the recorded unions.
+forest over set ids; ids are assigned in creation order (singleton {v}
+has id v) and never reused, so the family can hold at most 2n - 1 sets.
+It is stored once, as the public lists parent, where parent[s] is the
+set s lies in directly (None for a maximal set), and links, where union
+n + k records the two sets it was made of as links[2k] and links[2k+1],
+each a (child, parent) pair.  Links are appended in union order, so a
+set's own link comes after the links of its children: an ascending
+pass over links sums subtrees, children first, and a descending one
+hands values down, parents first.  No set's member vertices are ever
+listed: the parent links determine them, and the solver and the
+verifier read these two lists in place.
 
 Duals live in a separate DualAssignment: one non-negative int per set
 over a common scale, plus the ids frozen as saturated.  The solver
@@ -47,35 +52,26 @@ class LaminarFamily:
         if n < 1:
             raise ValueError(f"need at least one vertex, got {n}")
         self.n = n
-        self._parent: list[Optional[SetId]] = [None] * n
+        self.parent: list[Optional[SetId]] = [None] * n
+        self.links: list[tuple[SetId, SetId]] = []
         self._size: list[int] = [1] * n
-        self._children: list[tuple[SetId, SetId]] = []  # of set n + k
 
     def __len__(self) -> int:
-        return len(self._parent)
+        return len(self.parent)
 
     @property
     def ids(self) -> range:
-        return range(len(self._parent))
+        return range(len(self.parent))
 
     def parent_of(self, sid: SetId) -> Optional[SetId]:
-        return self._parent[sid]
-
-    def children(self, sid: SetId) -> tuple[SetId, SetId]:
-        """The two sets that set sid, a union, was made of."""
-        if not self.n <= sid < len(self._parent):
-            raise ValueError(f"set {sid} is no union")
-        return self._children[sid - self.n]
+        return self.parent[sid]
 
     def size(self, sid: SetId) -> int:
         return self._size[sid]
 
-    def is_maximal(self, sid: SetId) -> bool:
-        return self._parent[sid] is None
-
     def maximal_ids(self) -> list[SetId]:
         """Ids of the maximal sets, ascending.  They partition V."""
-        return [sid for sid, parent in enumerate(self._parent)
+        return [sid for sid, parent in enumerate(self.parent)
                 if parent is None]
 
     def merge(self, a: SetId, b: SetId) -> SetId:
@@ -83,16 +79,16 @@ class LaminarFamily:
         if a == b:
             raise ValueError(f"cannot merge set {a} with itself")
         for sid in (a, b):
-            if not 0 <= sid < len(self._parent):
+            if not 0 <= sid < len(self.parent):
                 raise ValueError(f"unknown set id {sid}")
-            if self._parent[sid] is not None:
+            if self.parent[sid] is not None:
                 raise ValueError(f"set {sid} is not maximal")
-        nid = len(self._parent)
-        self._parent.append(None)
+        nid = len(self.parent)
+        self.parent.append(None)
         self._size.append(self._size[a] + self._size[b])
-        self._parent[a] = nid
-        self._parent[b] = nid
-        self._children.append((a, b))
+        self.parent[a] = nid
+        self.parent[b] = nid
+        self.links += ((a, nid), (b, nid))
         return nid
 
 
@@ -115,7 +111,7 @@ def to_records(fam: LaminarFamily, duals: DualAssignment) -> str:
     json.dumps(..., indent=2) lays out a list one level deep."""
     scale, saturated = duals.scale, duals.saturated
     entries = []
-    for sid, y, parent in zip(fam.ids, duals.y, fam._parent):
+    for sid, y, parent in zip(fam.ids, duals.y, fam.parent):
         g = gcd(y, scale)
         entries.append(
             f'    {{\n      "id": {sid},\n'

@@ -11,10 +11,12 @@ set that hangs off the tree by exactly one edge.
 
 Growth and prune run on Python ints.  The instance fixes a scale S,
 twice the lcm of every cost and prize denominator, and holds its costs
-and prizes as ints at S; every clock, dual, budget, load and slack is
-an integer count of 1/S.  Sums
-and differences of such counts stay integers, and so does a saturation
-time, a birth clock plus a budget.  A merge time is a slack divided by
+and prizes as ints at S; every clock, dual, load and slack is an
+integer count of 1/S.  Sums and differences of such counts stay
+integers, and so does a set's saturation clock, stored at its birth: a
+singleton's is its prize, and a union born at clock t saturates at
+t + (sat(a) - death(a)) + (sat(b) - death(b)), the prize its children
+had left to fill when they died.  A merge time is a slack divided by
 the number of live sets the edge joins, one or two, and every halving
 is exact.  The scaled costs are even, and by induction over the
 events, every vertex of a live maximal set has a chain load of the
@@ -144,12 +146,10 @@ Neither phase, nor checked mode, lists the members of a set.
   behind the factor-2 bound: feasible duals, a tight forest connected
   inside every set, exhausted saturated sets, and no active set that
   is a union of saturated ones.  The verifier's family index of the
-  instance's edges, built from the family's links and the instance and
-  never from the union-find above, is cached on the state and extended
-  by the sets each step appends, so each fact that cannot change is
-  computed once, when its set appears:
-  - a set's parent link: a set gets its parent when it is merged away,
-    and the family only appends;
+  instance's edges, which reads the family's parent and links lists in
+  place and never the union-find above, is cached on the state and
+  extended by the sets each step appends, so each fact that cannot
+  change is computed once, when its set appears:
   - a set's prize sum: its members are fixed;
   - an edge's lowest common set: the first set to hold both ends, and
     every later set lies above it;
@@ -318,8 +318,8 @@ class SolverState:
         self._steps = 0
         self._birth: list[int] = [0] * n
         self._death: list[Optional[int]] = [None] * n
-        # prize a set still had to fill at its birth
-        self._budget: list[int] = list(inst.scaled_prizes)
+        # the clock at which each set exhausts its prize, if it grows on
+        self._sat_clock: list[int] = list(inst.scaled_prizes)
         # union-find over vertices: parent links and load offsets per
         # vertex, the maximal set of each root, the root of each set
         self._dsu: list[int] = list(range(n))
@@ -335,8 +335,8 @@ class SolverState:
                               range(width, width + len(cost))))
         # per frozen maximal set, the keys of the edges waiting on it
         self._waiting: dict[int, list[int]] = {}
-        self._heap = list(map(add, map(mul, self._budget, repeat(2 * width)),
-                              range(n)))
+        self._heap = list(map(add, map(mul, self._sat_clock,
+                                       repeat(2 * width)), range(n)))
         self._heap += self._ekey
         heapq.heapify(self._heap)
         # checked mode's one cache, see _family_index
@@ -346,10 +346,6 @@ class SolverState:
 
     def _alive(self, sid: int) -> bool:
         return self._death[sid] is None
-
-    def _dual_of(self, sid: int) -> int:
-        death = self._death[sid]
-        return (self.clock if death is None else death) - self._birth[sid]
 
     def _find(self, v: int) -> int:
         """Union-find root of vertex v; _reach asks only when v's parent
@@ -385,9 +381,6 @@ class SolverState:
         if self._death[top] is None:
             load += self.clock - self._birth[top]
         return top, load
-
-    def _saturation_clock(self, sid: int) -> int:
-        return self._birth[sid] + self._budget[sid]
 
     def dual_assignment(self) -> lam.DualAssignment:
         """The duals at the current clock, read off the growth clocks."""
@@ -481,9 +474,9 @@ class SolverState:
 
     def _apply_saturation(self, sid: int, eps: int):
         self.clock += eps
-        if not (self._alive(sid) and self.fam.is_maximal(sid)):
+        if not (self._alive(sid) and self.fam.parent[sid] is None):
             raise InvariantError(f"saturation of inactive set {sid}")
-        if self._saturation_clock(sid) != self.clock:
+        if self._sat_clock[sid] != self.clock:
             raise InvariantError(
                 f"set {sid} saturating while its prize is not exhausted")
         self._kill(sid)
@@ -498,8 +491,8 @@ class SolverState:
         self._ekey[idx] = -1
         frozen = [sid for sid in (a, b) if not self._alive(sid)]
         nid = self._merge(a, b)
-        self._budget.append(self._budget[a] - self._dual_of(a)
-                            + self._budget[b] - self._dual_of(b))
+        sat, death = self._sat_clock, self._death
+        sat.append(self.clock + (sat[a] - death[a]) + (sat[b] - death[b]))
         self.forest.append(idx)
         # a frozen child's waiting edges speed up inside the live merged
         # set; a live child's keys stay lower bounds
@@ -507,8 +500,7 @@ class SolverState:
             self._revive(frozen[0])
         else:
             self._active -= 1
-        heapq.heappush(self._heap,
-                       self._saturation_clock(nid) * 2 * self._width + nid)
+        heapq.heappush(self._heap, sat[nid] * 2 * self._width + nid)
         u, v = self.inst.ends[idx]
         self._record(eps, "merge", idx, (u, v), nid)
 
@@ -646,11 +638,9 @@ def run_phase2(state: SolverState) -> Solution:
             count[n + k] -= 2
             merge_xor[u] ^= n + k
             merge_xor[v] ^= n + k
-    for sid in fam.ids:
-        parent = fam.parent_of(sid)
-        if parent is not None:
-            count[parent] += count[sid]
-            merge_xor[parent] ^= merge_xor[sid]
+    for sid, parent in fam.links:
+        count[parent] += count[sid]
+        merge_xor[parent] ^= merge_xor[sid]
 
     candidates = [sid for sid in sat if count[sid] == 1]
     heapq.heapify(candidates)
@@ -688,10 +678,10 @@ def run_phase2(state: SolverState) -> Solution:
 
     tree_vs, kept = _pruned_tree(state, pruned)
     kept.sort()
-    # in units of 1/scale; a singleton's budget is its prize
+    # in units of 1/scale
     scale = state._scale
     cost = Fraction(sum(state._cost[idx] for idx in kept), scale)
-    penalty = Fraction(sum(state._budget[v] for v in range(n)
+    penalty = Fraction(sum(p for v, p in enumerate(inst.scaled_prizes)
                            if v not in tree_vs), scale)
     duals = state.dual_assignment()
     cert = verify.certificate(fam, duals)
@@ -721,16 +711,13 @@ def run_phase2(state: SolverState) -> Solution:
 
 def _kept_sets(state: SolverState, pruned) -> list[bool]:
     """Per set id: inside the final maximal set and not inside a pruned
-    set.  Parents come after their children, so one descending pass
-    settles every parent first."""
-    fam = state.fam
-    kept = [False] * len(fam)
-    for sid in reversed(fam.ids):
-        parent = fam.parent_of(sid)
-        if parent is None:
-            kept[sid] = sid == state.final_maximal
-        else:
-            kept[sid] = kept[parent] and sid not in pruned
+    set.  A set's link comes after the links of its children, so one
+    descending pass over the family's links settles every parent
+    first; of the maximal sets, only the final one is kept."""
+    kept = [False] * len(state.fam)
+    kept[state.final_maximal] = True
+    for sid, parent in reversed(state.fam.links):
+        kept[sid] = kept[parent] and sid not in pruned
     return kept
 
 
@@ -767,7 +754,7 @@ def solve(inst: Instance, *, check_invariants: Optional[bool] = None,
 #
 # Everything here is read off the family's links, the instance, the
 # forest and the growth clocks; none of it trusts the solver's
-# union-find, its loads or its budgets.
+# union-find, its loads or its saturation clocks.
 
 
 def _family_index(state: SolverState) -> verify.FamilyIndex:
@@ -814,12 +801,12 @@ def _cover_gaps(family: verify.FamilyIndex, saturated: set[int],
     list of an earlier pass, with the same tree and the same saturated
     sets among those that had a parent then, the pass resumes at the
     links of the sets appended since."""
-    n = family.n
+    n, taken = family.n, family.taken
     if gap is None:
         gap = [1 - count for count in members[:n]]
     held = len(gap)
-    gap += [0] * (len(family.parent) - held)
-    for sid, up in family.links[2 * (held - n):]:
+    gap += [0] * (taken - held)
+    for sid, up in family.links[2 * (held - n):2 * (taken - n)]:
         if sid in saturated and not members[sid]:
             gap[sid] = 0
         gap[up] += gap[sid]
@@ -841,7 +828,7 @@ def _growth_gaps(state: SolverState,
             parent[sid] is not None and parent[sid] < len(gap)
             for sid in sat - held_sat):
         gap = None
-    gap = _cover_gaps(family, sat, [0] * len(parent), gap)
+    gap = _cover_gaps(family, sat, [0] * family.taken, gap)
     state._check_cache["gaps"] = (gap, set(sat))
     return gap
 
@@ -857,8 +844,8 @@ def check_growth_invariants(state: SolverState):
     while the clock stands still and built afresh when it moves."""
     family = _family_index(state)
     joined = {family.tops[idx] for idx in state.forest} - {-1}
-    if len(joined) < len(family.parent) - family.n:
-        unions = set(range(family.n, len(family.parent)))
+    if len(joined) < family.taken - family.n:
+        unions = set(range(family.n, family.taken))
         raise InvariantError(
             f"forest does not connect family set {min(unions - joined)}")
     index = _dual_index(state, family)

@@ -6,10 +6,11 @@ shares the solver's incremental bookkeeping (its union-find loads, its
 prune counts), so a bug in the solver's cached sums cannot hide a
 violation here.  The solver's checked mode runs these same checks.
 
-What the family fixes is kept in one place, FamilyIndex: the parent
-links, the costs and the sets' prizes as ints, and the lowest common
-set of every vertex pair asked for.  Set ids grow from children to
-parents, so a snapshot's checks are a few linear passes over its links:
+What the family fixes is kept in one place, FamilyIndex: it reads the
+family's parent and links lists in place, and adds the costs and the
+sets' prizes as ints and the lowest common set of every vertex pair
+asked for.  Set ids grow from children to parents, so a snapshot's
+checks are a few linear passes over the family's links:
 
 * descending ids, parents first: the chain load of a set, the dual mass
   on it and its ancestors; a vertex's chain load is its singleton's;
@@ -23,9 +24,9 @@ parents, so a snapshot's checks are a few linear passes over its links:
   +1 at both ends and -2 at the lca, summed over subtrees.
 
 The dual sums of a snapshot are DualIndex; given an instance at the
-family index's scale, its extend takes the sets appended to the family
-since, when no dual it holds has moved and the new ones are 0, as after
-a growth step of length 0.  An audit answers the instance's edges and
+family index's scale, its extend takes the sets the family index has
+taken since, when no dual it holds has moved and the new ones are 0, as
+after a growth step of length 0.  An audit answers the instance's edges and
 the tree's edges with one family index.  A tree is checked in one
 place, TreeIndex, in one union-find pass: its edges are replayed in
 ascending order of their lca, which counts the pieces the tree leaves
@@ -116,14 +117,15 @@ class FamilyIndex:
     """What a family's sets fix once they exist, read off the links
     each union records to the two sets it was made of.
 
-    parent[s] is the parent of set s, None for a maximal set, and links
-    holds the (set, parent) pairs in the order the parents appeared:
-    an ascending pass over it sums subtrees, a descending one chains.
+    parent and links are the family's own lists, read in place (see
+    laminar): parent[s] is the parent of set s, None for a maximal set,
+    and links holds the (set, parent) pairs in the order the parents
+    appeared.  taken counts the family's sets the index has taken.
     ends holds pairs of vertices, the instance's edges and then the
     pairs given, an end -1 where it names no vertex of the family.
     tops[k] is the lowest set holding both ends of pair k, -1 if no set
-    does or an end is -1.  With an instance, costs[i] is the cost of
-    edge i and prizes[s] the prize of set s, as ints over scale, read
+    taken does or an end is -1.  With an instance, costs[i] is the cost
+    of edge i and prizes[s] the prize of set s, as ints over scale, read
     from the instance's scaled_costs and scaled_prizes, and edge_ids
     maps each edge's (u, v) to its index.
 
@@ -135,14 +137,14 @@ class FamilyIndex:
     and hands the rest to the longer one; a pair moves to a list at
     least twice as long, so it is read O(log n) times.  The family only
     appends, so every fact here is fixed once its set exists, and
-    extend takes the sets appended since the last call."""
+    extend takes the sets appended since the last call: their prize
+    sums and the pairs they are the lowest common set of."""
 
     def __init__(self, fam: LaminarFamily, inst: Optional[Instance] = None,
                  pairs: Iterable = ()):
         n = self.n = fam.n
         self.fam = fam
-        self.parent: list[Optional[int]] = [None] * n
-        self.links: list[tuple[int, int]] = []
+        self.parent, self.links, self.taken = fam.parent, fam.links, n
         self.m = 0 if inst is None else inst.m
         ends = [] if inst is None else [
             (u if u < n else -1, v if v < n else -1) for u, v in inst.ends]
@@ -168,16 +170,13 @@ class FamilyIndex:
 
     def extend(self) -> None:
         """Take the sets appended to the family since the last call."""
-        parent, links, prizes = self.parent, self.links, self.prizes
-        for sid in range(len(parent), len(self.fam)):
-            a, b = self.fam.children(sid)
-            parent[a] = parent[b] = sid
-            parent.append(None)
-            links += ((a, sid), (b, sid))
-            if prizes is not None:
-                prizes.append(prizes[a] + prizes[b])
+        unions = iter(self.links[2 * (self.taken - self.n):])
+        for (a, sid), (b, _) in zip(unions, unions):
+            if self.prizes is not None:
+                self.prizes.append(self.prizes[a] + self.prizes[b])
             if self.pending is not None:
                 self._meet(sid, a, b)
+        self.taken = len(self.parent)
 
     def _meet(self, sid: int, a: int, b: int) -> None:
         pending, link, root = self.pending, self.link, self.root
@@ -264,14 +263,15 @@ class DualIndex:
                                     for k, q in enumerate(slacks) if q < 0]
 
     def extend(self, duals: DualAssignment) -> bool:
-        """Take the sets the family index gained since the index was
+        """Take the sets the family index has taken since the index was
         built or last extended, given duals of the whole family at the
         index's scale, and return True, when the duals of the sets held
         are unchanged and every new set's is 0, as after a growth step of
         length 0; otherwise change nothing and return False, and the
         caller builds afresh.  An index built without an instance, or at
         a scale other than its family index's, is refused the same way:
-        checked mode, the one caller, builds neither.
+        checked mode, the one caller, builds neither.  So is a family
+        grown past the sets its family index has taken.
 
         Every number then equals a fresh build's.  A new set lies above
         the held ones and has no dual, so no held set's chain or inside
@@ -283,7 +283,7 @@ class DualIndex:
         family, held, y = self.family, len(self.y), duals.y
         if self.inside is None \
                 or not duals.scale == self.scale == family.scale \
-                or len(y) != len(family.parent) \
+                or not len(y) == family.taken == len(family.parent) \
                 or y[:held] != self.y or any(y[held:]):
             return False
         zeros = [0] * (len(y) - held)

@@ -224,6 +224,73 @@ def test_solve_hostile_shape_fails_fast(tmp_path, capsys, name):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+NINES = "9" * 5000
+STP_EDGE = "SECTION Graph\nNodes 2\nEdges 1\n%s\nEND\nEOF\n"
+# name: (the instance file's suffix and text for pcst solve, or "doc"
+# and an edit of the star's solution document text for pcst verify,
+# what the refusal ends with)
+LONG_TOKEN_CASES = {
+    "json-exponent": (
+        ".json", '{"n": 1, "prizes": [1e%s], "edges": []}' % NINES,
+        "(5002 characters) exceeds 1000 in magnitude"),
+    "stp-exponent": (
+        ".stp", STP_EDGE % ("E 1 2 1e" + NINES),
+        "(5002 characters) exceeds 1000 in magnitude (line 4)"),
+    "document-exponent": (
+        "doc", lambda text: text.replace('"cost": "', '"cost": "1e' + NINES),
+        "malformed solution field: cost: exponent of '1e" + "9" * 37
+        + "... (5005 characters) exceeds 1000 in magnitude"),
+    "stp-vertex-id": (
+        ".stp", STP_EDGE % ("E 1" + NINES + " 2 1"),
+        "(5001 characters) has more than 4300 digits (line 4)"),
+    "json-n": (
+        ".json", '{"n": %s, "prizes": [], "edges": []}' % NINES,
+        "(5000 characters) has more than 4300 digits"),
+    "json-prize": (
+        ".json", '{"n": 1, "prizes": [%s], "edges": []}' % NINES,
+        "(5000 characters) has more than 4300 digits"),
+    "document-vertex": (
+        "doc", lambda text: text.replace('"minimizing_vertex": 0',
+                                         '"minimizing_vertex": ' + NINES),
+        ": integer '" + "9" * 39 + "... (5000 characters) has more than "
+        "4300 digits"),
+    "stp-edge-line": (
+        ".stp", STP_EDGE % ("E 1 2 1 " + "x" * 5000),
+        "bad edge line 'E 1 2 1 " + "x" * 31 + "... (5008 characters) "
+        "(line 4)"),
+    "stp-nodes-line": (
+        ".stp", "SECTION Graph\nNodes %s\nEND\nEOF\n" % NINES,
+        "bad Nodes line 'Nodes " + "9" * 33 + "... (5006 characters) "
+        "(line 2)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_TOKEN_CASES))
+def test_long_tokens_are_refused_in_one_short_line(solved, tmp_path, capsys,
+                                                   monkeypatch, name):
+    """A number past MAX_EXPONENT or int()'s digit limit, as a json or
+    stp token or a solution document's field, and an stp line too long
+    to quote, are refused with exit 2 in one stderr line under 200
+    characters that names the token, at most 40 characters of its repr,
+    and the bound, in the package's words, not Python's."""
+    star_file, sol_path, _ = solved
+    monkeypatch.chdir(tmp_path)  # the files are named relative to it
+    suffix, text, ending = LONG_TOKEN_CASES[name]
+    if suffix == "doc":
+        edited = text(sol_path.read_text())
+        assert edited != sol_path.read_text()
+        sol_path.write_text(edited)
+        argv = ("verify", sol_path.name, star_file.name)
+    else:
+        Path("instance" + suffix).write_text(text)
+        argv = ("solve", "instance" + suffix)
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(ending + "\n") and err.count("\n") == 1
+    assert len(err) < 200 and "set_int_max_str_digits" not in err
+
+
 def fifty_digit_ratios(count, seed):
     rng = random.Random(seed)
     return [f"{rng.randrange(10 ** 49, 10 ** 50)}/"

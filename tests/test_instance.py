@@ -204,7 +204,8 @@ JSON_REJECTS = {  # document: what the error says
     '{"n": 1, "prizes": [Infinity], "edges": []}': "non-finite number",
     '{"n": 1, "prizes": [-1], "edges": []}': "negative prize -1",
     '{"n": 1, "prizes": [1e4000000], "edges": []}': "exponent",
-    '{"n": 1, "prizes": [1%s], "edges": []}' % ("0" * 5000): "5001 digits",
+    '{"n": 1, "prizes": [1%s], "edges": []}' % ("0" * 5000):
+        "(5001 characters) has more than 4300 digits",
     '{"n": 1, "prizes": 0, "edges": []}': '"prizes" must be a list',
     '{"n": 1, "prizes": [0], "edges": {}}': '"edges" must be a list',
     '{"n": 1, "prizes": [0], "edges": [], "names": "a"}':

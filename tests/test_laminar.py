@@ -39,9 +39,28 @@ def test_merge_structure():
     assert fam.parent_of(0) == nid and fam.parent_of(1) == nid
     assert fam.size(nid) == 2
     assert fam.maximal_ids() == [2, 3, 4]
-    assert fam.children(nid) == (0, 1)
-    with pytest.raises(ValueError, match="set 1 is no union"):
-        fam.children(1)
+    assert fam.links == [(0, 4), (1, 4)]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_links_record_each_union_once(seed):
+    """Over random families: the links hold two (child, parent) pairs
+    per union, in union order, the union's two children in the order
+    merge was given them, and they agree with the parent list."""
+    n = 10
+    fam = lam.LaminarFamily(n)
+    rng = random.Random(seed)
+    unions = []
+    while len(fam.maximal_ids()) > 1 and rng.random() < 0.9:
+        a, b = rng.sample(fam.maximal_ids(), 2)
+        unions.append((a, b, fam.merge(a, b)))
+    assert len(fam.links) == 2 * (len(fam) - n) == 2 * len(unions)
+    assert fam.links == [link for a, b, nid in unions
+                         for link in ((a, nid), (b, nid))]
+    assert sorted(fam.links) == sorted(
+        (sid, parent) for sid, parent in enumerate(fam.parent)
+        if parent is not None)
+    assert fam.parent == [fam.parent_of(sid) for sid in fam.ids]
 
 
 def test_merge_rejects_non_maximal_and_self():
@@ -179,11 +198,29 @@ def test_family_index_matches_chain_walks(seed):
                             for vs in sets]
     grown = lam.LaminarFamily(n)
     stepwise = verify.FamilyIndex(grown, inst, pairs)
-    for sid in range(n, len(fam)):
-        grown.merge(*fam.children(sid))
+    unions = iter(fam.links)
+    for (a, _), (b, _) in zip(unions, unions):
+        grown.merge(a, b)
         stepwise.extend()
-    for name in ("parent", "links", "ends", "tops", "costs", "prizes"):
+    for name in ("parent", "links", "taken", "ends", "tops", "costs",
+                 "prizes"):
         assert getattr(stepwise, name) == getattr(index, name), name
+
+
+def test_family_index_reads_the_familys_lists_in_place():
+    """A family index holds the family's own parent and links lists,
+    not copies, so it sees every later union; what it takes of them is
+    counted by the index, up to the last extend."""
+    fam = lam.LaminarFamily(4)
+    fam.merge(0, 1)
+    index = verify.FamilyIndex(fam, Instance(4, ((1, 2, 2),), (1,) * 4))
+    assert index.parent is fam.parent and index.links is fam.links
+    assert index.taken == 5 and index.tops == [-1]
+    fam.merge(2, 4)
+    assert index.parent[4] == 5 and index.links[-1] == (4, 5)
+    assert index.taken == 5 and index.tops == [-1]
+    index.extend()
+    assert index.taken == 6 and index.tops == [5]
 
 
 def test_from_records_rejects_malformed():

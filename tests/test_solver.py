@@ -642,7 +642,7 @@ def test_checked_growth_runs_no_lca_pass(monkeypatch):
 
         def extend(self):
             if self.counted:
-                extended.append(len(self.fam) - len(self.parent))
+                extended.append(len(self.fam) - self.taken)
             super().extend()
 
     monkeypatch.setattr(verify, "FamilyIndex", CountingFamilyIndex)
@@ -794,7 +794,8 @@ def poison_state(state, rng):
             at = rng.randrange(len(prizes))
             prizes[at] = max(0, prizes[at] + Fraction(delta, state._scale))
         return swap_instance(state, tuple(prizes))
-    merged = [sid for sid in state.fam.ids if not state.fam.is_maximal(sid)]
+    merged = [sid for sid, parent in enumerate(state.fam.parent)
+              if parent is not None]
     if not merged:
         return None
     toggled = {rng.choice(merged)}
@@ -893,8 +894,8 @@ def test_checked_growth_reads_parent_links_once_per_set(monkeypatch):
 
 
 # what the solver keeps for itself: its union-find, scaled costs and
-# prize budgets
-SOLVER_SUMS = ("_dsu", "_offset", "_top", "_root", "_cost", "_budget")
+# saturation clocks
+SOLVER_SUMS = ("_dsu", "_offset", "_top", "_root", "_cost", "_sat_clock")
 
 
 class BlindState(sv.SolverState):

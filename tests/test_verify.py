@@ -3,6 +3,7 @@ solution audit, including injected-fault detection.  Fault-injection
 tests run against both the package checker and the naive reference
 checker in naive_checker.py, and agreement tests compare the two."""
 import ast
+import copy
 import json
 import random
 from fractions import Fraction
@@ -96,6 +97,33 @@ def merge_at_random(fam, rng, count):
 
 DUAL_INDEX_FIELDS = ("scale", "y", "chain", "total", "inside", "costs",
                      "prizes", "edge_slack", "violations")
+
+
+def test_dual_index_extend_refuses_a_family_grown_past_its_index():
+    """When the family has grown past the sets its family index has
+    taken, extend returns False and changes nothing, whether it is given
+    zeros for the whole family or for the sets taken; once the family
+    index has taken them, it extends."""
+    inst = gen_random(6, "1/2", max_cost=6, max_prize=6, seed=3)
+    fam = lam.LaminarFamily(6)
+    fam.merge(0, 1)
+    family = verify.FamilyIndex(fam, inst)
+    y = [inst.scale * k for k in (1, 0, 2, 0, 1, 0, 0)]
+    index = verify.DualIndex(fam, lam.DualAssignment(y, inst.scale, set()),
+                             inst, family)
+    before = {name: copy.copy(getattr(index, name))
+              for name in DUAL_INDEX_FIELDS}
+    fam.merge(2, 3)
+    fam.merge(4, 6)
+    for length in (len(fam), family.taken):
+        grown = y + [0] * (length - len(y))
+        assert not index.extend(lam.DualAssignment(grown, inst.scale, set()))
+        assert {name: getattr(index, name)
+                for name in DUAL_INDEX_FIELDS} == before
+    family.extend()
+    grown = y + [0] * (len(fam) - len(y))
+    assert index.extend(lam.DualAssignment(grown, inst.scale, set()))
+    assert index.y == grown
 
 
 def test_dual_index_extend_equals_a_fresh_build():

@@ -217,26 +217,37 @@ PERTURBATIONS = (
     malformed_vertex_list, malformed_edge_list, unchanged)
 
 
+def import_cli(src: str):
+    """pcst.cli imported from the package under src, with sys.path left
+    as it was; a pcst imported from elsewhere before is refused."""
+    sys.path.insert(0, src)
+    try:
+        from pcst import cli
+    finally:
+        sys.path.remove(src)
+    if not Path(cli.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise SystemExit(f"error: imported pcst from {cli.__file__}, "
+                         f"not from {src}")
+    return cli
+
+
 def run_cli(cli, argv) -> tuple[int, str, str]:
+    """The exit code, the stdout and the stderr without timing lines of
+    one run of cli.main in this process."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
+    return code, out.getvalue(), "".join(
+        line for line in err.getvalue().splitlines(keepends=True)
+        if not TIMING.match(line.rstrip("\n")))
 
 
 def run_corpus(src: str, documents: int = INSTANCES * PER_INSTANCE) -> dict:
     """Verify the first `documents` of the corpus with the package under
     src: {"codes": {exit code: runs}, "refusals": {folded stderr line of
     an exit-2 run: count}, "sha256": digest}."""
-    sys.path.insert(0, src)
-    try:
-        from pcst import cli
-        from pcst.instance import emit_instance, gen_random
-    finally:
-        sys.path.remove(src)
-    if not Path(cli.__file__).resolve().is_relative_to(Path(src).resolve()):
-        raise SystemExit(f"error: imported pcst from {cli.__file__}, "
-                         f"not from {src}")
+    cli = import_cli(src)
+    from pcst.instance import emit_instance, gen_random
     digest, codes, refusals = hashlib.sha256(), {}, {}
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
@@ -261,9 +272,6 @@ def run_corpus(src: str, documents: int = INSTANCES * PER_INSTANCE) -> dict:
                     for flags in ([], ["--json"]):
                         code, out, err = run_cli(
                             cli, ["verify", "doc.json", "inst.json", *flags])
-                        err = "".join(line for line in
-                                      err.splitlines(keepends=True)
-                                      if not TIMING.match(line.rstrip("\n")))
                         codes[code] = codes.get(code, 0) + 1
                         if code == 2:
                             for line in err.splitlines():
