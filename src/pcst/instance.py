@@ -82,6 +82,8 @@ MAX_VERTICES = 10**6
 MAX_SCALE_BITS = 4096
 MAX_TOTAL_BITS = 14_000
 _EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)")
+# a run of digits as int() reads one, underscores between digits
+_DIGIT_RUN = re.compile(r"\d+(?:_\d+)*")
 
 
 class ParseError(ValueError):
@@ -110,44 +112,70 @@ def _quoted(token) -> str:
 
 
 def parse_rational(token: RationalLike) -> Fraction:
-    """Convert an int, Fraction, or numeric string token exactly.
+    """Convert an int, Fraction, or numeric string token exactly, as
+    _ratio reads it.
 
     Floats are rejected on purpose: the caller should pass the original
     text so "0.1" means 1/10 and not the nearest binary double.  String
     tokens longer than MAX_TOKEN_CHARS or with an exponent beyond
-    MAX_EXPONENT in magnitude are refused.  A refusal quotes at most 40
-    characters of the token's repr.
+    MAX_EXPONENT in magnitude are refused, and so is a digit run past
+    int()'s digit limit.  A refusal quotes at most 40 characters of the
+    token's repr.
     """
-    if isinstance(token, Fraction):
-        return token
-    if isinstance(token, bool):
-        raise ValueError(f"not a rational token: {token!r}")
-    if isinstance(token, int):
-        return Fraction(token)
+    return token if isinstance(token, Fraction) else Fraction(*_ratio(token))
+
+
+def _ratio(token) -> tuple[int, int]:
+    """The one reader of a number token: (p, q), the token's value p / q
+    in lowest terms with q >= 1.  An int is read as itself, and a
+    string of at most MAX_TOKEN_CHARS characters that is a run of ASCII
+    digits, or two around a slash in lowest terms with q >= 1, is split
+    into its ints.  Every other token goes through _fraction, to the
+    same value.  A digit run past int()'s digit limit is refused in
+    _int's words, in whichever form the token comes."""
+    if type(token) is int:
+        return token, 1
+    if isinstance(token, str) and len(token) <= MAX_TOKEN_CHARS \
+            and token.isascii():
+        num, slash, den = token.partition("/")
+        if num.isdigit() and (den.isdigit() or not slash):
+            p, q = _int(num), _int(den) if slash else 1
+            if q and math.gcd(p, q) == 1:
+                return p, q
+    return _fraction(token).as_integer_ratio()
+
+
+def _fraction(token) -> Fraction:
+    """A token _ratio does not split, read by Fraction within
+    MAX_TOKEN_CHARS and MAX_EXPONENT, or refused."""
     if isinstance(token, float):
         raise ValueError("floats are inexact; pass the token as a string")
-    if isinstance(token, str):
-        text = token.strip()
-        if len(text) > MAX_TOKEN_CHARS:
-            raise ValueError(f"numeric token longer than {MAX_TOKEN_CHARS} "
-                             "characters")
-        exponent = _EXPONENT.search(text)
-        # float(), not int(): int() refuses a run past its digit limit
-        if exponent and \
-                abs(float(exponent.group(1).replace("_", ""))) > MAX_EXPONENT:
-            raise ValueError(f"exponent of {_quoted(text)} exceeds "
-                             f"{MAX_EXPONENT} in magnitude")
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError("not a rational token: "
-                             + _quoted(token)) from exc
-    raise ValueError(f"not a rational token: {_quoted(token)}")
+    if isinstance(token, (int, Fraction)) and not isinstance(token, bool):
+        return Fraction(token)
+    if not isinstance(token, str):
+        raise ValueError(f"not a rational token: {_quoted(token)}")
+    text = token.strip()
+    if len(text) > MAX_TOKEN_CHARS:
+        raise ValueError(f"numeric token longer than {MAX_TOKEN_CHARS} "
+                         "characters")
+    exponent = _EXPONENT.search(text)
+    # float(), not int(): int() refuses a run past its digit limit
+    if exponent and \
+            abs(float(exponent.group(1).replace("_", ""))) > MAX_EXPONENT:
+        raise ValueError(f"exponent of {_quoted(text)} exceeds "
+                         f"{MAX_EXPONENT} in magnitude")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        for run in _DIGIT_RUN.findall(text):
+            _int(run)  # int() refuses nothing else of such a run
+        raise ValueError(f"not a rational token: {_quoted(token)}") from exc
 
 
 def _int(token: str) -> int:
-    """int(token) of a run of digits, with an optional sign; one past
-    int()'s digit limit is refused quoting the token and the limit."""
+    """int(token) of a run of digits, with an optional sign or with
+    underscores between digits; one past int()'s digit limit is refused
+    quoting the token and the limit."""
     try:
         return int(token)
     except ValueError:
@@ -313,8 +341,7 @@ def _walk(n: int, edges: Iterable, prizes: Iterable):
     an edge or prize is raised here, naming the first bad one."""
     nums, dens = [], []
     for p in prizes:
-        a, q = (p, 1) if type(p) is int \
-            else parse_rational(p).as_integer_ratio()
+        a, q = _ratio(p)
         nums.append(a)
         dens.append(q)
     if len(nums) != n:
@@ -341,8 +368,7 @@ def _walk(n: int, edges: Iterable, prizes: Iterable):
         if (u, v) in ends:
             raise ValueError(f"parallel edge {k} between {u} and {v}")
         ends[u, v] = None
-        a, q = (c, 1) if type(c) is int \
-            else parse_rational(c).as_integer_ratio()
+        a, q = _ratio(c)
         if a < 0:
             raise ValueError(f"negative cost {Fraction(a, q)} on edge {k}")
         nums.append(a)
@@ -461,15 +487,10 @@ def _stp_int(token: str) -> int:
 
 
 def _stp_number(token: str) -> int | Fraction:
-    """A cost or prize token of an stp file: an int when it is ASCII
-    digits, as a json int is, else parse_rational's Fraction (and its
-    refusals)."""
-    if len(token) <= MAX_TOKEN_CHARS:
-        try:
-            return _stp_int(token)
-        except ValueError:  # not digits, or past int()'s digit limit
-            pass
-    return parse_rational(token)
+    """A cost or prize token of an stp file, read by _ratio: an int when
+    its value is one, as a json int is, else a Fraction."""
+    p, q = _ratio(token)
+    return p if q == 1 else Fraction(p, q)
 
 
 def _parse_stp(text: str) -> Instance:

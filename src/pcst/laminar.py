@@ -24,27 +24,22 @@ A snapshot is the solution document's laminar list: per set its id,
 its dual as a "p/q" token, its saturation flag and its parent link.
 The member vertices are not stored, because the parent links determine
 them.  It is written as json text, one gcd and one f-string per set,
-and builds neither a Fraction nor a dict.  Reading one splits each
-canonical "p/q" token into two ints; any other token goes through
-parse_rational, its bounds and its messages.
+and builds neither a Fraction nor a dict.  Reading one reads each
+dual token through instance._ratio, the package's one number reader,
+which splits a canonical "p/q" token into its two ints.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Optional
 
-from .instance import ParseError, budgeted_scale, parse_rational
+from .instance import ParseError, _ratio, budgeted_scale
 
 SetId = int
 # a snapshot entry read back: id, dual p / q, saturated, parent
 Record = tuple[SetId, int, int, bool, Optional[SetId]]
-# longest dual token split without parse_rational: its digit runs stay
-# below sys.int_max_str_digits (4300 by default), so int() cannot refuse
-# them with a message of its own
-_SPLIT_MAX_CHARS = 4000
 
 
 class LaminarFamily:
@@ -127,13 +122,9 @@ def records_from_json(items: list) -> list[Record]:
     pcst-solution/1 documents are accepted and skipped.  An id must be
     an int, a parent an int or None and a saturation flag a bool; bool
     is an int subtype, so it is refused as an id or parent.  A dual
-    token of two ASCII digit runs around a slash, in lowest terms with a
-    positive denominator and at most _SPLIT_MAX_CHARS long, is split into
-    its two ints; parse_rational reads every other token to the same
-    value, or refuses it.  A refusal names the entry's position in the
-    list, as "laminar entry k: ..."."""
-    cap = min(_SPLIT_MAX_CHARS,
-              sys.get_int_max_str_digits() or _SPLIT_MAX_CHARS)
+    token is read by instance._ratio, or refused in its words.  A
+    refusal names the entry's position in the list, as
+    "laminar entry k: ..."."""
     records = []
     try:
         for k, item in enumerate(items):
@@ -149,14 +140,7 @@ def records_from_json(items: list) -> list[Record]:
                 raise ValueError("snapshot ids and parents must be integers")
             if type(item["saturated"]) is not bool:
                 raise ValueError("snapshot saturation flags must be booleans")
-            y = item["y"]
-            p = q = 0
-            if isinstance(y, str) and len(y) <= cap and y.isascii():
-                num, _, den = y.partition("/")
-                if num.isdigit() and den.isdigit():
-                    p, q = int(num), int(den)
-            if q < 1 or gcd(p, q) != 1:
-                p, q = parse_rational(y).as_integer_ratio()
+            p, q = _ratio(item["y"])
             records.append((sid, p, q, item["saturated"], parent))
     except ValueError as exc:
         raise ValueError(f"laminar entry {k}: {exc}")

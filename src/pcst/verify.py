@@ -36,7 +36,8 @@ the same index validates the tree (vertex range, instance edges, no
 repeats, connected) and holds its cost and penalty, so an audit
 validates the tree once and every check reads the same index.  A
 tree's vertices are ints (make_tree refuses anything else, bool
-included), and any other value names no vertex of the family.
+included, and a vertex listed twice), and any other value names no
+vertex of the family.
 
 Dual sums are integers over DualIndex.scale, the duals' scale or, with
 an instance, the audit_scale of the two; results are exact Fractions.
@@ -78,12 +79,18 @@ class Tree(NamedTuple):
 
 def make_tree(vertices: Iterable[int], edges: Iterable) -> Tree:
     """A tree of int vertices and (u, v) edges; a ValueError names any
-    vertex or edge end that is not an int, bool included."""
+    vertex or edge end that is not an int, bool included, and the first
+    vertex listed twice."""
     vertices, edges = tuple(vertices), tuple((u, v) for u, v in edges)
     # the raw list, before a set merges true with 1 or hashes a list
     if any(type(x) is not int for x in itertools.chain(vertices, *edges)):
         raise ValueError("tree vertices and edge ends must be integers")
-    return Tree(frozenset(vertices), edges)
+    seen: set[int] = set()
+    for v in vertices:
+        if v in seen:
+            raise ValueError(f"tree vertex {v} repeated")
+        seen.add(v)
+    return Tree(frozenset(seen), edges)
 
 
 @dataclass(frozen=True)

@@ -265,6 +265,37 @@ LONG_TOKEN_CASES = {
 }
 
 
+def edit_document(key, token):
+    """An edit of a solution document's text that sets a reported number,
+    or the first laminar entry's dual for key "y", to token."""
+    def edit(text):
+        doc = json.loads(text)
+        (doc["laminar"][0] if key == "y" else doc)[key] = token
+        return json.dumps(doc)
+    return edit
+
+
+# a 5000-digit run as a number token in four forms, each refused in the
+# reader's words wherever it comes
+DIGIT_LIMIT = "integer '" + "9" * 39 + "... (5000 characters) has more " \
+    "than 4300 digits"
+for form, token in {"plain": NINES, "signed": "+" + NINES,
+                    "ratio": NINES + "/7", "decimal": "1." + NINES}.items():
+    LONG_TOKEN_CASES.update({
+        f"json-string-prize-{form}": (
+            ".json", '{"n": 1, "prizes": ["%s"], "edges": []}' % token,
+            DIGIT_LIMIT),
+        f"stp-cost-{form}": (
+            ".stp", STP_EDGE % ("E 1 2 " + token), DIGIT_LIMIT + " (line 4)"),
+        f"document-dual-{form}": (
+            "doc", edit_document("y", token),
+            "malformed solution field: laminar entry 0: " + DIGIT_LIMIT),
+        f"document-cost-{form}": (
+            "doc", edit_document("cost", token),
+            "malformed solution field: cost: " + DIGIT_LIMIT),
+    })
+
+
 @pytest.mark.parametrize("name", sorted(LONG_TOKEN_CASES))
 def test_long_tokens_are_refused_in_one_short_line(solved, tmp_path, capsys,
                                                    monkeypatch, name):
@@ -272,7 +303,9 @@ def test_long_tokens_are_refused_in_one_short_line(solved, tmp_path, capsys,
     stp token or a solution document's field, and an stp line too long
     to quote, are refused with exit 2 in one stderr line under 200
     characters that names the token, at most 40 characters of its repr,
-    and the bound, in the package's words, not Python's."""
+    and the bound, in the package's words, not Python's.  A digit run
+    past the limit is refused as such in every form, plain, signed, a
+    ratio or a decimal, and never as junk."""
     star_file, sol_path, _ = solved
     monkeypatch.chdir(tmp_path)  # the files are named relative to it
     suffix, text, ending = LONG_TOKEN_CASES[name]
@@ -289,6 +322,7 @@ def test_long_tokens_are_refused_in_one_short_line(solved, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.endswith(ending + "\n") and err.count("\n") == 1
     assert len(err) < 200 and "set_int_max_str_digits" not in err
+    assert "not a rational token" not in err
 
 
 def fifty_digit_ratios(count, seed):
@@ -632,11 +666,15 @@ def set_entry(k, **fields):
      "tree edge 1 must be a list of two vertices"),
     (set_fields(tree={"vertices": [0, [1], 2], "edges": [[0, 1], [0, 2]]}),
      "tree vertices and edge ends must be integers"),
+    (set_fields(tree={"vertices": [0, 1, 2, 1, 0],
+                      "edges": [[0, 1], [0, 2]]}),
+     "tree vertex 1 repeated"),
     (set_fields(laminar=5), "laminar must be a list"),
     (set_fields(cost=None), "cost: not a rational token: None"),
     (set_fields(penalty="x"), "penalty: not a rational token: 'x'"),
     (set_fields(cost="1" * 5000),
-     "cost: not a rational token: '" + "1" * 39 + "... (5000 characters)"),
+     "cost: integer '" + "1" * 39 + "... (5000 characters) has more than "
+     "4300 digits"),
     (set_fields(objective=1.5),
      "objective: floats are inexact; pass the token as a string"),
     (set_fields(lagrangean_objective=True),
@@ -655,8 +693,8 @@ def set_entry(k, **fields):
     (set_entry(1, y="1/0"),
      "laminar entry 1: not a rational token: '1/0'"),
 ], ids=["vertices-int", "edges-null", "edge-short", "vertex-list",
-        "laminar-int", "cost-null", "penalty-str", "cost-5000-digits",
-        "objective-float", "lagrangean-bool",
+        "vertex-repeated", "laminar-int", "cost-null", "penalty-str",
+        "cost-5000-digits", "objective-float", "lagrangean-bool",
         "lower-bound-list", "entry-int", "entry-missing-key", "entry-id-str",
         "entry-parent-float", "entry-saturated-int", "entry-dual-token"])
 def test_verify_misshapen_field_is_named(solved, capsys, mutate, detail):

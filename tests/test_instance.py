@@ -56,7 +56,8 @@ def test_parse_rational_rejects(token):
     ("x" * 38, "not a rational token: '" + "x" * 38 + "'"),
     ("x" * 39, "not a rational token: '" + "x" * 39 + "... (39 characters)"),
     ("1" * 5000,
-     "not a rational token: '" + "1" * 39 + "... (5000 characters)"),
+     "integer '" + "1" * 39 + "... (5000 characters) has more than 4300 "
+     "digits"),
     ([1] * 20, "not a rational token: [" + "1, " * 13 + "... (60 characters)"),
     ("1e4000000", "exponent of '1e4000000' exceeds 1000 in magnitude"),
     (" 1e" + "9" * 60,
@@ -71,6 +72,61 @@ def test_parse_rational_quotes_at_most_40_characters(token, message):
     with pytest.raises(ValueError) as refusal:
         parse_rational(token)
     assert str(refusal.value) == message
+
+
+DIGIT_ALPHABETS = ("0123456789",
+                   "".join(map(chr, range(0x660, 0x66a))),  # Arabic-Indic
+                   "\u00b9\u00b2\u00b3")  # superscripts: isdigit, not \d
+
+
+def sweep_tokens() -> list[str]:
+    """Number tokens of every shape the reader meets, from a fixed seed:
+    canonical and not in lowest terms, signed, padded with spaces, with
+    underscores, decimals and exponents, in three digit alphabets, with
+    runs of 1 to 4301 digits.  Exponents stay within MAX_EXPONENT."""
+    rng = random.Random(30)
+    tokens = ["1/0", "", "/", "1//2", "0/1", "1e" + "0" * 4301 + "1"]
+    for digits in DIGIT_ALPHABETS:
+        def run(length):
+            return "".join(rng.choice(digits) for _ in range(length))
+        for length in (1, 3, 12, 4300, 4301):
+            a, b, c = run(length), run(rng.randint(1, 3)), run(1)
+            tokens += [a, f"{a}/{b}", f"{a}/{a}", f"{b}/{a}", f"+{a}",
+                       f"-{a}/{b}", f" {a} ", f"{a}/{b} ", f"{a}.{b}",
+                       f"{b}.{a}", f"{a}e{c}", f"{b}E-{c}", f"{a}_{b}",
+                       f"{b}_{a}/{b}", f"{a}e+{c}_{c}"]
+    return tokens
+
+
+@pytest.mark.parametrize("int_digits", [4300, 640, 0])
+def test_reader_agrees_with_fraction_token_by_token(int_digits):
+    """instance._ratio, the one number reader, against Fraction(text)
+    under three int() digit limits: a token Fraction reads is read to
+    its value in lowest terms; one whose digit run Fraction cannot turn
+    into an int is refused in one line that names the limit; any other
+    that Fraction refuses is refused in one line."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(int_digits)
+    try:
+        for token in sweep_tokens():
+            try:
+                want = Fraction(token)
+            except (ValueError, ZeroDivisionError) as exc:
+                want = exc
+            try:
+                p, q = instance._ratio(token)
+            except ValueError as exc:
+                got = str(exc)
+                assert "\n" not in got and len(got) < 200, token
+                assert not isinstance(want, Fraction), token
+                if "Exceeds the limit" in str(want):
+                    assert got.endswith(f"has more than {int_digits} "
+                                        "digits"), token
+                continue
+            assert isinstance(want, Fraction), token
+            assert (p, q) == want.as_integer_ratio(), token
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_format_rational_canonical():

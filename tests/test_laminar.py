@@ -12,6 +12,7 @@ from conftest import chain_of_vertex
 from naive_checker import members
 from pcst import (Instance, ParseError, format_rational, from_records,
                   gen_random, records_from_json, solve, to_records)
+from pcst import instance
 from pcst import laminar as lam
 from pcst import solver as sv
 from pcst import verify
@@ -273,24 +274,23 @@ def test_from_records_reads_every_token_form(token, canonical):
 
 
 SPLIT_TOKENS = ["1/2", "0/1", "7/1", "01/2", "12345678901234567890/7",
-                "9" * 3998 + "/1"]
+                "9" * 4300 + "/1", "5", 3, 0]
 PARSED_TOKENS = ["2/4", "0/5", "1/0", " 1/2", "1/2 ", "+1/2", "-1/2", "1e3",
-                 "0.5", "1_0/3", "1//2", "/2", "1/", "5", "", 3, 0, True,
-                 None, 1.5, "\u0663/1", "\u00b2/1", "1/\u0663",
-                 "9" * 3999 + "/1", "9" * 4400 + "/1"]
+                 "0.5", "1_0/3", "1//2", "/2", "1/", "", True, None, 1.5,
+                 "\u0663/1", "\u00b2/1", "1/\u0663", "9" * 10_001]
 
 
 def test_records_from_json_splits_only_canonical_tokens(monkeypatch):
-    """A dual token of two ASCII digit runs, in lowest terms with q >= 1
-    and at most 4000 characters, is split into its ints without
-    parse_rational.  Every other token goes through parse_rational and
-    gives its value or its message behind the entry's position,
-    Arabic-Indic digits and superscripts that str.isdigit accepts among
-    them.  The split stays below sys.int_max_str_digits when that is
-    set lower, so int() never refuses a token with a message of its
-    own."""
+    """A dual token that is an int, or a run of ASCII digits or two
+    around a slash in lowest terms with q >= 1, is read without the
+    reader's Fraction fallback (instance._fraction), to Fraction's
+    value.  Every other token goes through the fallback once and gives
+    its value or its message behind the entry's position, Arabic-Indic
+    digits and superscripts that str.isdigit accepts among them.  A
+    digit run past int()'s digit limit, also when that is set lower, is
+    refused in the reader's words, split or not."""
     calls = []
-    real = lam.parse_rational
+    real = instance._fraction
 
     def counted(token):
         calls.append(token)
@@ -310,9 +310,9 @@ def test_records_from_json_splits_only_canonical_tokens(monkeypatch):
         except ValueError as exc:
             return f"laminar entry 0: {exc}"
 
-    monkeypatch.setattr(lam, "parse_rational", counted)
+    monkeypatch.setattr(instance, "_fraction", counted)
     for token in SPLIT_TOKENS:
-        assert read(token) == expected(token), token
+        assert read(token) == Fraction(token).as_integer_ratio(), token
         assert calls == [], token
     for token in PARSED_TOKENS:
         assert read(token) == expected(token), token
@@ -320,9 +320,12 @@ def test_records_from_json_splits_only_canonical_tokens(monkeypatch):
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        for token in ("9" * 637 + "/1", "9" * 700 + "/1"):
-            assert read(token) == expected(token)
-            assert calls == ([] if len(token) <= 640 else [token])
+        assert read("9" * 640 + "/1") == (10 ** 640 - 1, 1)
+        for token in ("9" * 641 + "/1", "+" + "9" * 641 + "/1"):
+            assert read(token) == ("laminar entry 0: integer '" + "9" * 39
+                                   + "... (641 characters) has more than "
+                                   "640 digits"), token
+            assert calls == ([] if token[0] == "9" else [token])
     finally:
         sys.set_int_max_str_digits(limit)
 

@@ -4,7 +4,10 @@ import importlib.util
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from pcst import cli
 
@@ -34,8 +37,8 @@ NAMED_FIELD = re.compile(
 
 # the corpus's runs per exit code and its digest: every run's stdout,
 # stderr and exit code, byte for byte
-CODES = {"0": "138", "2": "1060", "3": "1202"}
-SHA256 = "7392974fb79dc5bd900ad666c286158cd015807bfcdef2e852638413f7540173"
+CODES = {"0": "96", "2": "1198", "3": "1106"}
+SHA256 = "71ca73a80a73b325bbf0f52c291c7784361caa35c64ac161f1b43faef5694d17"
 
 
 def test_main_prints_the_counts_and_the_digest():
@@ -56,6 +59,31 @@ def test_main_prints_the_counts_and_the_digest():
     for match in messages:
         assert NAMED_FIELD.fullmatch(match[2]), match[2]
     assert lines[-1] == f"sha256: {SHA256}"
+
+
+def rewriting_duals(form):
+    """The corpus's perturbations, each followed by a rewrite of every
+    laminar dual of the document to form(p, q) of its value p / q in
+    lowest terms: an equal token, not in the canonical form."""
+    def then_rewrite(perturb):
+        def edit(rng, doc, inst):
+            perturb(rng, doc, inst)
+            for entry in doc["laminar"]:
+                entry["y"] = form(*Fraction(entry["y"]).as_integer_ratio())
+        return edit
+    return tuple(map(then_rewrite, verify_corpus.PERTURBATIONS))
+
+
+@pytest.mark.parametrize("form", [lambda p, q: f"{2 * p}/{2 * q}",
+                                  lambda p, q: f" {p}/{q}"],
+                         ids=["2p/2q", "space-p/q"])
+def test_non_canonical_duals_verify_as_the_canonical_ones(form, monkeypatch):
+    """The first 12 documents, each dual rewritten to an equal token
+    that the reader does not split but reads through Fraction, give
+    every run's stdout, stderr and exit code as the documents do."""
+    canonical = verify_corpus.run_corpus(str(SRC), 12)
+    monkeypatch.setattr(verify_corpus, "PERTURBATIONS", rewriting_duals(form))
+    assert verify_corpus.run_corpus(str(SRC), 12) == canonical
 
 
 def test_no_package_module_imports_the_tool():
