@@ -383,7 +383,8 @@ def build_parser() -> _Parser:
                          help="write the event trace as json lines")
     p_solve.add_argument("--check-invariants", dest="check",
                          action="store_true", default=None,
-                         help="check invariants after every step")
+                         help="check the growth and prune invariants once "
+                              "each phase ends")
     p_solve.add_argument("--no-check-invariants", dest="check",
                          action="store_false",
                          help="skip invariant checking even on small inputs")

@@ -141,49 +141,34 @@ Neither phase, nor checked mode, lists the members of a set.
   cross only sets inside P, which leave with it and are never read
   again.  The final tree is read off in one descending pass: the sets
   of the final maximal set that neither are nor lie in a pruned set.
-* Checked mode runs the verifier on the state, keeping what the family
-  makes permanent.  After every step it re-proves the invariants
-  behind the factor-2 bound: feasible duals, a tight forest connected
-  inside every set, exhausted saturated sets, and no active set that
-  is a union of saturated ones.  The verifier's family index of the
+* Checked mode runs the verifier on the state once each phase ends:
+  check_growth_invariants after growth, check_prune_invariants on the
+  final tree after prune.  Each invariant behind the factor-2 bound,
+  once broken, stays broken, so the check at the end of growth sees
+  every break that a check after an earlier step would:
+  - duals only grow, and a dead set's is fixed, so an infeasible dual
+    stays infeasible;
+  - a forest edge's load is fixed once its merge puts both ends in one
+    set, so a slack forest edge stays slack;
+  - a saturated set's inside load is fixed at its death, so an
+    unexhausted one stays so;
+  - every forest edge inside a set is in the forest when the set is
+    born, so a set the forest leaves in pieces stays in pieces;
+  - a union's proper subsets are all dead at its birth, so whether it
+    is a union of saturated sets is settled then.
+  The growth check builds the verifier's family index of the
   instance's edges, which reads the family's parent and links lists in
-  place and never the union-find above, is cached on the state and
-  extended by the sets each step appends, so each fact that cannot
-  change is computed once, when its set appears:
-  - a set's prize sum: its members are fixed;
-  - an edge's lowest common set: the first set to hold both ends, and
-    every later set lies above it;
-  - the costs and prizes at the instance's scale, which the clocks
-    share: the instance's own scaled ints, fixed with it.
-  The forest check needs nothing more: a union is connected by the
-  forest exactly when both of its children are and some forest edge
-  joins them, that is, has the union as its lowest common set.  So
-  the smallest union that is no forest edge's lowest common set is the
-  smallest set the forest leaves in pieces.  What can move is held by
-  the verifier's DualIndex: the duals from the clocks, one descending
-  pass for chain loads and one ascending pass for inside loads, and
-  the slack of every edge and every set; the tightness and exhaustion
-  checks read it.  It is kept beside the family index and extended
-  while the clock stands still: a step of length 0 moves no dual, and
-  the sets it appends have none, so only their inside loads and set
-  slacks are new (DualIndex.extend).  A step of positive
-  length, like any changed birth, death or clock, changes a held dual
-  and builds the index afresh.  Of the growth steps on the benchmark's
-  twelve certify-64 instances (seed 1), 796 of 873 (91%) have length
-  0; on gen_random(128, "1/16", 10, 8), 96%; with costs and prizes up
-  to 1000, 17%; on random fractional instances, about 1%, where a check
-  costs a full build and one list compare.  The cover check's gaps
-  follow the same rule: a set's gap is settled once it has a parent,
-  and only a maximal set saturates, so the pass resumes at the new sets
-  while the saturated sets that had a parent stay as they were.  On
-  those twelve instances a checked solve took 9.4 times an unchecked
-  one with every step rebuilding the index, and takes 5.6 times now
-  (best of 15, one core of a shared 2-core x86-64 VM).  A prune step
-  checks the tree with the verifier's TreeIndex over the cached family
-  index.  The family index, the dual index and the gaps are one cache
-  on the state, keyed by the instance object and the family the family
-  index was built from; when either is another object, the cache is
-  rebuilt as a whole.
+  place and never the union-find above, and its DualIndex of the
+  growth clocks, one each.  A union is connected by the forest exactly
+  when both of its children are and some forest edge joins them, that
+  is, has the union as its lowest common set, so the smallest union
+  that is no forest edge's lowest common set is the smallest set the
+  forest leaves in pieces.  The cover check is one ascending pass over
+  the links that reads each union's gap as its children's gaps are
+  summed, before its own saturation is passed on to its parent.  The
+  prune checks guard the output, which is the final tree: the prune
+  check runs the verifier's TreeIndex over the growth check's family
+  index.
 """
 from __future__ import annotations
 
@@ -204,8 +189,8 @@ PHASE_GROWTH = "growth"
 PHASE_PRUNE = "prune"
 PHASE_DONE = "done"
 
-# default cutoff above which solve() skips per-step invariant checking
-CHECK_DEFAULT_MAX_N = 128
+# default cutoff above which solve() skips the invariant checks
+CHECK_DEFAULT_MAX_N = 512
 
 
 class InvariantError(RuntimeError):
@@ -296,10 +281,8 @@ class SolverState:
     dual_assignment(), the clock spans at that scale.
     """
 
-    def __init__(self, inst: Instance, *, check_invariants: bool = False,
-                 emit_trace: bool = True):
+    def __init__(self, inst: Instance, *, emit_trace: bool = True):
         self.inst = inst
-        self._check = check_invariants
         self._emit = emit_trace
         n = inst.n
         self._scale = scale = inst.scale
@@ -339,8 +322,6 @@ class SolverState:
                                        repeat(2 * width)), range(n)))
         self._heap += self._ekey
         heapq.heapify(self._heap)
-        # checked mode's one cache, see _family_index
-        self._check_cache: dict = {}
 
     # -- clock-derived quantities ------------------------------------
 
@@ -557,18 +538,14 @@ class SolverState:
         self._steps += 1
         if self._steps > 2 * self.inst.n - 3:
             raise InvariantError("growth phase exceeded its step budget")
-        if self._check:
-            check_growth_invariants(self)
 
 
 # ---------------------------------------------------------------------------
 # public operations
 
 
-def init_state(inst: Instance, *, check_invariants: bool = False,
-               emit_trace: bool = True) -> SolverState:
-    return SolverState(inst, check_invariants=check_invariants,
-                       emit_trace=emit_trace)
+def init_state(inst: Instance, *, emit_trace: bool = True) -> SolverState:
+    return SolverState(inst, emit_trace=emit_trace)
 
 
 def run_phase1(state: SolverState):
@@ -671,8 +648,6 @@ def run_phase2(state: SolverState) -> Solution:
         if prunes > len(sat):
             raise InvariantError("prune phase exceeded its step budget")
         state._record(0, "prune", sid)
-        if state._check:
-            check_prune_invariants(state, *_pruned_tree(state, pruned))
     if any(count[sid] == 1 for sid in sat):
         raise InvariantError("prune phase stopped with a pending bridge")
 
@@ -735,120 +710,67 @@ def solve(inst: Instance, *, check_invariants: Optional[bool] = None,
           emit_trace: bool = True) -> Solution:
     """Run both phases and return the certified solution.
 
-    check_invariants defaults to on for n <= CHECK_DEFAULT_MAX_N and off
-    above; True or False always wins.
+    check_invariants, on for n <= CHECK_DEFAULT_MAX_N and off above
+    unless True or False is given, checks the growth invariants once
+    growth ends and the prune invariants on the final tree.
     """
     if check_invariants is None:
         check = inst.n <= CHECK_DEFAULT_MAX_N
     else:
         check = bool(check_invariants)
-    state = init_state(inst, check_invariants=check, emit_trace=emit_trace)
-    if check:
-        check_growth_invariants(state)
+    state = init_state(inst, emit_trace=emit_trace)
     run_phase1(state)
-    return run_phase2(state)
+    if check:
+        family = check_growth_invariants(state)
+    sol = run_phase2(state)
+    if check:
+        check_prune_invariants(state, sol.tree_vertices,
+                               sol.tree_edge_indices, family)
+    return sol
 
 
 # ---------------------------------------------------------------------------
-# runtime invariant checking (growth and prune loops)
+# runtime invariant checking (see the module docstring)
 #
 # Everything here is read off the family's links, the instance, the
 # forest and the growth clocks; none of it trusts the solver's
-# union-find, its loads or its saturation clocks.
-
-
-def _family_index(state: SolverState) -> verify.FamilyIndex:
-    """The verifier's family index of the state's family and instance,
-    held in the state's one cache: "inst", the instance it was built
-    from, "family", the index, and beside it "duals", the DualIndex read
-    off it, and "gaps", _growth_gaps'.  The index is extended by the
-    sets appended since the last check; when the instance or the family
-    is another object, the whole cache is built afresh, so what lies
-    beside the index always reads this one."""
-    cache = state._check_cache
-    if cache.get("inst") is state.inst and cache["family"].fam is state.fam:
-        cache["family"].extend()
-    else:
-        family = verify.FamilyIndex(state.fam, state.inst)
-        state._check_cache = cache = {"inst": state.inst, "family": family}
-    return cache["family"]
-
-
-def _dual_index(state: SolverState,
-                family: verify.FamilyIndex) -> verify.DualIndex:
-    """The verifier's dual index of the state's duals, cached beside the
-    family index it reads: extended while the duals it holds stand still
-    and the new sets have none, and built afresh otherwise."""
-    duals = state.dual_assignment()
-    index = state._check_cache.get("duals")
-    if index is None or not index.extend(duals):
-        index = state._check_cache["duals"] = verify.DualIndex(
-            state.fam, duals, state.inst, family)
-    return index
+# union-find, its loads or its saturation clocks.  The checks accept
+# any state, mid-growth included.
 
 
 def _cover_gaps(family: verify.FamilyIndex, saturated: set[int],
-                members: list[int], gap: Optional[list[int]] = None
-                ) -> list[int]:
+                members: list[int]) -> list[int]:
     """Per set s: how many vertices of s off the tree lie in no
-    saturated set that is inside s and misses the tree, given how many
+    saturated set strictly inside s that misses the tree, given how many
     tree vertices each set holds.  Zero means s minus the tree is a
-    union of saturated sets.  One ascending pass over the links: a set
-    has the sum of its children's gaps, or none if it is saturated and
-    misses the tree.  The pass settles a set when it passes the set up
-    to its parent, so a maximal set's own saturation is not counted:
-    the checks read the gaps of active maximal sets only.  Given the gap
-    list of an earlier pass, with the same tree and the same saturated
-    sets among those that had a parent then, the pass resumes at the
-    links of the sets appended since."""
-    n, taken = family.n, family.taken
-    if gap is None:
-        gap = [1 - count for count in members[:n]]
-    held = len(gap)
-    gap += [0] * (taken - held)
-    for sid, up in family.links[2 * (held - n):2 * (taken - n)]:
-        if sid in saturated and not members[sid]:
-            gap[sid] = 0
-        gap[up] += gap[sid]
+    union of such sets.  One ascending pass over the links: a set has
+    the sum of what its children pass up, and a saturated set that
+    misses the tree passes up none."""
+    gap = [1 - count for count in members[:family.n]]
+    gap += [0] * (len(members) - family.n)
+    for sid, up in family.links:
+        if members[sid] or sid not in saturated:
+            gap[up] += gap[sid]
     return gap
 
 
-def _growth_gaps(state: SolverState,
-                 family: verify.FamilyIndex) -> list[int]:
-    """The cover gaps of the growth check, with no tree vertex, cached
-    beside the family index with the saturated sets they were passed.
-    A set's gap is settled once it has a parent, and only a maximal set
-    saturates, so the pass resumes while every saturated set of the last
-    pass still is one and each new one had no parent then; otherwise it
-    starts over."""
-    sat, parent = state.saturated, family.parent
-    # with no pass held, nothing is new: gap stays None
-    gap, held_sat = state._check_cache.get("gaps", (None, sat))
-    if not sat >= held_sat or any(
-            parent[sid] is not None and parent[sid] < len(gap)
-            for sid in sat - held_sat):
-        gap = None
-    gap = _cover_gaps(family, sat, [0] * family.taken, gap)
-    state._check_cache["gaps"] = (gap, set(sat))
-    return gap
-
-
-def check_growth_invariants(state: SolverState):
-    """Invariants maintained throughout the growth phase: the forest
-    spans every family set connectedly, duals are feasible, forest edges
-    are tight, saturated sets are exhausted, and no active maximal set
-    is a union of saturated sets.  The forest check reads the lowest
-    common sets of the forest's edges from the cached family index (see
-    the module docstring); the rest reads the verifier's DualIndex of
-    the growth clocks, over every edge and every set, which is extended
-    while the clock stands still and built afresh when it moves."""
-    family = _family_index(state)
+def check_growth_invariants(state: SolverState) -> verify.FamilyIndex:
+    """Invariants of the growth phase: the forest spans every family set
+    connectedly, duals are feasible, forest edges are tight, saturated
+    sets are exhausted, and no union was born a union of saturated sets,
+    that is, no active maximal set is one at any step.  Builds the
+    verifier's family index of the instance's edges and its DualIndex of
+    the growth clocks, and returns the family index, which a prune check
+    of the same grown family can read."""
+    fam = state.fam
+    family = verify.FamilyIndex(fam, state.inst)
     joined = {family.tops[idx] for idx in state.forest} - {-1}
-    if len(joined) < family.taken - family.n:
-        unions = set(range(family.n, family.taken))
+    if len(joined) < len(fam) - fam.n:
+        unions = set(range(fam.n, len(fam)))
         raise InvariantError(
             f"forest does not connect family set {min(unions - joined)}")
-    index = _dual_index(state, family)
+    index = verify.DualIndex(fam, state.dual_assignment(), state.inst,
+                             family)
     if index.violations:
         raise InvariantError(
             f"duals infeasible during growth: {index.violations[0]}")
@@ -863,21 +785,25 @@ def check_growth_invariants(state: SolverState):
     for sid in sorted(sat):
         if prizes[sid] != inside[sid]:
             raise InvariantError(f"saturated set {sid} not exhausted")
-    gaps = _growth_gaps(state, family)
-    for sid in state.fam.maximal_ids():
-        if sid not in sat and gaps[sid] == 0:
+    gaps = _cover_gaps(family, sat, [0] * len(fam))
+    for sid in range(fam.n, len(fam)):
+        if not gaps[sid]:
             raise InvariantError(
                 f"active maximal set {sid} is a union of saturated sets")
+    return family
 
 
 def check_prune_invariants(state: SolverState, tree_vs: set[int],
-                           tree_edge_indices) -> None:
+                           tree_edge_indices,
+                           family: Optional[verify.FamilyIndex] = None
+                           ) -> None:
     """Invariants of the prune loop: the tree stays a tree connected
     within every family set, and the region pruned off the final maximal
     set is a disjoint union of saturated sets.  The verifier's TreeIndex
     checks the tree, reading the lowest common sets of its edges from
-    the cached family index."""
-    family = _family_index(state)
+    family, a family index of the grown family and the instance, or
+    else from one built here."""
+    family = family or verify.FamilyIndex(state.fam, state.inst)
     ends = state.inst.ends
     tree = verify.Tree(frozenset(tree_vs),
                        tuple(ends[idx] for idx in tree_edge_indices))

@@ -23,11 +23,8 @@ checks are a few linear passes over the family's links:
   children's pending lists; the tree edges crossing each set come from
   +1 at both ends and -2 at the lca, summed over subtrees.
 
-The dual sums of a snapshot are DualIndex; given an instance at the
-family index's scale, its extend takes the sets the family index has
-taken since, when no dual it holds has moved and the new ones are 0, as
-after a growth step of length 0.  An audit answers the instance's edges and
-the tree's edges with one family index.  A tree is checked in one
+The dual sums of a snapshot are DualIndex.  An audit answers the
+instance's edges and the tree's edges with one family index.  A tree is checked in one
 place, TreeIndex, in one union-find pass: its edges are replayed in
 ascending order of their lca, which counts the pieces the tree leaves
 inside every set, and the edges with no common set are replayed last,
@@ -127,11 +124,10 @@ class FamilyIndex:
     parent and links are the family's own lists, read in place (see
     laminar): parent[s] is the parent of set s, None for a maximal set,
     and links holds the (set, parent) pairs in the order the parents
-    appeared.  taken counts the family's sets the index has taken.
-    ends holds pairs of vertices, the instance's edges and then the
+    appeared.  ends holds pairs of vertices, the instance's edges and then the
     pairs given, an end -1 where it names no vertex of the family.
     tops[k] is the lowest set holding both ends of pair k, -1 if no set
-    taken does or an end is -1.  With an instance, costs[i] is the cost
+    does or an end is -1.  With an instance, costs[i] is the cost
     of edge i and prizes[s] the prize of set s, as ints over scale, read
     from the instance's scaled_costs and scaled_prizes, and edge_ids
     maps each edge's (u, v) to its index.
@@ -142,16 +138,13 @@ class FamilyIndex:
     set yet.  A union reads the shorter of its children's lists, asking
     a union-find over the vertices which pairs end in the other child,
     and hands the rest to the longer one; a pair moves to a list at
-    least twice as long, so it is read O(log n) times.  The family only
-    appends, so every fact here is fixed once its set exists, and
-    extend takes the sets appended since the last call: their prize
-    sums and the pairs they are the lowest common set of."""
+    least twice as long, so it is read O(log n) times.  The index
+    answers for the sets the family holds when it is built."""
 
     def __init__(self, fam: LaminarFamily, inst: Optional[Instance] = None,
                  pairs: Iterable = ()):
         n = self.n = fam.n
-        self.fam = fam
-        self.parent, self.links, self.taken = fam.parent, fam.links, n
+        self.parent, self.links = fam.parent, fam.links
         self.m = 0 if inst is None else inst.m
         ends = [] if inst is None else [
             (u if u < n else -1, v if v < n else -1) for u, v in inst.ends]
@@ -173,17 +166,12 @@ class FamilyIndex:
             self.edge_ids = {e: idx for idx, e in enumerate(inst.ends)}
             self.prizes = list(inst.scaled_prizes[:n])
             self.prizes += [0] * (n - inst.n)  # an instance too small
-        self.extend()
-
-    def extend(self) -> None:
-        """Take the sets appended to the family since the last call."""
-        unions = iter(self.links[2 * (self.taken - self.n):])
+        unions = iter(self.links)
         for (a, sid), (b, _) in zip(unions, unions):
             if self.prizes is not None:
                 self.prizes.append(self.prizes[a] + self.prizes[b])
             if self.pending is not None:
                 self._meet(sid, a, b)
-        self.taken = len(self.parent)
 
     def _meet(self, sid: int, a: int, b: int) -> None:
         pending, link, root = self.pending, self.link, self.root
@@ -224,8 +212,7 @@ class DualIndex:
     for inside is skipped and inside is None.  An instance with fewer
     vertices than the family is refused with a ValueError.  A caller
     holding a FamilyIndex of the family and the instance passes it, and
-    family is the one read; extend follows it as it grows, for an index
-    with an instance at the family index's scale."""
+    family is the one read."""
 
     def __init__(self, fam: LaminarFamily, duals: DualAssignment,
                  inst: Optional[Instance] = None,
@@ -268,44 +255,6 @@ class DualIndex:
             if slacks and min(slacks) < 0:
                 self.violations += [Violation(kind, k, self.value(q))
                                     for k, q in enumerate(slacks) if q < 0]
-
-    def extend(self, duals: DualAssignment) -> bool:
-        """Take the sets the family index has taken since the index was
-        built or last extended, given duals of the whole family at the
-        index's scale, and return True, when the duals of the sets held
-        are unchanged and every new set's is 0, as after a growth step of
-        length 0; otherwise change nothing and return False, and the
-        caller builds afresh.  An index built without an instance, or at
-        a scale other than its family index's, is refused the same way:
-        checked mode, the one caller, builds neither.  So is a family
-        grown past the sets its family index has taken.
-
-        Every number then equals a fresh build's.  A new set lies above
-        the held ones and has no dual, so no held set's chain or inside
-        load moves, nor the total; and its chain load is 0, as is
-        held[-1], so no edge slack moves when an edge's lowest common
-        set changes from -1 to a new set.  Each new set adds its inside
-        load, the sum of its children's, and its set slack, whose
-        violation comes after the held ones."""
-        family, held, y = self.family, len(self.y), duals.y
-        if self.inside is None \
-                or not duals.scale == self.scale == family.scale \
-                or not len(y) == family.taken == len(family.parent) \
-                or y[:held] != self.y or any(y[held:]):
-            return False
-        zeros = [0] * (len(y) - held)
-        self.y += zeros
-        self.chain += zeros
-        # at the family index's scale, prizes is the family index's list,
-        # which its own extend has grown
-        inside, prizes = self.inside, self.prizes
-        inside += zeros
-        for sid, up in family.links[2 * (held - family.n):]:
-            inside[up] += inside[sid]
-        self.violations += [
-            Violation("set", sid, self.value(prizes[sid] - inside[sid]))
-            for sid in range(held, len(y)) if prizes[sid] < inside[sid]]
-        return True
 
     def value(self, scaled: int) -> Fraction:
         return Fraction(scaled, self.scale)

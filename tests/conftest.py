@@ -28,7 +28,7 @@ except ImportError:  # pragma: no cover - hypothesis is a test extra
 
 import naive_checker as naive
 from pcst import (ExactResult, Instance, Solution, Tree, exact_solve,
-                  gen_random, solve)
+                  gen_random)
 from pcst import solver as sv
 
 
@@ -249,10 +249,39 @@ class Sweep:
     seconds: float = 0.0
 
 
+def solve_checking_every_step(inst: Instance) -> Solution:
+    """A solve that checks the growth invariants at the start and after
+    every growth step, through the step hook, and the prune invariants after every prune
+    step, replayed from the trace's prune rows; the replay ends at the
+    solution's tree."""
+    state = sv.init_state(inst)
+    after_step = state._after_step
+
+    def checked_after_step():
+        after_step()
+        sv.check_growth_invariants(state)
+
+    state._after_step = checked_after_step
+    sv.check_growth_invariants(state)
+    sv.run_phase1(state)
+    sol = sv.run_phase2(state)
+    pruned = set()
+    for _, _, kind, *fields in sol.trace_rows:
+        if kind == "prune":
+            pruned.add(fields[0])
+            sv.check_prune_invariants(state,
+                                      *sv._pruned_tree(state, pruned))
+    tree_vs, kept = sv._pruned_tree(state, pruned)
+    assert (tree_vs, sorted(kept)) == (set(sol.tree_vertices),
+                                       list(sol.tree_edge_indices))
+    return sol
+
+
 @pytest.fixture(scope="session")
 def sweep() -> Sweep:
-    """1000 seeded random instances solved with invariant checking on,
-    each with its brute-force optimum.  Built once per session."""
+    """1000 seeded random instances solved with the invariants checked
+    after every growth and every prune step, each with its brute-force
+    optimum.  Built once per session."""
     from pcst.solver import InvariantError
 
     result = Sweep()
@@ -260,7 +289,7 @@ def sweep() -> Sweep:
     for seed in range(1, 1001):
         inst = sweep_instance(seed)
         try:
-            sol = solve(inst, check_invariants=True)
+            sol = solve_checking_every_step(inst)
         except InvariantError as exc:
             result.failures.append((seed, str(exc)))
             continue

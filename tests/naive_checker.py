@@ -388,9 +388,10 @@ def check_growth_invariants(state):
         prize = sum((inst.prizes[v] for v in sets[sid]), Fraction(0))
         if inside_load(fam, duals, sets[sid]) != prize:
             raise InvariantError(f"saturated set {sid} not exhausted")
+    # a union whose proper subsets, all dead at its birth, cover it
     sat = duals.saturated
-    for sid in fam.maximal_ids():
-        if sid not in sat and saturated_cover_gap(sets, sat, sets[sid]) == 0:
+    for sid in range(fam.n, len(fam)):
+        if saturated_cover_gap(sets, sat - {sid}, sets[sid]) == 0:
             raise InvariantError(
                 f"active maximal set {sid} is a union of saturated sets")
 

@@ -13,6 +13,8 @@ import pytest
 
 from conftest import sweep_instance
 from pcst import emit_instance, gen_random, gen_tight_path, gen_tight_star
+from pcst import cli, solve
+from pcst import solver as sv
 from pcst.cli import main
 
 PINS = json.loads((Path(__file__).parent / "golden_pins.json").read_text())
@@ -49,4 +51,16 @@ def test_golden_trace_and_document(name, tmp_path, capsys):
     assert main(["solve", str(path), "--json"]) == 0
     document = capsys.readouterr().out
     assert sha256(trace.read_bytes()) == PINS[name]["trace"]
+    assert sha256(document.encode()) == PINS[name]["document"]
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_checking_switched_the_other_way_writes_the_pinned_bytes(name):
+    """The pins are written with checking at its default, on up to
+    CHECK_DEFAULT_MAX_N vertices and off above; a solve with checking
+    switched the other way writes the same trace and document."""
+    inst = pinned_instance(name)
+    sol = solve(inst, check_invariants=inst.n > sv.CHECK_DEFAULT_MAX_N)
+    document = cli._solution_document(inst, sol, None) + "\n"
+    assert sha256(sv.trace_json_lines(sol).encode()) == PINS[name]["trace"]
     assert sha256(document.encode()) == PINS[name]["document"]

@@ -173,8 +173,7 @@ def test_family_index_matches_chain_walks(seed):
     for the edges of an instance with two vertices past the family's
     and for pairs with equal ends, ends past n, negative and None ends
     and ends in different maximal sets; its prize sums against
-    membership.  Extending it one set at a time, as checked mode does,
-    gives the index built in one go."""
+    membership."""
     n = 9
     fam, _ = build_random_family(n, seed)
     rng = random.Random(seed)
@@ -197,31 +196,23 @@ def test_family_index_matches_chain_walks(seed):
     assert list(index.costs) == [c * inst.scale for _, _, c in inst.edges]
     assert index.prizes == [sum(inst.prizes[v] for v in vs) * inst.scale
                             for vs in sets]
-    grown = lam.LaminarFamily(n)
-    stepwise = verify.FamilyIndex(grown, inst, pairs)
-    unions = iter(fam.links)
-    for (a, _), (b, _) in zip(unions, unions):
-        grown.merge(a, b)
-        stepwise.extend()
-    for name in ("parent", "links", "taken", "ends", "tops", "costs",
-                 "prizes"):
-        assert getattr(stepwise, name) == getattr(index, name), name
 
 
 def test_family_index_reads_the_familys_lists_in_place():
     """A family index holds the family's own parent and links lists,
-    not copies, so it sees every later union; what it takes of them is
-    counted by the index, up to the last extend."""
+    not copies, so it sees every later union; what it derives of them,
+    the lowest common sets and the prize sums, answers for the sets the
+    family held when it was built."""
     fam = lam.LaminarFamily(4)
     fam.merge(0, 1)
     index = verify.FamilyIndex(fam, Instance(4, ((1, 2, 2),), (1,) * 4))
     assert index.parent is fam.parent and index.links is fam.links
-    assert index.taken == 5 and index.tops == [-1]
+    assert index.tops == [-1] and len(index.prizes) == 5
     fam.merge(2, 4)
     assert index.parent[4] == 5 and index.links[-1] == (4, 5)
-    assert index.taken == 5 and index.tops == [-1]
-    index.extend()
-    assert index.taken == 6 and index.tops == [5]
+    assert index.tops == [-1] and len(index.prizes) == 5
+    assert verify.FamilyIndex(fam, Instance(4, ((1, 2, 2),),
+                                            (1,) * 4)).tops == [5]
 
 
 def test_from_records_rejects_malformed():

@@ -13,8 +13,8 @@ import pytest
 import naive_checker as naive
 from conftest import (halve_scale, naive_epsilon, reference_prune,
                       rescan_step, solve_by_rescan, sweep_instance)
-from pcst import (Instance, emit_instance, gen_random, gen_tight_path,
-                  gen_tight_star, parse_instance, solve)
+from pcst import (Instance, gen_random, gen_tight_path, gen_tight_star,
+                  parse_instance, solve)
 from pcst import cli
 from pcst import laminar as lam
 from pcst import solver as sv
@@ -221,7 +221,7 @@ def queue_pushes(inst, monkeypatch):
     edge's key and of saturation keys, and the largest heap.  Returns
     (grown state, pushes per edge, saturation pushes, largest heap,
     re-keys per edge)."""
-    state = sv.init_state(inst, check_invariants=False, emit_trace=False)
+    state = sv.init_state(inst, emit_trace=False)
     span, width = 2 * state._width, state._width
     per_edge = [0] * inst.m
     rekeys = [0] * inst.m
@@ -335,8 +335,9 @@ def test_rescan_engine_agrees_on_stars(n):
 def test_star_reaches_the_step_budget(n):
     """Growth takes at most 2n - 3 steps, and the star takes all of
     them, rechecks uncounted; one step more is over the budget."""
-    state = sv.init_state(hub_star(n), check_invariants=n <= 10)
+    state = sv.init_state(hub_star(n))
     sv.run_phase1(state)
+    sv.check_growth_invariants(state)
     assert state._steps == 2 * n - 3
     assert sum(row[2] in ("saturation", "merge") for row in state.trace) \
         == 2 * n - 3
@@ -530,7 +531,7 @@ def test_odd_live_slack_mid_growth_is_an_invariant_failure(monkeypatch,
     edge whose current key the queue pops, turns that pop into a recheck
     that fails the run with an InvariantError naming that edge."""
     inst = gen_random(40, "1/4", max_cost=10, max_prize=8, seed=7)
-    state = sv.init_state(inst, check_invariants=True)
+    state = sv.init_state(inst)
     span, width = 2 * state._width, state._width
     real_pop = heapq.heappop
     live_pairs, bumped = [], []
@@ -564,8 +565,8 @@ FRACTION_ARITHMETIC = ("__eq__", "__lt__", "__le__", "__gt__", "__ge__",
 
 def test_growth_does_no_fraction_arithmetic(monkeypatch):
     """Growth runs on ints: no Fraction is compared, added or
-    subtracted inside run_phase1, unchecked at n=1000, nor by the
-    checks after every step at n=64 while they pass; a check builds
+    subtracted inside run_phase1 at n=1000, nor at n=64 by run_phase1
+    and the growth check that passes after it; a check builds
     Fractions only for its message.  The duals stay ints too: untraced
     and unchecked, run_phase2 builds as few Fractions at n=1000 as at
     n=100, for the solution's totals and none per set."""
@@ -577,7 +578,6 @@ def test_growth_does_no_fraction_arithmetic(monkeypatch):
             (1000, False, sv.run_phase2, ("__new__",))):
         state = sv.init_state(gen_random(n, Fraction(1, n // 4),
                                          max_cost=10, max_prize=8, seed=99),
-                              check_invariants=check,
                               emit_trace=phase is sv.run_phase1)
         if phase is sv.run_phase2:
             sv.run_phase1(state)
@@ -590,6 +590,8 @@ def test_growth_does_no_fraction_arithmetic(monkeypatch):
 
             monkeypatch.setattr(Fraction, name, counted)
         phase(state)
+        if check:
+            sv.check_growth_invariants(state)
         monkeypatch.undo()
         if phase is sv.run_phase1:
             assert len(state.trace) > n
@@ -624,147 +626,67 @@ def test_set_up_reads_no_fraction(monkeypatch):
     assert reads(lambda: verify.FamilyIndex(grown.fam, inst)) == []
 
 
-def test_checked_growth_runs_no_lca_pass(monkeypatch):
-    """The checker keeps every edge's lowest common set from the step
-    its set appeared: a checked solve builds one family index of the
-    instance, read by the growth and the prune checks alike, and
-    afterwards only extends it, by each new set once.  The certificate
-    builds its own index, without an instance, which is not counted.
-    Another instance object costs exactly one more index."""
-    built, extended = [], []
+def solve_counting_indexes(inst, check, monkeypatch):
+    """The verifier indexes a solve builds, as (class name, built with
+    an instance) pairs."""
+    built = []
+    # the position of the instance among each index's arguments
+    for name, at in (("FamilyIndex", 1), ("DualIndex", 2), ("TreeIndex", 2)):
+        def counted(*args, real=getattr(verify, name), name=name, at=at):
+            built.append((name, len(args) > at and args[at] is not None))
+            return real(*args)
 
-    class CountingFamilyIndex(verify.FamilyIndex):
-        def __init__(self, fam, inst=None, *args):
-            self.counted = inst is not None
-            if self.counted:
-                built.append(len(fam))
-            super().__init__(fam, inst, *args)
-
-        def extend(self):
-            if self.counted:
-                extended.append(len(self.fam) - self.taken)
-            super().extend()
-
-    monkeypatch.setattr(verify, "FamilyIndex", CountingFamilyIndex)
-    inst = gen_random(64, "1/16", max_cost=10, max_prize=8, seed=99)
-    sol = solve(inst, check_invariants=True)
-    assert len(sol.trace) > 64 and sol.tree_edges
-    assert built == [64]
-    assert sum(extended) == len(sol.fam) - 64
-
-    built.clear()
-    state = sv.init_state(inst, check_invariants=True)
-    sv.run_phase1(state)
-    state.inst = parse_instance(emit_instance(inst, "json"))
-    assert state.inst is not inst
-    for _ in range(2):
-        sv.check_growth_invariants(state)
-    sv.run_phase2(state)
-    assert built == [64, len(state.fam)]
+        monkeypatch.setattr(verify, name, counted)
+    solve(inst, check_invariants=check)
+    monkeypatch.undo()
+    return sorted(built)
 
 
-# what a dual index holds of a snapshot
-DUAL_INDEX_FIELDS = ("y", "chain", "inside", "edge_slack", "total",
-                     "violations")
-
-
-def checked_index_instances():
-    """Integer instances with tied event times, fractional ones, and
-    stars."""
-    rng = random.Random(26)
-    for seed in range(60):
-        yield gen_random(rng.randint(2, 24), "1/4", max_cost=4, max_prize=4,
-                         seed=seed)
-    for _ in range(40):
-        n = rng.randint(2, 16)
-        edges = tuple((u, v, Fraction(rng.randint(1, 30), rng.randint(1, 7)))
-                      for u in range(n) for v in range(u + 1, n)
-                      if rng.random() < 0.4)
-        yield Instance(n, edges, tuple(Fraction(rng.randint(0, 20),
-                                                rng.randint(1, 5))
-                                       for _ in range(n)))
-    for n in (2, 3, 5, 13, 40):
-        yield hub_star(n)
-    yield gen_tight_star("1/3")
-
-
-def test_checked_indexes_equal_fresh_builds(monkeypatch):
-    """After every growth check of a checked solve, the dual index and
-    the cover gaps the check read equal fresh builds of the snapshot,
-    number for number, whether the check extended them or built them
-    afresh; over the sweep both happen."""
-    fresh_index = verify.DualIndex
-    real_check = sv.check_growth_invariants
-    kept = []
-
-    def check(state):
-        before = state._check_cache.get("duals")
-        real_check(state)
-        index = state._check_cache["duals"]
-        fresh = fresh_index(state.fam, state.dual_assignment(), state.inst)
-        for name in DUAL_INDEX_FIELDS:
-            assert getattr(index, name) == getattr(fresh, name), name
-        gaps = state._check_cache["gaps"][0]
-        family = verify.FamilyIndex(state.fam, state.inst)
-        assert gaps == sv._cover_gaps(family, state.saturated,
-                                      [0] * len(gaps))
-        kept.append(index is before)
-
-    monkeypatch.setattr(sv, "check_growth_invariants", check)
-    for inst in checked_index_instances():
-        solve(inst, check_invariants=True)
-    assert len(kept) > 1200
-    assert 500 < sum(kept) < len(kept) - 500, (sum(kept), len(kept))
+@pytest.mark.parametrize("n", [64, 512])
+def test_checked_solve_builds_each_index_once(n, monkeypatch):
+    """A checked solve builds one family index of the instance, read by
+    the growth and the prune checks alike, one dual index and one tree
+    index; an unchecked one builds neither of them.  Both build the
+    certificate's dual index, without an instance, and its family
+    index."""
+    inst = ladder_instance(n, 3 * n, monkeypatch)
+    certificate = [("DualIndex", False), ("FamilyIndex", False)]
+    assert solve_counting_indexes(inst, False, monkeypatch) == certificate
+    assert solve_counting_indexes(inst, True, monkeypatch) == sorted(
+        certificate + [("DualIndex", True), ("FamilyIndex", True),
+                       ("TreeIndex", True)])
 
 
 def test_growth_gaps_follow_any_change_of_the_saturated_sets():
-    """The cached cover gaps of the growth check equal a fresh pass after
-    every step and after any set, with a parent or not, is marked or
-    unmarked saturated, though no honest step unmarks a set or marks one
-    that has a parent."""
+    """The cover gaps the growth check reads equal the naive count, per
+    union, of its vertices in no saturated proper subset, after every
+    step and after any set, with a parent or not, is marked or unmarked
+    saturated, though no honest step unmarks a set or marks one that
+    has a parent; and the growth check agrees with the naive checker."""
     rng = random.Random(26)
-    resumed = 0
+    raised = cases = 0
     for seed in range(100):
         inst = gen_random(rng.randint(2, 12), "1/2", max_cost=6, max_prize=6,
                           seed=seed)
         state = sv.init_state(inst)
-        family = sv._family_index(state)
         while sum(sid not in state.saturated
                   for sid in state.fam.maximal_ids()) > 1:
             rescan_step(state)
-            family = sv._family_index(state)
             toggled = {rng.choice(state.fam.ids)}
             for change in (set(), toggled, toggled):
                 state.saturated ^= change
-                held = state._check_cache.get("gaps", [None])[0]
-                gaps = sv._growth_gaps(state, family)
-                resumed += gaps is held
-                assert gaps == sv._cover_gaps(family, state.saturated,
-                                              [0] * len(gaps)), seed
-    assert resumed > 300, resumed
-
-
-def test_checked_growth_builds_the_dual_index_once_per_clock_move(
-        monkeypatch):
-    """A checked solve builds the dual index of the instance once at
-    set-up and once after each growth step of positive length; every
-    step of length 0 extends it.  The certificate's index, without an
-    instance, is not counted."""
-    built = []
-
-    class CountingDualIndex(verify.DualIndex):
-        def __init__(self, fam, duals, inst=None, *args):
-            if inst is not None:
-                built.append(len(fam))
-            super().__init__(fam, duals, inst, *args)
-
-    monkeypatch.setattr(verify, "DualIndex", CountingDualIndex)
-    inst = gen_random(64, "1/16", max_cost=10, max_prize=8, seed=99)
-    sol = solve(inst, check_invariants=True)
-    steps = events_of(sol.trace)
-    moves = sum(ev.epsilon > 0 for ev in steps)
-    assert (len(steps), moves) == (71, 8)
-    assert len(built) == 1 + moves
+                sat, sets = state.saturated, naive.members(state.fam)
+                family = verify.FamilyIndex(state.fam, state.inst)
+                gaps = sv._cover_gaps(family, sat, [0] * len(state.fam))
+                assert gaps == [naive.saturated_cover_gap(sets, sat - {sid},
+                                                          sets[sid])
+                                for sid in state.fam.ids], seed
+                outcomes = [check_outcome(check, state)
+                            for check in GROWTH_CHECKS]
+                assert outcomes[0] == outcomes[1], (seed, outcomes)
+                raised += outcomes[0] is not None
+                cases += 1
+    assert 100 < raised < cases - 300, (raised, cases)
 
 
 def check_outcome(check, state):
@@ -808,11 +730,9 @@ def test_forest_check_agrees_with_naive_on_corrupted_forests():
     given a corrupted forest (an edge dropped, duplicated, replaced by
     another instance edge, possibly one inside an older set, or
     appended, or the forest shuffled), the solver's growth check and
-    the naive checker both pass or both raise the same message.  A
-    check after every step keeps the cached indexes live, extended
-    through the steps of length 0.  Then the state is poisoned in turn
-    (poison_state): the two checks agree again, and the repaired state
-    passes."""
+    the naive checker both pass or both raise the same message.  Then
+    the state is poisoned in turn (poison_state): the two checks agree
+    again, and the repaired state passes."""
     rng = random.Random(18)
     poisons = random.Random(26)
     raised = cases = 0
@@ -878,17 +798,18 @@ def ladder_instance(n, m, monkeypatch):
 
 
 def test_checked_growth_reads_parent_links_once_per_set(monkeypatch):
-    """Each check extends the cached index by the new sets alone, read
-    off the links a merge records: over a checked growth the family is
-    asked for parent links at most twice per set."""
+    """Growth and the growth check read the links a merge records and
+    the family's parent list in place: over a checked growth the family
+    is asked for parent links at most twice per set."""
     inst = ladder_instance(256, 768, monkeypatch)
     calls = []
     real = lam.LaminarFamily.parent_of
     monkeypatch.setattr(lam.LaminarFamily, "parent_of",
                         lambda fam, sid: (calls.append(sid),
                                           real(fam, sid))[1])
-    state = sv.init_state(inst, check_invariants=True)
+    state = sv.init_state(inst)
     sv.run_phase1(state)
+    sv.check_growth_invariants(state)
     assert state._steps >= 256
     assert len(calls) <= 2 * len(state.fam)
 
@@ -1062,8 +983,9 @@ def test_trace_is_built_on_first_read(monkeypatch):
 def test_check_switch_defaults_by_size_and_explicit_wins(monkeypatch):
     calls = []
     real = sv.check_growth_invariants
+    # the growth check's family index goes on to the prune check
     monkeypatch.setattr(sv, "check_growth_invariants",
-                        lambda state: (calls.append(1), real(state)))
+                        lambda state: (calls.append(1), real(state))[1])
     inst = gen_random(8, "1/2", max_cost=5, max_prize=5, seed=5)
 
     def checked(threshold, flag):
@@ -1095,17 +1017,14 @@ def test_checker_catches_poisoned_duals():
 
 def tied_state():
     """A state whose second step has length 0, checked after each step:
-    edges 0 and 1 tighten together at clock 1, so the second merge
-    extends the cached indexes instead of building them."""
+    edges 0 and 1 tighten together at clock 1."""
     inst = Instance(4, ((0, 1, 2), (2, 3, 2), (1, 2, 6)), (10, 10, 10, 10))
     state = sv.init_state(inst)
     rescan_step(state)
     sv.check_growth_invariants(state)
-    index = state._check_cache["duals"]
     rescan_step(state)
     sv.check_growth_invariants(state)
     assert state.trace[-1][:3] == (0, state._scale, "merge")
-    assert state._check_cache["duals"] is index
     return state
 
 
@@ -1141,22 +1060,16 @@ def move_clock(state, delta):
 ], ids=["earlier-birth", "later-birth", "clock-forward", "clock-back",
         "other-instance", "equal-instance"])
 def test_checker_rebuilds_a_poisoned_cache(poison, message):
-    """With the cached indexes live after a zero-length step, a dead
-    set's shifted birth, a moved clock or another instance object makes
-    the growth check build afresh: it raises what the naive checker
-    raises, an equal instance passes as it does, and the repaired state
-    passes again.  What the cache holds beside the family index always
-    reads that index: another instance object drops the dual index with
-    the family index it was read off."""
+    """The growth check holds nothing between calls: it builds its
+    indexes from the state each time.  Checked after every step up to a
+    zero-length step, the state is poisoned by a dead set's shifted
+    birth, a moved clock or another instance object, and the next check
+    raises what the naive checker raises; an equal instance passes as it
+    does, and the repaired state passes again."""
     state = tied_state()
-    index = state._check_cache["duals"]
     undo = poison(state)
     assert [check_outcome(check, state)
             for check in GROWTH_CHECKS] == [message] * 2
-    cache = state._check_cache
-    assert cache["duals"] is not index
-    assert cache["duals"].family is cache["family"]
-    assert cache["inst"] is state.inst
     undo()
     for check in GROWTH_CHECKS:
         check(state)
@@ -1286,6 +1199,211 @@ def test_growth_checker_catches_active_union_of_saturated_sets():
         with pytest.raises(sv.InvariantError,
                            match="active maximal set 3 is a union"):
             check(state)
+
+
+# -- checks at the end of each phase ------------------------------------------
+
+
+def poisoned_growth(inst, at, poison):
+    """Grow inst with no check, poisoning the state right after step at.
+    Returns None if the poison finds nothing to break then, and else the
+    messages the growth check raises right after the poison and once
+    growth has ended, with the steps taken after the poison."""
+    state = sv.init_state(inst)
+    after_step = state._after_step
+    mid = []
+
+    def poisoned_after_step():
+        after_step()
+        if state._steps == at and poison(state):
+            mid.append(check_outcome(sv.check_growth_invariants, state))
+
+    state._after_step = poisoned_after_step
+    sv.run_phase1(state)
+    if not mid:
+        return None
+    return mid[0], check_outcome(sv.check_growth_invariants, state), \
+        state._steps - at
+
+
+def dead_leaf(state):
+    """A dead vertex of degree 1 whose edge is in the forest, with its
+    dual and that edge, or None."""
+    ends = state.inst.ends
+    degree = [0] * state.inst.n
+    for u, v in ends:
+        degree[u] += 1
+        degree[v] += 1
+    for idx in state.forest:
+        for v in ends[idx]:
+            if degree[v] == 1 and not state._alive(v):
+                return v, state._death[v] - state._birth[v], idx
+    return None
+
+
+def overload_a_dead_leaf(state):
+    # its one edge, in the forest, is inside a set: its load stays fixed
+    leaf = dead_leaf(state)
+    if leaf:
+        state._birth[leaf[0]] -= 1
+    return leaf
+
+
+def unload_a_dead_leaf(state):
+    leaf = dead_leaf(state)
+    if leaf and leaf[1]:
+        state._birth[leaf[0]] += 1
+        return leaf
+    return None
+
+
+def negate_a_dead_dual(state):
+    dead = [sid for sid in state.fam.ids if not state._alive(sid)]
+    if dead:
+        state._birth[dead[0]] = state._death[dead[0]] + 1
+    return dead
+
+
+def raise_a_saturated_prize(state):
+    vertices = sorted(state.saturated & set(range(state.inst.n)))
+    if vertices:
+        prizes = list(state.inst.prizes)
+        prizes[vertices[0]] += 1
+        swap_instance(state, tuple(prizes))
+    return vertices
+
+
+def split_the_first_union(state):
+    # the first union loses its forest edge to a copy of a later one
+    if len(state.forest) > 1:
+        state.forest[0] = state.forest[-1]
+        return True
+    return False
+
+
+# each invariant's poison and what the growth check says of it
+GROWTH_BREAKS = {
+    "infeasible-dual": (overload_a_dead_leaf,
+                        r"duals infeasible during growth: edge \d+: "
+                        r"slack -1/\d+"),
+    "negative-dual": (negate_a_dead_dual,
+                      r"duals infeasible during growth: negative-dual \d+: "
+                      r"slack -1/\d+"),
+    "slack-forest-edge": (unload_a_dead_leaf,
+                          r"forest edge \d+ not tight: load \S+ vs cost \d+"),
+    "unexhausted-set": (raise_a_saturated_prize,
+                        r"saturated set \d+ not exhausted"),
+    "forest-in-pieces": (split_the_first_union,
+                         r"forest does not connect family set \d+"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROWTH_BREAKS))
+def test_a_growth_break_is_still_seen_when_growth_ends(name):
+    """Each growth invariant, once broken, stays broken: poisoned right
+    after any step of growth at which the poison finds something to
+    break, growth runs on unchecked, and the one check at its end raises
+    the message that a check right after the poison raises."""
+    poison, message = GROWTH_BREAKS[name]
+    inst = gen_random(24, "1/6", max_cost=10, max_prize=8, seed=5)
+    breaks = 0
+    for at in range(1, 2 * inst.n - 3):
+        outcome = poisoned_growth(inst, at, poison)
+        if outcome is None:
+            continue
+        mid, end, later_steps = outcome
+        assert re.fullmatch(message, mid), (at, mid)
+        assert end == mid, at
+        breaks += later_steps > 0
+    assert breaks >= 20, breaks
+
+
+def test_a_union_born_of_saturated_sets_is_still_seen_when_growth_ends():
+    """Whether a union is a union of saturated sets is settled at its
+    birth.  {0} and {1} merge at clock 1 into set 4; lowering their
+    prizes to their duals and marking them saturated then makes set 4
+    one, though the duals stay feasible and the two exhausted.  Set 4
+    joins {2} at once, and that union grows on and merges with {3}: the
+    check once growth ends raises what the check after the merge did."""
+    inst = Instance(4, ((0, 1, 2), (1, 2, 2), (2, 3, 10)), (10, 10, 10, 10))
+
+    def saturate_the_children(state):
+        swap_instance(state, (1, 1, 10, 10))
+        state.saturated |= {0, 1}
+        return True
+
+    mid, end, later_steps = poisoned_growth(inst, 1, saturate_the_children)
+    assert mid == end == "active maximal set 4 is a union of saturated sets"
+    assert later_steps == 2
+
+
+def test_checked_solve_checks_each_phase_once_at_its_end(monkeypatch):
+    """A checked solve runs the growth check once, after growth, and the
+    prune check once, on the solution's tree, reading the growth check's
+    family index."""
+    calls = []
+    for name in ("check_growth_invariants", "check_prune_invariants"):
+        def check(state, *args, real=getattr(sv, name), name=name):
+            calls.append((name, state.phase, *args))
+            return real(state, *args)
+
+        monkeypatch.setattr(sv, name, check)
+    sol = solve(gen_random(40, "1/8", max_cost=10, max_prize=8, seed=3),
+                check_invariants=True)
+    growth, prune = calls
+    assert growth == ("check_growth_invariants", sv.PHASE_PRUNE)
+    assert prune[:4] == ("check_prune_invariants", sv.PHASE_DONE,
+                         sol.tree_vertices, sol.tree_edge_indices)
+    assert isinstance(prune[4], verify.FamilyIndex)
+    assert events_of(sol.trace, "prune")
+
+
+# -- the solver's own guards -----------------------------------------------------
+
+
+def guard_message(state, run):
+    with pytest.raises(sv.InvariantError) as info:
+        run(state)
+    return str(info.value)
+
+
+def test_saturation_guard_refuses_an_unexhausted_prize():
+    """A set whose saturation clock no longer matches its queued key is
+    refused when the key pops."""
+    state = sv.init_state(Instance(2, ((0, 1, 100),), (2, 4)))
+    state._sat_clock[0] += 2
+    assert guard_message(state, sv.run_phase1) == \
+        "set 0 saturating while its prize is not exhausted"
+
+
+def test_event_queue_guard_refuses_a_key_in_the_past():
+    state = sv.init_state(Instance(3, ((0, 1, 2), (1, 2, 8)), (10, 10, 10)))
+    after_step = state._after_step
+
+    def queue_a_past_key():
+        after_step()
+        heapq.heappush(state._heap, 0)  # set 0 saturating at clock 0
+
+    state._after_step = queue_a_past_key
+    assert guard_message(state, sv.run_phase1) == \
+        "event queue went backwards in time"
+
+
+def test_merge_guard_refuses_a_key_past_the_edges_tight_time():
+    """An edge whose cost drops below its loads at its key's time was
+    keyed too late."""
+    state = sv.init_state(Instance(2, ((0, 1, 4),), (10, 10)))
+    state._cost = [state._cost[0] - 2]
+    assert guard_message(state, sv.run_phase1) == (
+        "edge 0 overloaded at its key's time: the key was no lower bound")
+
+
+def test_prune_guard_refuses_a_forest_out_of_step_with_the_family():
+    state = sv.init_state(Instance(3, ((0, 1, 2), (1, 2, 8)), (10, 10, 10)))
+    sv.run_phase1(state)
+    state.forest.append(0)
+    assert guard_message(state, sv.run_phase2) == \
+        "family and forest are out of step"
 
 
 def test_solve_rejects_stale_phase_calls():

@@ -3,9 +3,7 @@ solution audit, including injected-fault detection.  Fault-injection
 tests run against both the package checker and the naive reference
 checker in naive_checker.py, and agreement tests compare the two."""
 import ast
-import copy
 import json
-import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -85,107 +83,6 @@ def test_loads_on_hand_family():
             naive.check_feasibility(fam, duals, inst) == \
             [verify.Violation("edge", 1, Fraction(-7, 12))] * (cost != 1) \
             + [verify.Violation("set", 3, Fraction(-5, 6))]
-
-
-def merge_at_random(fam, rng, count):
-    for _ in range(count):
-        tops = fam.maximal_ids()
-        if len(tops) < 2:
-            return
-        fam.merge(*rng.sample(tops, 2))
-
-
-DUAL_INDEX_FIELDS = ("scale", "y", "chain", "total", "inside", "costs",
-                     "prizes", "edge_slack", "violations")
-
-
-def test_dual_index_extend_refuses_a_family_grown_past_its_index():
-    """When the family has grown past the sets its family index has
-    taken, extend returns False and changes nothing, whether it is given
-    zeros for the whole family or for the sets taken; once the family
-    index has taken them, it extends."""
-    inst = gen_random(6, "1/2", max_cost=6, max_prize=6, seed=3)
-    fam = lam.LaminarFamily(6)
-    fam.merge(0, 1)
-    family = verify.FamilyIndex(fam, inst)
-    y = [inst.scale * k for k in (1, 0, 2, 0, 1, 0, 0)]
-    index = verify.DualIndex(fam, lam.DualAssignment(y, inst.scale, set()),
-                             inst, family)
-    before = {name: copy.copy(getattr(index, name))
-              for name in DUAL_INDEX_FIELDS}
-    fam.merge(2, 3)
-    fam.merge(4, 6)
-    for length in (len(fam), family.taken):
-        grown = y + [0] * (length - len(y))
-        assert not index.extend(lam.DualAssignment(grown, inst.scale, set()))
-        assert {name: getattr(index, name)
-                for name in DUAL_INDEX_FIELDS} == before
-    family.extend()
-    grown = y + [0] * (len(fam) - len(y))
-    assert index.extend(lam.DualAssignment(grown, inst.scale, set()))
-    assert index.y == grown
-
-
-def test_dual_index_extend_equals_a_fresh_build():
-    """Seeded sweep over random families and duals, feasible or not, at
-    the instance's scale, at other scales and without an instance: after
-    unions with no dual, extend takes them and the index equals a fresh
-    build in every number.  A held dual changed, a new set's dual not 0
-    or duals at another scale than the index's make extend refuse and
-    change nothing.  So does an index built without an instance, or at
-    a scale other than its family index's, even given the duals it
-    holds and zeros for the new sets."""
-    rng = random.Random(26)
-    new_set_violations = 0
-    refused_indexes = {"no instance": 0, "other scale": 0}
-    for seed in range(600):
-        n = rng.randint(2, 9)
-        inst = gen_random(n, "1/2", max_cost=6, max_prize=6, seed=seed)
-        fam = lam.LaminarFamily(n)
-        merge_at_random(fam, rng, rng.randint(0, n - 1))
-        scale = rng.choice((inst.scale, 3 * inst.scale, 5))
-        y = [rng.randint(-1, 3 * scale) for _ in fam.ids]
-        given = rng.choice((inst, None))
-        family = verify.FamilyIndex(fam, given)
-        index = verify.DualIndex(fam, lam.DualAssignment(y, scale, set()),
-                                 given, family)
-        held = len(y)
-        merge_at_random(fam, rng, rng.randint(1, n - 1))
-        family.extend()
-        y += [0] * (len(fam) - held)
-        before = {name: getattr(index, name, None)
-                  for name in DUAL_INDEX_FIELDS}
-        before = {name: value[:] if isinstance(value, list) else value
-                  for name, value in before.items()}
-        refused = [[*y[:-1], y[-1] + 1], [*y[:-1], y[-1] - 1],
-                   [y[0] + 1, *y[1:]]]
-        for other in refused:
-            assert not index.extend(lam.DualAssignment(other, scale, set()))
-        assert not index.extend(lam.DualAssignment([3 * q for q in y],
-                                                   3 * scale, set()))
-        if scale != index.scale:  # the instance's scale is no divisor
-            assert not index.extend(lam.DualAssignment(y, scale, set()))
-        unit = index.scale // scale
-        duals = lam.DualAssignment([unit * q for q in y], index.scale, set())
-        kind = "no instance" if given is None else \
-            "other scale" if index.scale != family.scale else None
-        if kind:
-            refused_indexes[kind] += 1
-            assert not index.extend(duals)
-        assert {name: getattr(index, name, None)
-                for name in DUAL_INDEX_FIELDS} == before
-        if kind:
-            continue
-        assert index.extend(duals)
-        fresh = verify.DualIndex(fam, lam.DualAssignment(y, scale, set()),
-                                 given)
-        for name in DUAL_INDEX_FIELDS:
-            assert getattr(index, name, None) == getattr(fresh, name, None), \
-                (seed, name)
-        new_set_violations += any(v.kind == "set" and v.subject >= held
-                                  for v in fresh.violations)
-    assert new_set_violations > 15, new_set_violations
-    assert min(refused_indexes.values()) > 100, refused_indexes
 
 
 # -- feasibility ---------------------------------------------------------------
